@@ -158,8 +158,8 @@ class BuckColumns:
 
 
 def ramp_value(ramp: RampSignal, t: float) -> float:
-    """Sawtooth value ``Vl + (Vh - Vl) * ((t/T) mod 1)``."""
-    if not math.isfinite(t):
+    """Sawtooth value ``Vl + (Vh - Vl) * ((t/T) mod 1)``, elementwise on arrays."""
+    if not np.all(np.isfinite(t)):
         raise DomainError(f"t must be finite, got {t}")
     return ramp.Vl + (ramp.Vh - ramp.Vl) * ((t / ramp.T) % 1.0)
 

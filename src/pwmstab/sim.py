@@ -6,7 +6,10 @@ only numerical content is locating the comparator event ``h(t) = y(t)``.
 That is done with a dense scan of precomputed stage responses followed by
 bracketing refinement, giving event times accurate to ~1e-13 of a period.
 The simulation therefore validates the closed-form machinery down to the
-1e-6 level without inheriting any of its code paths beyond ``mat_exp``.
+1e-6 level without inheriting any of its code paths beyond the matrix
+exponential: the scan grid shares the stacked kernel
+``numerics.mat_exp_stack`` with the orbit solver, while every propagation
+and every event refinement calls ``scipy.linalg.expm`` on its own.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next
@@ -102,14 +105,9 @@ class CycleSimulator:
 
         # Scan-grid responses of stage S1: y(t) = rows @ x_in + offset.
         self._grid = np.linspace(0.0, ramp.T, scan_points + 1)
-        rows = np.empty((scan_points + 1, n))
-        offs = np.empty(scan_points + 1)
-        for i, t in enumerate(self._grid):
-            m = scipy.linalg.expm(self._aug1 * t)
-            rows[i] = model.C @ m[:n, :n]
-            offs[i] = model.C @ m[:n, n] + self._du
-        self._y_rows = rows
-        self._y_offsets = offs
+        m = numerics.mat_exp_stack(self._aug1 * self._grid[:, None, None])
+        self._y_rows = model.C @ m[:, :n, :n]
+        self._y_offsets = m[:, :n, n] @ model.C + self._du
         self._h_grid = ramp.Vl + ramp.slope * self._grid
 
     def _propagate(self, stage: int, x: np.ndarray, t: float) -> np.ndarray:

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import numerics
 from .errors import (
-    DegenerateOrbitError,
     DomainError,
     GrazingError,
     ResolventPoleError,
@@ -38,7 +37,8 @@ from .model import (
     SwitchedLinearModel,
     ramp_slope,
 )
-from .steadystate import SteadyState, x0_of_d
+# x0_of_d stays bound here: perfbench's tracer wraps it on this module.
+from .steadystate import SteadyState, stage_exponentials, x0_of_d, x0_of_d_stack  # noqa: F401
 
 #: Relative threshold on |C xdot(d-) - hdot| below which the switching
 #: condition is declared tangent to the ramp (linearization undefined).
@@ -102,6 +102,30 @@ class _Linearization:
     jump: np.ndarray  # xdot(d-) - xdot(d+)
 
 
+def _linearization(
+    model: SwitchedLinearModel,
+    u: InputVector,
+    m1: np.ndarray,
+    m2: np.ndarray,
+    x0_switch: np.ndarray,
+) -> _Linearization:
+    # From the stage transition matrices and the switch state; for one
+    # orbit point, or for stacks of them along a leading axis.
+    uv = u.as_array()
+    xdot_minus = (model.A1 @ x0_switch[..., None])[..., 0] + model.B1 @ uv
+    xdot_plus = (model.A2 @ x0_switch[..., None])[..., 0] + model.B2 @ uv
+    jump = xdot_minus - xdot_plus
+    return _Linearization(
+        phi0=m2 @ m1,
+        gamma=(m2 @ jump[..., None])[..., 0],
+        cm1=model.C @ m1,
+        c_xdot_minus=xdot_minus @ model.C,
+        m1=m1,
+        m2=m2,
+        jump=jump,
+    )
+
+
 def _linearize_at(
     model: SwitchedLinearModel,
     ramp: RampSignal,
@@ -109,21 +133,9 @@ def _linearize_at(
     d: float,
     x0_switch: np.ndarray,
 ) -> _Linearization:
-    uv = u.as_array()
     m1 = numerics.mat_exp(model.A1, d)
     m2 = numerics.mat_exp(model.A2, ramp.T - d)
-    xdot_minus = model.A1 @ x0_switch + model.B1 @ uv
-    xdot_plus = model.A2 @ x0_switch + model.B2 @ uv
-    jump = xdot_minus - xdot_plus
-    return _Linearization(
-        phi0=m2 @ m1,
-        gamma=m2 @ jump,
-        cm1=model.C @ m1,
-        c_xdot_minus=float(model.C @ xdot_minus),
-        m1=m1,
-        m2=m2,
-        jump=jump,
-    )
+    return _linearization(model, u, m1, m2, x0_switch)
 
 
 def _linearize(
@@ -284,22 +296,37 @@ def s_plot(
     At every grid duty the orbit boundary-value problem is re-solved with
     the switching instant imposed (the ramp-crossing condition is *not*
     enforced), so the curve shows where the boundary condition would be
-    met.  Degenerate or pole points are marked singular, never dropped.
+    met.  The whole grid is evaluated in one pass over stacked stage
+    exponentials.  Degenerate or pole points are marked singular, never
+    dropped.
     """
-    samples = []
-    for duty in np.asarray(duty_grid, dtype=float):
-        if not 0.0 < duty < 1.0:
-            raise DomainError(f"duty grid values must lie in (0, 1), got {duty}")
-        d = _edge_switch_time(model.edge, duty, ramp.T)
-        try:
-            _, x0_switch = x0_of_d(model, ramp, u, d)
-            value = _critical_value(
-                _linearize_at(model, ramp, u, d, x0_switch), lam
-            )
-            samples.append(CurveSample(float(duty), value))
-        except (DegenerateOrbitError, ResolventPoleError):
-            samples.append(CurveSample(float(duty), None, singular=True))
-    return BoundaryCurve(parameter="duty", samples=tuple(samples))
+    duties = np.asarray(duty_grid, dtype=float).reshape(-1)
+    outside = ~((duties > 0.0) & (duties < 1.0))
+    if outside.any():
+        raise DomainError(
+            f"duty grid values must lie in (0, 1), got {duties[outside][0]}"
+        )
+    n = model.n
+    e1, e2 = stage_exponentials(
+        model, ramp, u, _edge_switch_time(model.edge, duties, ramp.T)
+    )
+    _, x0_switch, orbit_ok = x0_of_d_stack(e1, e2)
+    # Degenerate duties have NaN states; any finite stand-in keeps the
+    # stacked resolvent solve well defined, and those samples stay singular.
+    lin = _linearization(
+        model, u, e1[:, :n, :n], e2[:, :n, :n],
+        np.where(orbit_ok[:, None], x0_switch, 0.0),
+    )
+    resolvent_gamma, pole_ok = numerics.solve_linear_stack(
+        lam * np.eye(n) - lin.phi0, lin.gamma.astype(complex)
+    )
+    values = lin.c_xdot_minus + np.sum(lin.cm1 * resolvent_gamma, axis=1)
+    samples = tuple(
+        CurveSample(float(duty), complex(value))
+        if ok else CurveSample(float(duty), None, singular=True)
+        for duty, value, ok in zip(duties, values, orbit_ok & pole_ok)
+    )
+    return BoundaryCurve(parameter="duty", samples=samples)
 
 
 def f_plot(

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateOrbitError, DomainError, NoSwitchingError, SingularMatrixError
+from .errors import (
+    DegenerateOrbitError,
+    DomainError,
+    NoRootError,
+    NoSwitchingError,
+    SingularMatrixError,
+)
 from .model import InputVector, ModulationEdge, RampSignal, SwitchedLinearModel, ramp_value
 
 
@@ -45,6 +51,38 @@ class OrbitDerivatives:
     xdot_plus: np.ndarray
 
 
+def _stage_generators(
+    model: SwitchedLinearModel, u: InputVector
+) -> tuple[np.ndarray, np.ndarray]:
+    # Van Loan's augmented generators [[A_i, B_i u], [0, 0]]: one exponential
+    # of size N + 1 holds both e^{A_i t} (top left) and J_i(t) B_i u (top
+    # right column), where J_i(t) = int_0^t e^{A_i s} ds.
+    uv = u.as_array()
+    gens = np.zeros((2, model.n + 1, model.n + 1))
+    gens[0, :-1, :-1] = model.A1
+    gens[0, :-1, -1] = model.B1 @ uv
+    gens[1, :-1, :-1] = model.A2
+    gens[1, :-1, -1] = model.B2 @ uv
+    return gens[0], gens[1]
+
+
+def _cycle_system(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Periodicity x0 = e^{A2 (T-d)} (e^{A1 d} x0 + J1 B1 u) + J2 B2 u as
+    # lhs x0 = rhs, from the stage exponentials of the augmented generators
+    # (one pair, or stacks of them along a leading axis).
+    n = e1.shape[-1] - 1
+    m2 = e2[..., :n, :n]
+    lhs = np.eye(n) - m2 @ e1[..., :n, :n]
+    rhs = (m2 @ e1[..., :n, n:])[..., 0] + e2[..., :n, n]
+    return lhs, rhs
+
+
+def _switch_state(e1: np.ndarray, x0_start: np.ndarray) -> np.ndarray:
+    # State at the switching instant: e^{A1 d} x0 + J1 B1 u.
+    n = e1.shape[-1] - 1
+    return (e1[..., :n, :n] @ x0_start[..., None])[..., 0] + e1[..., :n, n]
+
+
 def x0_of_d(
     model: SwitchedLinearModel,
     ramp: RampSignal,
@@ -55,27 +93,55 @@ def x0_of_d(
 
     Solves ``(I - e^{A2 (T-d)} e^{A1 d}) x0 = e^{A2 (T-d)} J1 B1 u + J2 B2 u``
     where ``J_i`` are the stage exponential integrals, then maps forward to
-    the switch state.  Raises :class:`DegenerateOrbitError` when the
-    open-loop cycle map has a multiplier at +1 (no isolated orbit).
+    the switch state.  Each stage takes one exponential of its augmented
+    generator ``[[A_i, B_i u], [0, 0]]``.  Raises
+    :class:`DegenerateOrbitError` when the open-loop cycle map has a
+    multiplier at +1 (no isolated orbit).
     """
     T = ramp.T
     if not 0.0 <= d <= T:
         raise DomainError(f"d must lie in [0, {T}], got {d}")
-    uv = u.as_array()
-    m1 = numerics.mat_exp(model.A1, d)
-    m2 = numerics.mat_exp(model.A2, T - d)
-    j1b1u = numerics.mat_exp_integral(model.A1, d) @ (model.B1 @ uv)
-    j2b2u = numerics.mat_exp_integral(model.A2, T - d) @ (model.B2 @ uv)
-    lhs = np.eye(model.n) - m2 @ m1
-    rhs = m2 @ j1b1u + j2b2u
+    g1, g2 = _stage_generators(model, u)
+    e1 = numerics.mat_exp(g1, d)
+    lhs, rhs = _cycle_system(e1, numerics.mat_exp(g2, T - d))
     try:
         x0_start = numerics.solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
         raise DegenerateOrbitError(
             f"open-loop cycle map has a multiplier at +1 for d={d:.6g}"
         ) from exc
-    x0_switch = m1 @ x0_start + j1b1u
-    return x0_start, x0_switch
+    return x0_start, _switch_state(e1, x0_start)
+
+
+def stage_exponentials(
+    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Augmented stage exponentials at every switching time of ``d``.
+
+    Returns two ``(k, N+1, N+1)`` stacks: ``e^{G1 d}`` and
+    ``e^{G2 (T - d)}`` with ``G_i = [[A_i, B_i u], [0, 0]]``.
+    """
+    d = np.asarray(d, dtype=float)[:, None, None]
+    if not np.all((d >= 0.0) & (d <= ramp.T)):
+        raise DomainError(f"switching times must lie in [0, {ramp.T}]")
+    g1, g2 = _stage_generators(model, u)
+    return (
+        numerics.mat_exp_stack(g1 * d),
+        numerics.mat_exp_stack(g2 * (ramp.T - d)),
+    )
+
+
+def x0_of_d_stack(
+    e1: np.ndarray, e2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`x0_of_d` over a grid, from :func:`stage_exponentials`.
+
+    Returns ``(x0_start, x0_switch, ok)``; where ``ok`` is false the
+    open-loop cycle map has a multiplier at +1 and both states are NaN.
+    """
+    lhs, rhs = _cycle_system(e1, e2)
+    x0_start, ok = numerics.solve_linear_stack(lhs, rhs)
+    return x0_start, _switch_state(e1, x0_start), ok
 
 
 def switching_residual(
@@ -86,7 +152,18 @@ def switching_residual(
 ) -> float:
     """Compensator-output-minus-ramp mismatch at an imposed switching time."""
     _, x0_switch = x0_of_d(model, ramp, u, d)
-    y = float(model.C @ x0_switch + model.D @ u.as_array())
+    return float(_residual(model, ramp, u, x0_switch, d))
+
+
+def _residual(
+    model: SwitchedLinearModel,
+    ramp: RampSignal,
+    u: InputVector,
+    x0_switch: np.ndarray,
+    d: float | np.ndarray,
+) -> float | np.ndarray:
+    # y(d) - h(d); elementwise over a grid when x0_switch is (k, N).
+    y = x0_switch @ model.C + model.D @ u.as_array()
     return y - ramp_value(ramp, d)
 
 
@@ -125,14 +202,11 @@ def solve_periodic_orbit(
         d_tol = 1e-12 * T
     grid = np.linspace(0.0, T, grid_points + 2)[1:-1]
 
-    values = np.empty(grid.shape)
-    for i, d in enumerate(grid):
-        try:
-            values[i] = switching_residual(model, ramp, u, d)
-        except DegenerateOrbitError:
-            values[i] = np.nan
+    # Degenerate grid points come back NaN and take part in no bracket.
+    _, x0_switch, _ = x0_of_d_stack(*stage_exponentials(model, ramp, u, grid))
+    values = _residual(model, ramp, u, x0_switch, grid)
 
-    brackets: list[tuple[float, float]] = []
+    brackets: list[int] = []
     exact: list[float] = []
     for i in range(len(grid) - 1):
         a, b = values[i], values[i + 1]
@@ -141,7 +215,7 @@ def solve_periodic_orbit(
         if a == 0.0:
             exact.append(grid[i])
         elif a * b < 0.0:
-            brackets.append((grid[i], grid[i + 1]))
+            brackets.append(i)
     if len(grid) and values[-1] == 0.0:
         exact.append(grid[-1])
 
@@ -154,13 +228,19 @@ def solve_periodic_orbit(
 
     roots = list(exact)
     failures = 0
-    for lo, hi in brackets:
+    for i in brackets:
+        lo, hi = grid[i], grid[i + 1]
         try:
             roots.append(
                 numerics.find_root(
                     lambda d: switching_residual(model, ramp, u, d), lo, hi, d_tol
                 )
             )
+        except NoRootError:
+            # The scan and the refinement evaluate the residual in different
+            # association orders; a few-ulp disagreement at a bracket edge
+            # means the crossing sits at the edge the scan found nearest zero.
+            roots.append(lo if abs(values[i]) <= abs(values[i + 1]) else hi)
         except DegenerateOrbitError:
             failures += 1
     if not roots:

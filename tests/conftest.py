@@ -7,6 +7,7 @@ sign-mirrored branch, so its point runs at vr = -11.3 V with a negative
 source voltage.  Both land at duty cycles inside (0.3, 0.7).
 """
 
+import numpy as np
 import pytest
 
 import pwmstab as p
@@ -148,3 +149,31 @@ def make_nsb_model():
 
 
 UNIT_RAMP = p.RampSignal(0.0, 1.0, 1.0)
+
+
+def _random_general_model(rng, n):
+    # Random TEM model (A1 != A2) for UNIT_RAMP: each stage matrix is a
+    # Gaussian matrix shifted left just past its rightmost eigenvalue.
+    def hurwitz():
+        a = rng.normal(size=(n, n))
+        return a - (np.linalg.eigvals(a).real.max() + rng.uniform(0.3, 1.5)) * np.eye(n)
+
+    model = p.SwitchedLinearModel(
+        A1=hurwitz(), A2=hurwitz(),
+        B1=rng.normal(size=(n, 2)), B2=rng.normal(size=(n, 2)),
+        C=rng.normal(size=n), D=[rng.uniform(0.5, 1.5), rng.normal(0.0, 0.3)],
+        edge=p.ModulationEdge.TEM,
+    )
+    return model, p.InputVector(rng.uniform(0.2, 0.8), rng.uniform(0.5, 1.5))
+
+
+@pytest.fixture(scope="session")
+def model_cases(buck_tem, buck_lem, ramp, u_tem, u_lem):
+    """(model, ramp, u) for the buck preset on both edges and for random
+    general models with N = 2..5 (Hurwitz stages, A1 != A2, unit ramp)."""
+    rng = np.random.default_rng(41)
+    cases = [(buck_tem, ramp, u_tem), (buck_lem, ramp, u_lem)]
+    for n in (2, 3, 4, 5):
+        model, u = _random_general_model(rng, n)
+        cases.append((model, UNIT_RAMP, u))
+    return cases

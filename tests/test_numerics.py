@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
+import pwmstab as p
 from pwmstab import numerics
 from pwmstab.errors import DimensionError, DomainError, NoRootError, SingularMatrixError
 
@@ -89,6 +91,107 @@ class TestMatExp:
             exact = mpmath.expm(mpmath.matrix(a.tolist()))
             want = np.array(exact.tolist(), dtype=float)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+
+
+def _assert_expm(got, a):
+    # Within 1e-14 of a 40-digit oracle, and of scipy.linalg.expm up to
+    # scipy's own error: its reduced scaling and its plain Pade value on
+    # triangular slices with s = 0 can cost it more than 1e-14.
+    import mpmath
+    with mpmath.workdps(40):
+        exact = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+    ref = scipy.linalg.expm(a)
+    assert _rel(got, exact) <= 1e-14
+    assert _rel(got, ref) <= 1e-14 + _rel(ref, exact)
+
+
+class TestMatExpStack:
+    def test_structured_slices(self):
+        # Zero, t = 0, diagonal, upper and lower triangular and symmetric
+        # Hurwitz slices, with 1-norms from 0 to ~60 (up to s = 4 squarings).
+        rng = np.random.default_rng(21)
+        for m in range(1, 6):
+            sym = rng.normal(size=(m, m))
+            stack = [
+                np.zeros((m, m)),
+                0.0 * rng.normal(size=(m, m)),
+                np.diag(rng.uniform(-30.0, 2.0, size=m)),
+                np.triu(rng.normal(size=(m, m))) * 12.0,
+                np.tril(rng.normal(size=(m, m))) * 4.0,
+                # Nearly equal diagonal entries: a divided difference of exp
+                # taken as a plain difference quotient would cancel.
+                np.diag(np.full(m, -1.0) + 1e-9 * np.arange(m)) + np.eye(m, k=1) * 0.3,
+                -(sym @ sym.T) * rng.uniform(0.1, 3.0) - np.eye(m),
+            ]
+            got = numerics.mat_exp_stack(np.array(stack))
+            assert np.array_equal(got[0], np.eye(m))
+            assert np.array_equal(got[1], np.eye(m))
+            for a, e in zip(stack, got):
+                _assert_expm(e, a)
+
+    def test_triangular_slices_exact(self):
+        # Diagonal = exp of the diagonal, bit for bit, and the zero triangle
+        # stays exactly zero, with and without squarings.
+        rng = np.random.default_rng(22)
+        for m in range(1, 6):
+            up = np.triu(rng.normal(size=(6, m, m))) * rng.uniform(0.01, 40.0, (6, 1, 1))
+            low = np.transpose(up, (0, 2, 1))
+            got_up, got_low = numerics.mat_exp_stack(up), numerics.mat_exp_stack(low)
+            assert not np.tril(got_up, -1).any()
+            assert not np.triu(got_low, 1).any()
+            for stack, got in ((up, got_up), (low, got_low)):
+                want_diag = np.exp(np.diagonal(stack, axis1=1, axis2=2))
+                assert np.array_equal(np.diagonal(got, axis1=1, axis2=2), want_diag)
+                for a, e in zip(stack, got):
+                    _assert_expm(e, a)
+
+    def test_pure_integrator_exactly_identity(self):
+        # e^{0} must be exactly I: a 1 - ulp diagonal would let a degenerate
+        # cycle map I - M2 M1 pass the pivot test.
+        gen = np.zeros((3, 3))
+        gen[0, 2] = 0.7  # [[A, B u], [0, 0]] with A = 0
+        got = numerics.mat_exp_stack(np.array([np.zeros((3, 3)), gen * 0.4, gen * 50.0]))
+        assert np.array_equal(got[0], np.eye(3))
+        assert np.array_equal(got[1][:2, :2], np.eye(2))
+        assert np.array_equal(got[2][:2, :2], np.eye(2))
+        assert got[2][0, 2] == pytest.approx(35.0, rel=1e-15)
+
+    def test_random_hurwitz(self):
+        # Non-normal Hurwitz slices with 1-norms from ~0.3 to ~60.
+        rng = np.random.default_rng(23)
+        squarings = []
+        for m in (1, 2, 3, 4, 5):
+            a = rng.normal(size=(m, m))
+            a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.3, 1.5)) * np.eye(m)
+            stack = a[None] * np.array([0.3, 2.0, 12.0])[:, None, None]
+            got = numerics.mat_exp_stack(stack)
+            for a_t, e in zip(stack, got):
+                _assert_expm(e, a_t)
+                squarings.append(np.abs(a_t).sum(axis=0).max() / 5.371920351148152)
+        assert max(squarings) > 4.0  # some slices needed s >= 3
+
+    def test_augmented_generators_match_scipy(self, buck_tem, ramp):
+        # The stage generators the solver exponentiates, over one period.
+        gen = np.zeros((3, 3))
+        gen[:2, :2] = buck_tem.A1
+        gen[:2, 2] = buck_tem.B1 @ [11.3, 20.0]
+        ts = np.linspace(0.0, ramp.T, 33)
+        got = numerics.mat_exp_stack(gen * ts[:, None, None])
+        assert np.array_equal(got[0], np.eye(3))
+        for t, e in zip(ts[::4], got[::4]):
+            _assert_expm(e, gen * t)
+
+    def test_invalid_input(self):
+        with pytest.raises(DimensionError):
+            numerics.mat_exp_stack(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            numerics.mat_exp_stack(np.zeros((2, 3, 2)))
+        with pytest.raises(DomainError):
+            numerics.mat_exp_stack(np.full((1, 2, 2), np.nan))
 
 
 class TestMatExpIntegral:
@@ -187,6 +290,80 @@ class TestSolve:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             numerics.solve_linear(np.eye(2), np.ones(3))
+
+
+class TestSolveLinearStack:
+    def _flags(self, stack, rhs, solve):
+        flags = []
+        for m, b in zip(stack, rhs):
+            try:
+                solve(m, b)
+                flags.append(True)
+            except SingularMatrixError:
+                flags.append(False)
+        return np.array(flags)
+
+    def test_flags_match_solve_linear(self):
+        rng = np.random.default_rng(31)
+        integrator = numerics.mat_exp_stack(np.zeros((2, 2, 2)))
+        # Stage with a zero eigenvalue on an upper-triangular A: the cycle
+        # map I - e^{A T} has an exact zero pivot.
+        a = np.array([[0.0, 1.0], [0.0, -1.0]])
+        cycle = np.eye(2) - numerics.mat_exp_stack(a[None] * 0.8)[0]
+        stack = np.array([
+            np.eye(2) - integrator[1] @ integrator[0],
+            [[1.0, 2.0], [2.0, 4.0]],
+            cycle,
+            [[1e-20, 0.0], [0.0, 1.0]],
+            [[2.0, 1.0], [1.0, 3.0]],
+            rng.normal(size=(2, 2)),
+            [[0.0, 1.0], [1.0, 0.0]],
+        ])
+        rhs = rng.normal(size=(len(stack), 2))
+        x, ok = numerics.solve_linear_stack(stack, rhs)
+        want = self._flags(stack, rhs, numerics.solve_linear)
+        assert np.array_equal(ok, want)
+        assert list(ok) == [False, False, False, False, True, True, True]
+        assert np.isnan(x[~ok]).all()
+        for xi, m, b in zip(x[ok], stack[ok], rhs[ok]):
+            ref = numerics.solve_linear(m, b)
+            assert np.linalg.norm(xi - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_rank_deficient_stack(self):
+        # Diagonally dominant slices, and copies whose last row is an exact
+        # combination of two others.  Their last pivot is rounding noise a
+        # few ulps wide, well under the threshold: two LU codes round
+        # differently, so only pivots clear of the threshold can be
+        # expected to get the same verdict from both.
+        rng = np.random.default_rng(32)
+        for n in (2, 3, 4, 5):
+            full = rng.normal(size=(6, n, n)) + n * np.eye(n)
+            low = full.copy()
+            low[:, -1] = low[:, 0] - 2.0 * low[:, n - 2]  # rank n - 1
+            stack = np.concatenate([full, low])
+            rhs = rng.normal(size=(12, n))
+            _, ok = numerics.solve_linear_stack(stack, rhs)
+            assert np.array_equal(ok, self._flags(stack, rhs, numerics.solve_linear))
+            assert ok[:6].all() and not ok[6:].any()
+
+    def test_complex_resolvent_at_open_loop_eigenvalue(self, buck_tem, ramp, u_tem, ss_tem):
+        jd = p.jacobian(buck_tem, ramp, u_tem, ss_tem)
+        mu = np.linalg.eigvals(jd.Phi0)
+        lams = np.array([mu[0], mu[1], -1.0, 1.0, np.exp(1.1j), 0.5 * mu[0]])
+        stack = lams[:, None, None] * np.eye(2) - jd.Phi0
+        rhs = np.broadcast_to(jd.Gamma.astype(complex), (len(lams), 2))
+        x, ok = numerics.solve_linear_stack(stack, rhs)
+        assert np.array_equal(ok, self._flags(stack, rhs, numerics.solve_complex))
+        assert list(ok) == [False, False, True, True, True, True]
+        for xi, m, b in zip(x[ok], stack[ok], rhs[ok]):
+            ref = numerics.solve_complex(m, b)
+            assert np.linalg.norm(xi - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_invalid_input(self):
+        with pytest.raises(DimensionError):
+            numerics.solve_linear_stack(np.zeros((1, 2, 2)), np.zeros((1, 3)))
+        with pytest.raises(DomainError):
+            numerics.solve_linear_stack(np.eye(2)[None], np.array([[np.inf, 0.0]]))
 
 
 class TestFindRoot:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pwmstab as p
 from pwmstab.errors import (
@@ -79,6 +80,22 @@ class TestSimulateCycle:
         )
         with pytest.raises(DivergenceError):
             p.simulate(m, UNIT_RAMP, p.InputVector(0.0, 1.0), [0.5, 0.0], 400)
+
+
+class TestScanGrid:
+    def test_rows_match_per_point_expm(self, model_cases):
+        # The stacked scan-grid responses against one scipy expm per point.
+        for model, rmp, u in model_cases:
+            sim = p.CycleSimulator(model, rmp, u, scan_points=64)
+            n = model.n
+            du = float(model.D @ u.as_array())
+            for t, row, off in zip(sim._grid, sim._y_rows, sim._y_offsets):
+                m = scipy.linalg.expm(sim._aug1 * t)
+                want_row = model.C @ m[:n, :n]
+                want_off = model.C @ m[:n, n] + du
+                assert np.linalg.norm(row - want_row) <= 1e-12 * np.linalg.norm(want_row)
+                assert abs(off - want_off) <= 1e-12 * max(abs(want_off), 1.0)
+            assert np.array_equal(sim._y_rows[0], model.C)
 
 
 class TestStroboscopicMap:

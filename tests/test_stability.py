@@ -270,6 +270,53 @@ class TestCurves:
         assert all(s.singular for s in curve.samples)
         assert all(s.value is None for s in curve.samples)
 
+    def test_splot_matches_per_duty_evaluation(self, model_cases):
+        # Reference: the per-duty loop (scalar orbit, linearization and
+        # resolvent at each duty), to 1e-12; no duty here is singular.
+        duties = np.linspace(0.03, 0.97, 17)
+        for model, rmp, u in model_cases:
+            for lam in (-1.0, 1.0, np.exp(1.1j)):
+                curve = p.s_plot(model, rmp, u, lam, duties)
+                for duty, sample in zip(duties, curve.samples):
+                    d = duty * rmp.T if model.edge is p.ModulationEdge.TEM else (1 - duty) * rmp.T
+                    _, xd = p.x0_of_d(model, rmp, u, d)
+                    lin = stability._linearize_at(model, rmp, u, d, xd)
+                    ref = stability._critical_value(lin, lam)
+                    assert not sample.singular
+                    assert abs(sample.value - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+    def test_splot_singular_flags_match_per_duty(self, buck_tem, ramp, u_tem, ss_tem):
+        # Pole duties (open-loop eigenvalue) and degenerate duties (pure
+        # integrator) are singular in both the batched and the scalar path.
+        mu = complex(np.linalg.eigvals(p.jacobian(buck_tem, ramp, u_tem, ss_tem).Phi0)[0])
+        integrator = p.SwitchedLinearModel(
+            A1=np.zeros((2, 2)), A2=np.zeros((2, 2)),
+            B1=[[0.0, 1.0], [0.0, 0.0]], B2=np.zeros((2, 2)),
+            C=[1.0, 0.0], D=[0.0, 0.0], edge=p.ModulationEdge.TEM,
+        )
+        duties = np.linspace(0.2, 0.8, 5)
+        for model, rmp, u, lam in (
+            (buck_tem, ramp, u_tem, mu),
+            (integrator, UNIT_RAMP, p.InputVector(0.0, 1.0), -1.0),
+        ):
+            curve = p.s_plot(model, rmp, u, lam, duties)
+            for duty, sample in zip(duties, curve.samples):
+                try:
+                    _, xd = p.x0_of_d(model, rmp, u, duty * rmp.T)
+                    stability._critical_value(
+                        stability._linearize_at(model, rmp, u, duty * rmp.T, xd), lam
+                    )
+                    scalar_singular = False
+                except (p.DegenerateOrbitError, ResolventPoleError):
+                    scalar_singular = True
+                assert sample.singular and scalar_singular
+                assert sample.value is None
+
+    def test_splot_rejects_duty_outside_unit_interval(self, buck_tem, ramp, u_tem):
+        for bad in (0.0, 1.0, 1.2):
+            with pytest.raises(DomainError):
+                p.s_plot(buck_tem, ramp, u_tem, -1.0, [0.5, bad])
+
     def test_fplot_endpoints(self, buck_tem, ramp, u_tem, ss_tem):
         curve = p.f_plot(buck_tem, ramp, u_tem, ss_tem, [math.pi, 0.0, 1.1, -1.1])
         hdot = p.ramp_slope(ramp)

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 
 import pwmstab as p
+from pwmstab import steadystate
 from pwmstab.errors import DegenerateOrbitError, DomainError, NoSwitchingError
 from conftest import UNIT_RAMP
 
@@ -80,6 +81,58 @@ class TestSwitchingResidual:
         vals = [p.switching_residual(buck_tem, ramp, u_tem, d) for d in ds]
         signs = np.sign(vals)
         assert np.any(signs[:-1] * signs[1:] < 0)
+
+
+class TestBatchedScan:
+    def test_matches_scalar_path(self, model_cases):
+        for model, rmp, u in model_cases:
+            grid = np.linspace(0.0, rmp.T, 66)[1:-1]
+            e1, e2 = steadystate.stage_exponentials(model, rmp, u, grid)
+            x0, xd, ok = steadystate.x0_of_d_stack(e1, e2)
+            assert ok.all()
+            values = steadystate._residual(model, rmp, u, xd, grid)
+            for i, d in enumerate(grid):
+                x0_ref, xd_ref = p.x0_of_d(model, rmp, u, d)
+                assert np.linalg.norm(x0[i] - x0_ref) <= 1e-12 * np.linalg.norm(x0_ref)
+                assert np.linalg.norm(xd[i] - xd_ref) <= 1e-12 * np.linalg.norm(xd_ref)
+                ref = p.switching_residual(model, rmp, u, d)
+                assert abs(values[i] - ref) <= 1e-12 * max(abs(ref), rmp.Vm)
+
+    def test_degenerate_points_are_nan(self):
+        # Pure integrator: every grid point is degenerate in both paths.
+        m = p.SwitchedLinearModel(
+            A1=np.zeros((2, 2)), A2=np.zeros((2, 2)),
+            B1=[[0.0, 1.0], [0.0, 0.0]], B2=np.zeros((2, 2)),
+            C=[1.0, 0.0], D=[0.0, 0.0], edge=p.ModulationEdge.TEM,
+        )
+        u = p.InputVector(0.0, 1.0)
+        grid = np.linspace(0.1, 0.9, 5)
+        x0, xd, ok = steadystate.x0_of_d_stack(
+            *steadystate.stage_exponentials(m, UNIT_RAMP, u, grid)
+        )
+        assert not ok.any()
+        assert np.isnan(x0).all() and np.isnan(xd).all()
+        for d in grid:
+            with pytest.raises(DegenerateOrbitError):
+                p.x0_of_d(m, UNIT_RAMP, u, d)
+
+    def test_refinement_sign_disagreement_takes_bracket_edge(self, monkeypatch):
+        # The scan sees a crossing just after grid[i] (residual +1 ulp there,
+        # negative at grid[i + 1]), while the refinement's residual at
+        # grid[i] is a few ulps lower, as the two evaluation orders can
+        # make it.  Brent then finds no sign change over the bracket; the
+        # solver takes the bracket edge the scan found nearest zero.
+        m = _const_y_model()
+        grid = np.linspace(0.0, 1.0, 66)[1:-1]
+        vr = float(np.nextafter(grid[20], 1.0))
+        scalar = steadystate.switching_residual
+        monkeypatch.setattr(
+            steadystate, "switching_residual",
+            lambda *args: scalar(*args) - 4e-16,
+        )
+        ss = p.solve_periodic_orbit(m, UNIT_RAMP, p.InputVector(vr, 0.0), grid_points=64)
+        assert ss.d == grid[20]
+        assert ss.candidates == 1
 
 
 class TestSolvePeriodicOrbit:
