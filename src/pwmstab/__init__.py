@@ -13,18 +13,15 @@ from .buck import (
     HarmonicBalanceResult,
     HarmonicGains,
     TaylorCoefficients,
+    buck_pdb_residual,
     equivalence_residual,
     harmonic_balance,
-    harmonic_balance_vs,
     harmonic_gains,
     lem_boundary_coefficient,
     make_buck_plant,
-    pdb_residual_lem,
-    pdb_residual_tem,
     taylor_coefficients,
     taylor_critical_vs,
     taylor_pdb_residual,
-    tem_boundary_coefficient,
     transfer_eval,
     vs_critical_lem,
     vs_critical_tem,
@@ -54,7 +51,6 @@ from .model import (
     compensator_output,
     detect_buck_structure,
     preset_vmc_buck,
-    ramp_slope,
     ramp_value,
 )
 from .sim import (
@@ -64,9 +60,7 @@ from .sim import (
     fd_jacobian,
     find_fixed_point,
     simulate,
-    simulate_cycle,
     steady_period,
-    stroboscopic_map,
 )
 from .stability import (
     BoundaryCurve,
@@ -85,9 +79,8 @@ from .stability import (
     snb_residual,
 )
 from .steadystate import (
-    OrbitDerivatives,
     SteadyState,
-    orbit_derivatives,
+    orbit_at,
     solve_periodic_orbit,
     switching_residual,
     x0_of_d,

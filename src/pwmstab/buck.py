@@ -28,6 +28,7 @@ from .model import (
     RampSignal,
     SwitchedLinearModel,
     detect_buck_structure,
+    switch_time_of_duty,
 )
 
 
@@ -95,21 +96,13 @@ def _check_duty(D: float) -> None:
         raise DomainError(f"duty must lie in (0, 1), got {D}")
 
 
-def _lem_coefficient(plant: BuckPlant, d: float) -> float:
-    """Boundary coefficient C [(I+e^{-AT})^-1 + (I-e^{AT})^-1 (e^{AT}-e^{Ad})] B."""
-    T = plant.ramp.T
-    n = plant.A.shape[0]
-    eye = np.eye(n)
-    e_T = numerics.mat_exp(plant.A, T)
-    e_negT = numerics.mat_exp(plant.A, -T)
-    e_d = numerics.mat_exp(plant.A, d)
-    term1 = numerics.solve_linear(eye + e_negT, plant.B)
-    term2 = numerics.solve_linear(eye - e_T, (e_T - e_d) @ plant.B)
-    return float(plant.C @ (term1 + term2))
+def _coefficient(plant: BuckPlant, d: float) -> float:
+    """TEM boundary coefficient C [(I-e^{AT})^-1 (e^{Ad}-I) + (I+e^{AT})^-1] B.
 
-
-def _tem_coefficient(plant: BuckPlant, d: float) -> float:
-    """Boundary coefficient C [(I-e^{AT})^-1 (e^{Ad}-I) + (I+e^{AT})^-1] B."""
+    The LEM form C [(I+e^{-AT})^-1 + (I-e^{AT})^-1 (e^{AT}-e^{Ad})] B is its
+    exact negative, as (I+e^{-AT})^-1 = I - (I+e^{AT})^-1; only this form
+    stays finite when a plant pole has |lambda| T above ~709.
+    """
     T = plant.ramp.T
     n = plant.A.shape[0]
     eye = np.eye(n)
@@ -120,18 +113,19 @@ def _tem_coefficient(plant: BuckPlant, d: float) -> float:
     return float(plant.C @ (term1 + term2))
 
 
+def _edge_coefficient(plant: BuckPlant, D: float, edge: ModulationEdge) -> float:
+    # Boundary coefficient at duty D: the TEM form at the edge's switching
+    # instant, negated for LEM.
+    _check_duty(D)
+    coef = _coefficient(plant, switch_time_of_duty(edge, D, plant.ramp.T))
+    return coef if edge is ModulationEdge.TEM else -coef
+
+
 def lem_boundary_coefficient(plant: BuckPlant, d: float) -> float:
     """LEM boundary coefficient at switching instant ``d`` (slope/vs units)."""
     if not 0.0 <= d <= plant.ramp.T:
         raise DomainError(f"d must lie in [0, {plant.ramp.T}], got {d}")
-    return _lem_coefficient(plant, d)
-
-
-def tem_boundary_coefficient(plant: BuckPlant, d: float) -> float:
-    """TEM boundary coefficient at switching instant ``d`` (slope/vs units)."""
-    if not 0.0 <= d <= plant.ramp.T:
-        raise DomainError(f"d must lie in [0, {plant.ramp.T}], got {d}")
-    return _tem_coefficient(plant, d)
+    return -_coefficient(plant, d)
 
 
 def _vs_from_coefficient(plant: BuckPlant, coef: float) -> float:
@@ -142,26 +136,22 @@ def _vs_from_coefficient(plant: BuckPlant, coef: float) -> float:
 
 def vs_critical_lem(plant: BuckPlant, D: float) -> float:
     """Critical source voltage of the LEM period-doubling boundary at duty ``D``."""
-    _check_duty(D)
-    return _vs_from_coefficient(plant, _lem_coefficient(plant, (1.0 - D) * plant.ramp.T))
+    return _vs_from_coefficient(plant, _edge_coefficient(plant, D, ModulationEdge.LEM))
 
 
 def vs_critical_tem(plant: BuckPlant, D: float) -> float:
     """Critical source voltage of the TEM period-doubling boundary at duty ``D``."""
-    _check_duty(D)
-    return _vs_from_coefficient(plant, _tem_coefficient(plant, D * plant.ramp.T))
+    return _vs_from_coefficient(plant, _edge_coefficient(plant, D, ModulationEdge.TEM))
 
 
-def pdb_residual_lem(plant: BuckPlant, D: float, vs: float) -> float:
-    """LEM boundary residual, affine in ``vs``; zero on the boundary."""
-    _check_duty(D)
-    return _lem_coefficient(plant, (1.0 - D) * plant.ramp.T) * vs - plant.ramp.slope
+def buck_pdb_residual(
+    plant: BuckPlant, D: float, vs: float, edge: ModulationEdge
+) -> float:
+    """Closed-form period-doubling residual at duty ``D`` for modulation ``edge``.
 
-
-def pdb_residual_tem(plant: BuckPlant, D: float, vs: float) -> float:
-    """TEM boundary residual, affine in ``vs``; zero on the boundary."""
-    _check_duty(D)
-    return _tem_coefficient(plant, D * plant.ramp.T) * vs - plant.ramp.slope
+    Affine in ``vs``; zero on the boundary.
+    """
+    return _edge_coefficient(plant, D, ModulationEdge(edge)) * vs - plant.ramp.slope
 
 
 def transfer_eval(plant: BuckPlant, s: complex) -> complex:
@@ -172,7 +162,7 @@ def transfer_eval(plant: BuckPlant, s: complex) -> complex:
     """
     n = plant.A.shape[0]
     try:
-        x = numerics.solve_complex(s * np.eye(n) - plant.A, plant.B)
+        x = numerics.solve_linear(s * np.eye(n) - plant.A, plant.B.astype(complex))
     except SingularMatrixError as exc:
         raise ResolventPoleError(f"s = {s:.6g} is a pole of the plant") from exc
     return complex(plant.C @ x)
@@ -243,17 +233,6 @@ def harmonic_balance(
     )
 
 
-def harmonic_balance_vs(
-    plant: BuckPlant,
-    d: float,
-    K: int,
-    edge: ModulationEdge = ModulationEdge.LEM,
-    gains: HarmonicGains | None = None,
-) -> float:
-    """Critical source voltage from the truncated harmonic-balance series."""
-    return harmonic_balance(plant, d, K, edge, gains).vs
-
-
 def equivalence_residual(
     plant: BuckPlant,
     d: float,
@@ -267,7 +246,7 @@ def equivalence_residual(
     """
     series = harmonic_balance(plant, d, K, ModulationEdge.LEM, gains)
     lhs = 2.0 * plant.ramp.fs * series.series_sum.real
-    rhs = _lem_coefficient(plant, d)
+    rhs = -_coefficient(plant, d)
     return abs(lhs - rhs)
 
 

@@ -40,7 +40,7 @@ from .errors import (
     PwmStabError,
     SingularMatrixError,
 )
-from .model import ModulationEdge, ramp_slope
+from .model import ModulationEdge, switch_time_of_duty
 from .steadystate import solve_periodic_orbit
 
 EXIT_OK = 0
@@ -98,10 +98,6 @@ def _orbit(model, ramp, u, solver):
     )
 
 
-def _plant(model, ramp):
-    return buck_mod.make_buck_plant(model, ramp)
-
-
 def _duty_grid(args):
     try:
         sweep = SweepSpec("duty", args.dmin, args.dmax, args.points)
@@ -137,23 +133,19 @@ def cmd_eigs(args) -> None:
 
 def cmd_sweep_vs(args) -> None:
     model, ramp, u, solver = _load(args)
-    plant = _plant(model, ramp)
+    plant = buck_mod.make_buck_plant(model, ramp)
     critical = (
         buck_mod.vs_critical_tem
         if model.edge is ModulationEdge.TEM
         else buck_mod.vs_critical_lem
     )
-    residual = (
-        buck_mod.pdb_residual_tem
-        if model.edge is ModulationEdge.TEM
-        else buck_mod.pdb_residual_lem
-    )
-    hdot = ramp_slope(ramp)
+    hdot = ramp.slope
     rows = []
     for duty in _duty_grid(args):
         vs = critical(plant, duty)
         check = (
-            abs(residual(plant, duty, vs)) / hdot if math.isfinite(vs) else math.nan
+            abs(buck_mod.buck_pdb_residual(plant, duty, vs, model.edge)) / hdot
+            if math.isfinite(vs) else math.nan
         )
         rows.append([duty, vs, check])
     _emit(["duty", "vs_critical_volts", "residual_check"], rows, args)
@@ -186,7 +178,7 @@ def cmd_splot(args) -> None:
     lam = _parse_complex_flag(args.lam)
     curve = stability.s_plot(model, ramp, u, lam, _duty_grid(args))
     rows = _curve_rows(curve)
-    hdot = ramp_slope(ramp)
+    hdot = ramp.slope
     header = [
         "duty",
         "s_real_volts_per_second",
@@ -210,7 +202,7 @@ def cmd_fplot(args) -> None:
         "singular",
         "ramp_slope_volts_per_second",
     ]
-    _emit(header, [r + [ramp_slope(ramp)] for r in rows], args)
+    _emit(header, [r + [ramp.slope] for r in rows], args)
 
 
 def cmd_nyquist(args) -> None:
@@ -256,12 +248,12 @@ def cmd_simulate(args) -> None:
 
 def cmd_check_equivalence(args) -> None:
     model, ramp, u, solver = _load(args)
-    plant = _plant(model, ramp)
+    plant = buck_mod.make_buck_plant(model, ramp)
     harmonics = args.harmonics if args.harmonics else solver.harmonics
     gains = buck_mod.harmonic_gains(plant, harmonics)
     rows = []
     for duty in _duty_grid(args):
-        d = (1.0 - duty) * ramp.T
+        d = switch_time_of_duty(ModulationEdge.LEM, duty, ramp.T)
         result = buck_mod.harmonic_balance(
             plant, d, harmonics, ModulationEdge.LEM, gains
         )
@@ -282,7 +274,7 @@ def cmd_check_equivalence(args) -> None:
 
 def cmd_taylor_compare(args) -> None:
     model, ramp, u, solver = _load(args)
-    plant = _plant(model, ramp)
+    plant = buck_mod.make_buck_plant(model, ramp)
     rows = []
     for duty in _duty_grid(args):
         exact = buck_mod.vs_critical_tem(plant, duty)

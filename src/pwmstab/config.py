@@ -3,7 +3,7 @@
 The format is INI-style with four sections::
 
     [model]
-    preset = vmc_buck        # or raw matrices A1/A2/B1/B2/C/D (+ E1/E2)
+    preset = vmc_buck        # or raw matrices A1/A2/B1/B2/C/D
     L = 20e-3
     C = 47e-6
     R = 22.0
@@ -51,7 +51,7 @@ _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 _MODEL_PRESET_KEYS = {"preset", "L", "C", "R", "g", "edge"}
-_MODEL_RAW_KEYS = {"A1", "A2", "B1", "B2", "C", "D", "E1", "E2", "edge"}
+_MODEL_RAW_KEYS = {"A1", "A2", "B1", "B2", "C", "D", "edge"}
 _RAMP_KEYS = {"Vl", "Vh", "T"}
 _INPUT_KEYS = {"vr", "vs"}
 _SOLVER_KEYS = {"grid_points", "scan_points", "harmonics", "class_tol", "d_tol"}
@@ -76,8 +76,6 @@ class RawModelSpec:
     B2: tuple[tuple[float, ...], ...]
     C: tuple[float, ...]
     D: tuple[float, ...]
-    E1: tuple[float, ...] | None = None
-    E2: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -241,8 +239,7 @@ def parse_config(text: str) -> ConverterConfig:
             edge=_parse_edge(model_items["edge"]),
         )
     else:
-        required = {"A1", "A2", "B1", "B2", "C", "D", "edge"}
-        _require_keys("model", set(model_items), required, _MODEL_RAW_KEYS)
+        _require_keys("model", set(model_items), _MODEL_RAW_KEYS, _MODEL_RAW_KEYS)
         a1 = _parse_matrix(text, "A1", model_items["A1"])
         n = len(a1)
         _check_shape("A1", a1, n, n)
@@ -258,17 +255,9 @@ def parse_config(text: str) -> ConverterConfig:
         dmat = _parse_row(text, "D", model_items["D"])
         if len(dmat) != 2:
             raise ConfigError(f"D must have 2 entries, got {len(dmat)}")
-        extra = {}
-        for key in ("E1", "E2"):
-            if key in model_items:
-                row = _parse_row(text, key, model_items[key])
-                if len(row) != n:
-                    raise ConfigError(f"{key} must have {n} entries, got {len(row)}")
-                extra[key] = row
         model_spec = RawModelSpec(
             edge=_parse_edge(model_items["edge"]),
             A1=a1, A2=a2, B1=b1, B2=b2, C=c, D=dmat,
-            E1=extra.get("E1"), E2=extra.get("E2"),
         )
 
     ramp_items = dict(parser.items("ramp"))
@@ -338,8 +327,6 @@ def build(
             B2=cfg.model.B2,
             C=cfg.model.C,
             D=cfg.model.D,
-            E1=cfg.model.E1,
-            E2=cfg.model.E2,
             edge=ModulationEdge(cfg.model.edge),
         )
     ramp = RampSignal(Vl=cfg.ramp.Vl, Vh=cfg.ramp.Vh, T=cfg.ramp.T)
@@ -372,10 +359,6 @@ def emit_config(cfg: ConverterConfig) -> str:
             out.write(f"{key} = {_fmt_matrix(getattr(cfg.model, key))}\n")
         out.write(f"C = {','.join(_fmt(x) for x in cfg.model.C)}\n")
         out.write(f"D = {','.join(_fmt(x) for x in cfg.model.D)}\n")
-        for key in ("E1", "E2"):
-            row = getattr(cfg.model, key)
-            if row is not None:
-                out.write(f"{key} = {','.join(_fmt(x) for x in row)}\n")
     out.write("\n[ramp]\n")
     out.write(f"Vl = {_fmt(cfg.ramp.Vl)}\n")
     out.write(f"Vh = {_fmt(cfg.ramp.Vh)}\n")

@@ -55,9 +55,6 @@ class SwitchedLinearModel:
         Compensator output row.
     D : (2,) array
         Input feedthrough row of the compensator output.
-    E1, E2 : (N,) arrays, optional
-        Per-stage output rows.  Stored for completeness; nothing in the
-        analysis consumes them.
     edge : ModulationEdge
         Whether stage S1 is the ON stage (TEM) or the OFF stage (LEM).
     """
@@ -69,8 +66,6 @@ class SwitchedLinearModel:
     C: np.ndarray
     D: np.ndarray
     edge: ModulationEdge
-    E1: np.ndarray | None = None
-    E2: np.ndarray | None = None
     n: int = field(init=False)
 
     def __post_init__(self):
@@ -83,12 +78,6 @@ class SwitchedLinearModel:
         object.__setattr__(self, "B2", _matrix(self.B2, (n, 2), "B2"))
         object.__setattr__(self, "C", _matrix(np.reshape(self.C, (1, -1)), (1, n), "C")[0])
         object.__setattr__(self, "D", _matrix(np.reshape(self.D, (1, -1)), (1, 2), "D")[0])
-        for name in ("E1", "E2"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(
-                    self, name, _matrix(np.reshape(val, (1, -1)), (1, n), name)[0]
-                )
         if not isinstance(self.edge, ModulationEdge):
             object.__setattr__(self, "edge", ModulationEdge(self.edge))
 
@@ -164,9 +153,15 @@ def ramp_value(ramp: RampSignal, t: float) -> float:
     return ramp.Vl + (ramp.Vh - ramp.Vl) * ((t / ramp.T) % 1.0)
 
 
-def ramp_slope(ramp: RampSignal) -> float:
-    """Constant slope of the sawtooth, ``(Vh - Vl)/T``."""
-    return ramp.slope
+def switch_time_of_duty(edge: ModulationEdge, duty, T: float):
+    """Switching instant of ON fraction ``duty``, elementwise on arrays:
+    ``duty*T`` for TEM (ON stage first), ``(1 - duty)*T`` for LEM."""
+    return duty * T if edge is ModulationEdge.TEM else (1.0 - duty) * T
+
+
+def duty_of_switch_time(edge: ModulationEdge, d, T: float):
+    """ON fraction of switching instant ``d``; inverse of :func:`switch_time_of_duty`."""
+    return d / T if edge is ModulationEdge.TEM else 1.0 - d / T
 
 
 def compensator_output(model: SwitchedLinearModel, x, u: InputVector) -> float:

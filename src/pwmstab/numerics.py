@@ -21,7 +21,7 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
   (lossless converter idealizations).
 * ``eigenvalues`` uses closed forms for N <= 2 and the dense QR algorithm
   (``numpy.linalg.eigvals``) for N >= 3.
-* ``solve_linear``/``solve_complex`` are LU solves with an explicit pivot
+* ``solve_linear`` is an LU solve, real or complex, with an explicit pivot
   threshold so near-singular systems raise instead of returning garbage;
   upstream code relies on that signal (e.g. "lambda is an eigenvalue of
   the open-loop map").  ``solve_linear_stack`` applies the same threshold
@@ -224,7 +224,7 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def solve_linear(m, b) -> np.ndarray:
-    """Solve ``M x = b`` by LU with partial pivoting.
+    """Solve ``M x = b`` by LU with partial pivoting, real or complex.
 
     Raises :class:`SingularMatrixError` when any pivot magnitude falls
     below ``SINGULAR_PIVOT_RTOL * ||M||_inf``; that threshold is the
@@ -300,13 +300,6 @@ def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
     ok = (scale > 0.0) & (pivots.min(axis=1, initial=np.inf) > SINGULAR_PIVOT_RTOL * scale)
     x[~ok] = np.nan
     return x, ok
-
-
-def solve_complex(m, b) -> np.ndarray:
-    """Complex linear solve; see :func:`solve_linear` for the contract."""
-    arr = np.asarray(m, dtype=complex)
-    vec = np.asarray(b, dtype=complex)
-    return solve_linear(arr, vec)
 
 
 def find_root(f, lo: float, hi: float, tol: float) -> float:

@@ -196,33 +196,6 @@ class CycleSimulator:
         return Trajectory(cycles=tuple(records))
 
 
-def simulate_cycle(
-    model: SwitchedLinearModel,
-    ramp: RampSignal,
-    u: InputVector,
-    x_in,
-    scan_points: int = 512,
-) -> tuple[np.ndarray, float | None]:
-    """One exact cycle; returns (state at next clock, switching time).
-
-    The switching time is ``None`` when the comparator never fired, i.e.
-    the cycle stayed in stage S1 (duty saturated).
-    """
-    rec = CycleSimulator(model, ramp, u, scan_points=scan_points).cycle(x_in)
-    return rec.x_end, rec.d_event
-
-
-def stroboscopic_map(
-    model: SwitchedLinearModel,
-    ramp: RampSignal,
-    u: InputVector,
-    x,
-    scan_points: int = 512,
-) -> np.ndarray:
-    """State after one clock period (the map whose fixed point is the orbit)."""
-    return CycleSimulator(model, ramp, u, scan_points=scan_points).map(x)
-
-
 def simulate(
     model: SwitchedLinearModel,
     ramp: RampSignal,

@@ -24,21 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import (
-    DomainError,
-    GrazingError,
-    ResolventPoleError,
-    SingularMatrixError,
-)
-from .model import (
-    InputVector,
-    ModulationEdge,
-    RampSignal,
-    SwitchedLinearModel,
-    ramp_slope,
-)
+from .errors import DomainError, GrazingError, ResolventPoleError
+from .model import InputVector, RampSignal, SwitchedLinearModel, switch_time_of_duty
+from .steadystate import SteadyState, stage_exponentials, switch_derivatives, x0_of_d_stack
 # x0_of_d stays bound here: perfbench's tracer wraps it on this module.
-from .steadystate import SteadyState, stage_exponentials, x0_of_d, x0_of_d_stack  # noqa: F401
+from .steadystate import x0_of_d  # noqa: F401
 
 #: Relative threshold on |C xdot(d-) - hdot| below which the switching
 #: condition is declared tangent to the ramp (linearization undefined).
@@ -92,56 +82,85 @@ class BoundaryCurve:
 
 @dataclass(frozen=True)
 class _Linearization:
-    # Shared pieces of the critical condition at one orbit point.
+    # Shared pieces of the critical condition at one orbit point, or at a
+    # stack of them along a leading axis.
     phi0: np.ndarray
     gamma: np.ndarray
     cm1: np.ndarray  # row C e^{A1 d}
-    c_xdot_minus: float
-    m1: np.ndarray
-    m2: np.ndarray
+    c_xdot_minus: float | np.ndarray
     jump: np.ndarray  # xdot(d-) - xdot(d+)
 
 
 def _linearization(
     model: SwitchedLinearModel,
-    u: InputVector,
     m1: np.ndarray,
     m2: np.ndarray,
-    x0_switch: np.ndarray,
+    xdot_minus: np.ndarray,
+    xdot_plus: np.ndarray,
 ) -> _Linearization:
-    # From the stage transition matrices and the switch state; for one
-    # orbit point, or for stacks of them along a leading axis.
-    uv = u.as_array()
-    xdot_minus = (model.A1 @ x0_switch[..., None])[..., 0] + model.B1 @ uv
-    xdot_plus = (model.A2 @ x0_switch[..., None])[..., 0] + model.B2 @ uv
+    # From the stage transition matrices and the orbit derivatives at the
+    # switch; for one orbit point, or for stacks of them.
     jump = xdot_minus - xdot_plus
     return _Linearization(
         phi0=m2 @ m1,
         gamma=(m2 @ jump[..., None])[..., 0],
         cm1=model.C @ m1,
         c_xdot_minus=xdot_minus @ model.C,
-        m1=m1,
-        m2=m2,
         jump=jump,
     )
 
 
-def _linearize_at(
-    model: SwitchedLinearModel,
-    ramp: RampSignal,
-    u: InputVector,
-    d: float,
-    x0_switch: np.ndarray,
-) -> _Linearization:
-    m1 = numerics.mat_exp(model.A1, d)
-    m2 = numerics.mat_exp(model.A2, ramp.T - d)
-    return _linearization(model, u, m1, m2, x0_switch)
+def _orbit_linearization(model: SwitchedLinearModel, ss: SteadyState) -> _Linearization:
+    if ss.m1 is None:
+        raise DomainError(
+            "the orbit carries no linearization: build it with "
+            "solve_periodic_orbit or orbit_at"
+        )
+    return _linearization(model, ss.m1, ss.m2, ss.xdot_minus, ss.xdot_plus)
 
 
-def _linearize(
-    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, ss: SteadyState
-) -> _Linearization:
-    return _linearize_at(model, ramp, u, ss.d, ss.x0_switch)
+def _loop_denominator(lin: _Linearization, hdot: float) -> float:
+    # C xdot(d-) - hdot; zero when the switching condition grazes the ramp.
+    denom = lin.c_xdot_minus - hdot
+    scale = abs(lin.c_xdot_minus) + abs(hdot)
+    if abs(denom) <= GRAZING_RTOL * scale or denom == 0.0:
+        raise GrazingError(
+            "switching condition tangent to the ramp: "
+            f"C xdot(d-) = {lin.c_xdot_minus:.6g}, hdot = {hdot:.6g}"
+        )
+    return denom
+
+
+def _resolvent_term(lin: _Linearization, lam) -> tuple[np.ndarray, np.ndarray]:
+    # C e^{A1 d} (lam I - Phi0)^{-1} Gamma in one stacked solve: at every
+    # lam of an array for one orbit point, or at one lam for a stacked
+    # linearization.  The solve is real when lam is.  Returns the values
+    # and the ok mask, false where lam is an eigenvalue of Phi0.
+    n = lin.phi0.shape[-1]
+    systems = (np.asarray(lam)[..., None, None] * np.eye(n) - lin.phi0).reshape(-1, n, n)
+    rg, ok = numerics.solve_linear_stack(
+        systems, np.broadcast_to(lin.gamma, systems.shape[:-1])
+    )
+    return np.sum(lin.cm1 * rg, axis=-1), ok
+
+
+def _point_value(model: SwitchedLinearModel, ss: SteadyState, lam):
+    # Left side of the critical condition at the orbit point and one lam.
+    lin = _orbit_linearization(model, ss)
+    term, ok = _resolvent_term(lin, lam)
+    if not ok[0]:
+        raise ResolventPoleError(
+            f"lambda = {lam:.6g} is an eigenvalue of the open-loop cycle map"
+        )
+    return lin.c_xdot_minus + term[0]
+
+
+def _curve(parameter: str, params, values, ok) -> BoundaryCurve:
+    return BoundaryCurve(parameter=parameter, samples=tuple(
+        CurveSample(float(x), complex(v)) if good
+        else CurveSample(float(x), None, singular=True)
+        for x, v, good in zip(params, values, ok)
+    ))
 
 
 def jacobian(
@@ -155,17 +174,10 @@ def jacobian(
     Raises :class:`GrazingError` when the switching condition is tangent
     to the ramp (zero linearization denominator).
     """
-    lin = _linearize(model, ramp, u, ss)
-    hdot = ramp_slope(ramp)
-    denom = lin.c_xdot_minus - hdot
-    scale = abs(lin.c_xdot_minus) + abs(hdot)
-    if abs(denom) <= GRAZING_RTOL * scale or denom == 0.0:
-        raise GrazingError(
-            "switching condition tangent to the ramp: "
-            f"C xdot(d-) = {lin.c_xdot_minus:.6g}, hdot = {hdot:.6g}"
-        )
+    lin = _orbit_linearization(model, ss)
+    denom = _loop_denominator(lin, ramp.slope)
     correction = np.eye(model.n) - np.outer(lin.jump, model.C) / denom
-    phi = lin.m2 @ correction @ lin.m1
+    phi = ss.m2 @ correction @ ss.m1
     psi = lin.cm1 / denom
     return JacobianDecomposition(Phi=phi, Phi0=lin.phi0, Gamma=lin.gamma, Psi=psi)
 
@@ -199,19 +211,6 @@ def classify(jd: JacobianDecomposition, class_tol: float = 1e-4) -> StabilityRep
     )
 
 
-def _critical_value(lin: _Linearization, lam: complex) -> complex:
-    n = lin.phi0.shape[0]
-    try:
-        resolvent_gamma = numerics.solve_complex(
-            lam * np.eye(n) - lin.phi0, lin.gamma
-        )
-    except SingularMatrixError as exc:
-        raise ResolventPoleError(
-            f"lambda = {lam:.6g} is an eigenvalue of the open-loop cycle map"
-        ) from exc
-    return complex(lin.c_xdot_minus + lin.cm1 @ resolvent_gamma)
-
-
 def general_critical_value(
     model: SwitchedLinearModel,
     ramp: RampSignal,
@@ -225,36 +224,21 @@ def general_critical_value(
     closed-loop Jacobian.  ``lambda`` must not be an eigenvalue of the
     open-loop map ``Phi0`` (raises :class:`ResolventPoleError`).
     """
-    return _critical_value(_linearize(model, ramp, u, ss), lam)
-
-
-def _real_residual(lin: _Linearization, sign: float, hdot: float) -> float:
-    # sign = +1 evaluates at lambda = +1, sign = -1 at lambda = -1,
-    # via a real solve of (sign*I - Phi0).
-    n = lin.phi0.shape[0]
-    try:
-        resolvent_gamma = numerics.solve_linear(
-            sign * np.eye(n) - lin.phi0, lin.gamma
-        )
-    except SingularMatrixError as exc:
-        raise ResolventPoleError(
-            f"{sign:+.0f} is an eigenvalue of the open-loop cycle map"
-        ) from exc
-    return float(lin.c_xdot_minus + lin.cm1 @ resolvent_gamma - hdot)
+    return complex(_point_value(model, ss, lam))
 
 
 def pdb_residual(
     model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, ss: SteadyState
 ) -> float:
     """Period-doubling boundary residual (zero on the boundary)."""
-    return _real_residual(_linearize(model, ramp, u, ss), -1.0, ramp_slope(ramp))
+    return float(_point_value(model, ss, -1.0) - ramp.slope)
 
 
 def snb_residual(
     model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, ss: SteadyState
 ) -> float:
     """Saddle-node boundary residual (zero on the boundary)."""
-    return _real_residual(_linearize(model, ramp, u, ss), +1.0, ramp_slope(ramp))
+    return float(_point_value(model, ss, 1.0) - ramp.slope)
 
 
 def nsb_residual(
@@ -276,12 +260,7 @@ def nsb_residual(
             f"theta = {theta:.6g} coincides with the lambda = +1 or -1 case"
         )
     lam = cmath.exp(1j * wrapped)
-    lin = _linearize(model, ramp, u, ss)
-    return _critical_value(lin, lam) - ramp_slope(ramp)
-
-
-def _edge_switch_time(edge: ModulationEdge, duty: float, T: float) -> float:
-    return duty * T if edge is ModulationEdge.TEM else (1.0 - duty) * T
+    return complex(_point_value(model, ss, lam)) - ramp.slope
 
 
 def s_plot(
@@ -308,25 +287,17 @@ def s_plot(
         )
     n = model.n
     e1, e2 = stage_exponentials(
-        model, ramp, u, _edge_switch_time(model.edge, duties, ramp.T)
+        model, ramp, u, switch_time_of_duty(model.edge, duties, ramp.T)
     )
     _, x0_switch, orbit_ok = x0_of_d_stack(e1, e2)
     # Degenerate duties have NaN states; any finite stand-in keeps the
     # stacked resolvent solve well defined, and those samples stay singular.
     lin = _linearization(
-        model, u, e1[:, :n, :n], e2[:, :n, :n],
-        np.where(orbit_ok[:, None], x0_switch, 0.0),
+        model, e1[:, :n, :n], e2[:, :n, :n],
+        *switch_derivatives(model, u, np.where(orbit_ok[:, None], x0_switch, 0.0)),
     )
-    resolvent_gamma, pole_ok = numerics.solve_linear_stack(
-        lam * np.eye(n) - lin.phi0, lin.gamma.astype(complex)
-    )
-    values = lin.c_xdot_minus + np.sum(lin.cm1 * resolvent_gamma, axis=1)
-    samples = tuple(
-        CurveSample(float(duty), complex(value))
-        if ok else CurveSample(float(duty), None, singular=True)
-        for duty, value, ok in zip(duties, values, orbit_ok & pole_ok)
-    )
-    return BoundaryCurve(parameter="duty", samples=samples)
+    term, pole_ok = _resolvent_term(lin, lam)
+    return _curve("duty", duties, lin.c_xdot_minus + term, orbit_ok & pole_ok)
 
 
 def f_plot(
@@ -342,15 +313,10 @@ def f_plot(
     endpoints 0 and pi reproduce the saddle-node and period-doubling
     left sides.
     """
-    lin = _linearize(model, ramp, u, ss)
-    samples = []
-    for theta in np.asarray(thetas, dtype=float):
-        try:
-            value = _critical_value(lin, cmath.exp(1j * theta))
-            samples.append(CurveSample(float(theta), value))
-        except ResolventPoleError:
-            samples.append(CurveSample(float(theta), None, singular=True))
-    return BoundaryCurve(parameter="theta", samples=tuple(samples))
+    thetas = np.asarray(thetas, dtype=float)
+    lin = _orbit_linearization(model, ss)
+    term, ok = _resolvent_term(lin, np.exp(1j * thetas))
+    return _curve("theta", thetas, lin.c_xdot_minus + term, ok)
 
 
 def nyquist(
@@ -364,16 +330,12 @@ def nyquist(
 
     The loop gain is ``N(z) = Psi (z I - Phi0)^{-1} Gamma`` with
     ``z = e^{j omega T}``; the loop closes with unity negative feedback,
-    so crossings of -1 reproduce the critical conditions.
+    so crossings of -1 reproduce the critical conditions.  It equals
+    ``(F - C xdot(d-)) / (C xdot(d-) - hdot)`` and raises
+    :class:`GrazingError` where :func:`jacobian` does.
     """
-    jd = jacobian(model, ramp, u, ss)
-    n = model.n
-    samples = []
-    for omega in np.asarray(omegas, dtype=float):
-        z = cmath.exp(1j * omega * ramp.T)
-        try:
-            rg = numerics.solve_complex(z * np.eye(n) - jd.Phi0, jd.Gamma)
-            samples.append(CurveSample(float(omega), complex(jd.Psi @ rg)))
-        except SingularMatrixError:
-            samples.append(CurveSample(float(omega), None, singular=True))
-    return BoundaryCurve(parameter="omega", samples=tuple(samples))
+    omegas = np.asarray(omegas, dtype=float)
+    lin = _orbit_linearization(model, ss)
+    denom = _loop_denominator(lin, ramp.slope)
+    term, ok = _resolvent_term(lin, np.exp(1j * omegas * ramp.T))
+    return _curve("omega", omegas, term / denom, ok)

@@ -10,7 +10,7 @@ exponentials; the third is a scalar root-finding problem in ``d``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,17 +22,27 @@ from .errors import (
     NoSwitchingError,
     SingularMatrixError,
 )
-from .model import InputVector, ModulationEdge, RampSignal, SwitchedLinearModel, ramp_value
+from .model import (
+    InputVector,
+    RampSignal,
+    SwitchedLinearModel,
+    duty_of_switch_time,
+    ramp_value,
+)
 
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Solved periodic orbit data.
+    """Periodic orbit at a switching instant, with its linearization data.
 
     ``d`` is the switching instant within the cycle; ``duty`` is the ON
     fraction (``d/T`` for TEM, ``1 - d/T`` for LEM).  ``candidates`` is
     how many switching-condition sign changes the solver saw; values
     above 1 mean the first crossing was chosen by the latch convention.
+    The stage transition matrices ``m1 = e^{A1 d}``, ``m2 = e^{A2 (T-d)}``
+    and the orbit derivatives ``xdot_minus``/``xdot_plus`` around the
+    switch are what every :mod:`pwmstab.stability` consumer reads; an
+    orbit given only by its states leaves them ``None``.
     """
 
     d: float
@@ -41,14 +51,10 @@ class SteadyState:
     x0_switch: np.ndarray
     y_switch: float
     candidates: int = 1
-
-
-@dataclass(frozen=True)
-class OrbitDerivatives:
-    """One-sided orbit time-derivatives at the switching instant."""
-
-    xdot_minus: np.ndarray
-    xdot_plus: np.ndarray
+    m1: np.ndarray | None = None
+    m2: np.ndarray | None = None
+    xdot_minus: np.ndarray | None = None
+    xdot_plus: np.ndarray | None = None
 
 
 def _stage_generators(
@@ -83,6 +89,37 @@ def _switch_state(e1: np.ndarray, x0_start: np.ndarray) -> np.ndarray:
     return (e1[..., :n, :n] @ x0_start[..., None])[..., 0] + e1[..., :n, n]
 
 
+def switch_derivatives(
+    model: SwitchedLinearModel, u: InputVector, x0_switch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit derivatives ``xdot(d-)``, ``xdot(d+)`` at the switch state(s)."""
+    uv = u.as_array()
+    return (
+        (model.A1 @ x0_switch[..., None])[..., 0] + model.B1 @ uv,
+        (model.A2 @ x0_switch[..., None])[..., 0] + model.B2 @ uv,
+    )
+
+
+def _orbit_states(
+    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # Augmented stage exponentials and boundary states at one imposed d.
+    T = ramp.T
+    if not 0.0 <= d <= T:
+        raise DomainError(f"d must lie in [0, {T}], got {d}")
+    g1, g2 = _stage_generators(model, u)
+    e1 = numerics.mat_exp(g1, d)
+    e2 = numerics.mat_exp(g2, T - d)
+    lhs, rhs = _cycle_system(e1, e2)
+    try:
+        x0_start = numerics.solve_linear(lhs, rhs)
+    except SingularMatrixError as exc:
+        raise DegenerateOrbitError(
+            f"open-loop cycle map has a multiplier at +1 for d={d:.6g}"
+        ) from exc
+    return e1, e2, x0_start, _switch_state(e1, x0_start)
+
+
 def x0_of_d(
     model: SwitchedLinearModel,
     ramp: RampSignal,
@@ -98,19 +135,34 @@ def x0_of_d(
     :class:`DegenerateOrbitError` when the open-loop cycle map has a
     multiplier at +1 (no isolated orbit).
     """
-    T = ramp.T
-    if not 0.0 <= d <= T:
-        raise DomainError(f"d must lie in [0, {T}], got {d}")
-    g1, g2 = _stage_generators(model, u)
-    e1 = numerics.mat_exp(g1, d)
-    lhs, rhs = _cycle_system(e1, numerics.mat_exp(g2, T - d))
-    try:
-        x0_start = numerics.solve_linear(lhs, rhs)
-    except SingularMatrixError as exc:
-        raise DegenerateOrbitError(
-            f"open-loop cycle map has a multiplier at +1 for d={d:.6g}"
-        ) from exc
-    return x0_start, _switch_state(e1, x0_start)
+    return _orbit_states(model, ramp, u, d)[2:]
+
+
+def orbit_at(
+    model: SwitchedLinearModel,
+    ramp: RampSignal,
+    u: InputVector,
+    d: float,
+) -> SteadyState:
+    """Orbit point at an imposed switching time, linearization included.
+
+    The ramp-crossing condition is not enforced (boundary sweeps impose
+    ``d``); raises as :func:`x0_of_d` does.
+    """
+    e1, e2, x0_start, x0_switch = _orbit_states(model, ramp, u, d)
+    xdot_minus, xdot_plus = switch_derivatives(model, u, x0_switch)
+    n = model.n
+    return SteadyState(
+        d=d,
+        duty=duty_of_switch_time(model.edge, d, ramp.T),
+        x0_start=x0_start,
+        x0_switch=x0_switch,
+        y_switch=float(model.C @ x0_switch + model.D @ u.as_array()),
+        m1=e1[:n, :n],
+        m2=e2[:n, :n],
+        xdot_minus=xdot_minus,
+        xdot_plus=xdot_plus,
+    )
 
 
 def stage_exponentials(
@@ -165,10 +217,6 @@ def _residual(
     # y(d) - h(d); elementwise over a grid when x0_switch is (k, N).
     y = x0_switch @ model.C + model.D @ u.as_array()
     return y - ramp_value(ramp, d)
-
-
-def _duty(edge: ModulationEdge, d: float, T: float) -> float:
-    return d / T if edge is ModulationEdge.TEM else 1.0 - d / T
 
 
 def solve_periodic_orbit(
@@ -248,25 +296,4 @@ def solve_periodic_orbit(
             f"all {failures} switching candidates hit degenerate orbits"
         )
 
-    d_star = min(roots)
-    x0_start, x0_switch = x0_of_d(model, ramp, u, d_star)
-    y_switch = float(model.C @ x0_switch + model.D @ u.as_array())
-    return SteadyState(
-        d=d_star,
-        duty=_duty(model.edge, d_star, T),
-        x0_start=x0_start,
-        x0_switch=x0_switch,
-        y_switch=y_switch,
-        candidates=n_candidates,
-    )
-
-
-def orbit_derivatives(
-    model: SwitchedLinearModel, u: InputVector, ss: SteadyState
-) -> OrbitDerivatives:
-    """Orbit time-derivatives just before and after the switch."""
-    uv = u.as_array()
-    return OrbitDerivatives(
-        xdot_minus=model.A1 @ ss.x0_switch + model.B1 @ uv,
-        xdot_plus=model.A2 @ ss.x0_switch + model.B2 @ uv,
-    )
+    return replace(orbit_at(model, ramp, u, min(roots)), candidates=n_candidates)

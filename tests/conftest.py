@@ -77,14 +77,6 @@ def critical_vs(model, ramp, vr, vs0, tol=1e-13, max_iter=200):
     raise AssertionError("critical-voltage iteration did not settle")
 
 
-def imposed_orbit(model, ramp, u, d):
-    """SteadyState at an imposed switching instant (boundary sweeps)."""
-    x0, xd = p.x0_of_d(model, ramp, u, d)
-    duty = d / ramp.T if model.edge is p.ModulationEdge.TEM else 1.0 - d / ramp.T
-    y = float(model.C @ xd + model.D @ u.as_array())
-    return p.SteadyState(d=d, duty=duty, x0_start=x0, x0_switch=xd, y_switch=y)
-
-
 def slaved_reference_orbit(model, ramp, vs, d):
     """Orbit with v_r chosen so the switching condition holds at ``d``.
 
@@ -93,15 +85,10 @@ def slaved_reference_orbit(model, ramp, vs, d):
     """
     assert not model.B1[:, 0].any() and not model.B2[:, 0].any()
     assert model.D[0] != 0.0
-    x0, xd = p.x0_of_d(model, ramp, p.InputVector(0.0, vs), d)
+    _, xd = p.x0_of_d(model, ramp, p.InputVector(0.0, vs), d)
     vr = (p.ramp_value(ramp, d) - float(model.C @ xd) - model.D[1] * vs) / model.D[0]
     u = p.InputVector(vr, vs)
-    duty = d / ramp.T if model.edge is p.ModulationEdge.TEM else 1.0 - d / ramp.T
-    ss = p.SteadyState(
-        d=d, duty=duty, x0_start=x0, x0_switch=xd,
-        y_switch=p.ramp_value(ramp, d),
-    )
-    return u, ss
+    return u, p.orbit_at(model, ramp, u, d)
 
 
 # Synthetic two-state families used for the saddle-node and Neimark-Sacker

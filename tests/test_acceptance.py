@@ -65,7 +65,7 @@ def test_criterion_1_jacobian_exactness(ramp):
 
 def test_criterion_2_critical_condition_self_consistency(ramp):
     t0 = time.perf_counter()
-    hdot = p.ramp_slope(ramp)
+    hdot = ramp.slope
     worst = 0.0
     checked = 0
     for edge in (p.ModulationEdge.TEM, p.ModulationEdge.LEM):
@@ -214,7 +214,7 @@ def _bisect_scalar(f, lo, hi, flo, iters=80):
 
 
 def test_criterion_7_snb_nsb_boundaries():
-    hdot = p.ramp_slope(UNIT_RAMP)
+    hdot = UNIT_RAMP.slope
 
     # Saddle-node: continue along the switching instant (reference slaved to
     # the switching condition), locate the +1 crossing with the QR
@@ -304,7 +304,7 @@ def test_criterion_8_plot_consistency(ramp):
     vs_star = numerics.find_root(residual_at, 20.0, 28.0, 1e-12)
     u = p.InputVector(vr, vs_star)
     ss = p.solve_periodic_orbit(model, ramp, u)
-    hdot = p.ramp_slope(ramp)
+    hdot = ramp.slope
 
     f_curve = p.f_plot(model, ramp, u, ss, [math.pi])
     f_gap = abs(f_curve.samples[0].value - hdot) / hdot

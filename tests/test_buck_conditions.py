@@ -5,6 +5,8 @@ import pytest
 
 import pwmstab as p
 from pwmstab.errors import DomainError, ResolventPoleError, SingularMatrixError
+from pwmstab import cli
+from pwmstab.model import switch_time_of_duty
 from conftest import slaved_reference_orbit
 
 L, CF, R, GAIN = 20e-3, 47e-6, 22.0, 8.4
@@ -37,13 +39,14 @@ class TestCriticalVoltages:
     def test_lem_residual_vanishes(self, plant, ramp):
         for D in (0.2, 0.45, 0.7):
             vs = p.vs_critical_lem(plant, D)
-            res = p.pdb_residual_lem(plant, D, vs)
+            res = p.buck_pdb_residual(plant, D, vs, p.ModulationEdge.LEM)
             assert abs(res) <= 1e-10 * ramp.slope
 
     def test_tem_residual_vanishes(self, plant, ramp):
         for D in (0.2, 0.45, 0.7):
             vs = p.vs_critical_tem(plant, D)
-            assert abs(p.pdb_residual_tem(plant, D, vs)) <= 1e-10 * ramp.slope
+            res = p.buck_pdb_residual(plant, D, vs, p.ModulationEdge.TEM)
+            assert abs(res) <= 1e-10 * ramp.slope
 
     def test_edge_symmetry(self, plant):
         for D in np.arange(0.05, 0.951, 0.05):
@@ -51,14 +54,52 @@ class TestCriticalVoltages:
             tem = p.vs_critical_tem(plant, D)
             assert abs(tem + lem) <= 1e-9 * abs(lem)
 
+    def test_edge_symmetry_exact(self, plant):
+        # Both edges share one coefficient, so the antisymmetry is exact
+        # wherever 1 - (1 - D) == D, as on this dyadic grid.
+        for D in np.arange(1, 64) / 64:
+            assert p.vs_critical_lem(plant, 1.0 - D) == -p.vs_critical_tem(plant, D)
+
+    def test_fast_pole_lem_stays_finite(self, ramp, tmp_path):
+        # A pole at 2 pi 1 MHz puts |lambda| T near 2500, so e^{-AT} would
+        # overflow; the LEM boundary must still equal the mirrored TEM one.
+        a = [[0.0, -50.0, 0.0], [21276.6, -967.1, 0.0],
+             [0.0, 2e6 * np.pi, -2e6 * np.pi]]
+        src, zero = [[0.0, 50.0], [0.0, 0.0], [0.0, 0.0]], np.zeros((3, 2))
+        plants = {}
+        for edge, b1, b2 in ((p.ModulationEdge.LEM, zero, src),
+                             (p.ModulationEdge.TEM, src, zero)):
+            model = p.SwitchedLinearModel(
+                A1=a, A2=a, B1=b1, B2=b2, C=[0.0, 0.0, -8.4], D=[8.4, 0.0], edge=edge,
+            )
+            plants[edge] = p.make_buck_plant(model, ramp)
+        lem, tem = plants[p.ModulationEdge.LEM], plants[p.ModulationEdge.TEM]
+        for D in np.arange(1, 16) / 16:
+            vs = p.vs_critical_lem(lem, D)
+            assert np.isfinite(vs) and vs == -p.vs_critical_tem(tem, 1.0 - D)
+            d = switch_time_of_duty(p.ModulationEdge.LEM, D, ramp.T)
+            assert np.isfinite(p.lem_boundary_coefficient(lem, d))
+        text = (
+            "[model]\nedge = LEM\n"
+            "A1 = 0,-50,0; 21276.6,-967.1,0; 0,6283185.307179586,-6283185.307179586\n"
+            "A2 = 0,-50,0; 21276.6,-967.1,0; 0,6283185.307179586,-6283185.307179586\n"
+            "B1 = 0,0; 0,0; 0,0\nB2 = 0,50; 0,0; 0,0\nC = 0,0,-8.4\nD = 8.4,0\n"
+            "[ramp]\nVl = 3.8\nVh = 8.2\nT = 400e-6\n"
+            "[input]\nvr = -11.3\nvs = -20.0\n"
+        )
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        assert cli.main(["sweep-vs", str(cfg), "--quiet", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(rows[:, 1]).all()
+
     def test_residual_affine_in_vs(self, plant, ramp):
         for D, v in ((0.3, 5.0), (0.6, -17.0)):
-            r1 = p.pdb_residual_lem(plant, D, v)
-            r2 = p.pdb_residual_lem(plant, D, 2 * v)
-            assert r2 - 2 * r1 == pytest.approx(ramp.slope, rel=1e-12)
-            r1 = p.pdb_residual_tem(plant, D, v)
-            r2 = p.pdb_residual_tem(plant, D, 2 * v)
-            assert r2 - 2 * r1 == pytest.approx(ramp.slope, rel=1e-12)
+            for edge in p.ModulationEdge:
+                r1 = p.buck_pdb_residual(plant, D, v, edge)
+                r2 = p.buck_pdb_residual(plant, D, 2 * v, edge)
+                assert r2 - 2 * r1 == pytest.approx(ramp.slope, rel=1e-12)
 
     def test_duty_domain(self, plant):
         for bad in (0.0, 1.0, -0.2, 1.4):
@@ -78,7 +119,7 @@ class TestCriticalVoltages:
         for model in (buck_lem, buck_tem):
             plant = p.make_buck_plant(model, ramp)
             D = 0.42
-            d = (1 - D) * ramp.T if model.edge is p.ModulationEdge.LEM else D * ramp.T
+            d = switch_time_of_duty(model.edge, D, ramp.T)
             vs = (
                 p.vs_critical_lem(plant, D)
                 if model.edge is p.ModulationEdge.LEM
@@ -94,17 +135,12 @@ class TestCriticalVoltages:
         # corresponding full model over a (D, vs) grid.
         for model in (buck_lem, buck_tem):
             plant = p.make_buck_plant(model, ramp)
-            lem = model.edge is p.ModulationEdge.LEM
             for D in (0.25, 0.5, 0.75):
                 for vs in (-30.0, 12.0, 27.0):
-                    d = (1 - D) * ramp.T if lem else D * ramp.T
+                    d = switch_time_of_duty(model.edge, D, ramp.T)
                     u, ss = slaved_reference_orbit(model, ramp, vs, d)
                     general = p.pdb_residual(model, ramp, u, ss)
-                    special = (
-                        p.pdb_residual_lem(plant, D, vs)
-                        if lem
-                        else p.pdb_residual_tem(plant, D, vs)
-                    )
+                    special = p.buck_pdb_residual(plant, D, vs, model.edge)
                     assert special == pytest.approx(general, rel=1e-8)
 
 
@@ -137,14 +173,14 @@ class TestHarmonicBalance:
         for D in (0.25, 0.5, 0.72):
             d = (1.0 - D) * ramp.T
             want = p.vs_critical_lem(plant, D)
-            got = p.harmonic_balance_vs(plant, d, 4000)
+            got = p.harmonic_balance(plant, d, 4000).vs
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_converges_to_tem_form(self, plant, ramp):
         for D in (0.25, 0.5, 0.72):
             d = D * ramp.T
             want = p.vs_critical_tem(plant, D)
-            got = p.harmonic_balance_vs(plant, d, 4000, p.ModulationEdge.TEM)
+            got = p.harmonic_balance(plant, d, 4000, p.ModulationEdge.TEM).vs
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_real_part_via_conjugate_pairs(self, plant, ramp):
@@ -171,15 +207,15 @@ class TestHarmonicBalance:
 
     def test_gain_reuse(self, plant, ramp):
         gains = p.harmonic_gains(plant, 800)
-        a = p.harmonic_balance_vs(plant, 0.3 * ramp.T, 800, gains=gains)
-        b = p.harmonic_balance_vs(plant, 0.3 * ramp.T, 800)
+        a = p.harmonic_balance(plant, 0.3 * ramp.T, 800, gains=gains).vs
+        b = p.harmonic_balance(plant, 0.3 * ramp.T, 800).vs
         assert a == b
 
     def test_domain_checks(self, plant, ramp):
         with pytest.raises(DomainError):
-            p.harmonic_balance_vs(plant, 0.0, 100)
+            p.harmonic_balance(plant, 0.0, 100)
         with pytest.raises(DomainError):
-            p.harmonic_balance_vs(plant, 0.5 * ramp.T, 0)
+            p.harmonic_balance(plant, 0.5 * ramp.T, 0)
 
 
 class TestEquivalence:
@@ -198,7 +234,7 @@ class TestEquivalence:
         )
 
     def test_half_period_spot_check(self, plant, ramp):
-        got = p.harmonic_balance_vs(plant, 0.5 * ramp.T, 4000)
+        got = p.harmonic_balance(plant, 0.5 * ramp.T, 4000).vs
         assert got == pytest.approx(p.vs_critical_lem(plant, 0.5), rel=1e-6)
 
 

@@ -30,10 +30,10 @@ class TestRamp:
         assert left == pytest.approx(ramp.Vh, abs=1e-8)
 
     def test_slope_examples(self):
-        assert p.ramp_slope(p.RampSignal(0, 1, 1)) == 1.0
-        assert p.ramp_slope(p.RampSignal(3.8, 8.2, 2)) == pytest.approx(2.2)
+        assert p.RampSignal(0, 1, 1).slope == 1.0
+        assert p.RampSignal(3.8, 8.2, 2).slope == pytest.approx(2.2)
         for vm, T in [(0.5, 1e-4), (4.4, 4e-4), (12.0, 2.0)]:
-            assert p.ramp_slope(p.RampSignal(5.0, 5.0 + vm, T)) == pytest.approx(vm / T)
+            assert p.RampSignal(5.0, 5.0 + vm, T).slope == pytest.approx(vm / T)
 
     def test_invalid_ramp(self):
         with pytest.raises(DomainError):
@@ -186,13 +186,3 @@ class TestModelValidation:
         m = p.preset_vmc_buck(1e-3, 1e-6, 5.0, 1.0, p.ModulationEdge.TEM)
         with pytest.raises(ValueError):
             m.A1[0, 0] = 1.0
-
-    def test_optional_output_rows_stored(self):
-        m = p.SwitchedLinearModel(
-            A1=np.zeros((2, 2)), A2=np.zeros((2, 2)),
-            B1=np.zeros((2, 2)), B2=np.zeros((2, 2)),
-            C=[0, 0], D=[0, 0], edge=p.ModulationEdge.TEM,
-            E1=[1.0, 0.0], E2=[0.0, 1.0],
-        )
-        assert np.allclose(m.E1, [1.0, 0.0])
-        assert np.allclose(m.E2, [0.0, 1.0])

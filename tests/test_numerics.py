@@ -266,23 +266,23 @@ class TestEigenvalues:
 
 class TestSolve:
     def test_identity(self):
-        out = numerics.solve_complex(np.eye(2), [1 + 1j, 2.0])
+        out = numerics.solve_linear(np.eye(2), [1 + 1j, 2.0])
         assert np.allclose(out, [1 + 1j, 2.0])
 
     def test_scaled_identity(self):
-        out = numerics.solve_complex(2.0 * np.eye(2), [4.0, 6j])
+        out = numerics.solve_linear(2.0 * np.eye(2), [4.0, 6j])
         assert np.allclose(out, [2.0, 3j])
 
     def test_random_residual(self):
         rng = np.random.default_rng(3)
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 4 * np.eye(4)
         b = rng.normal(size=4) + 1j * rng.normal(size=4)
-        x = numerics.solve_complex(m, b)
+        x = numerics.solve_linear(m, b)
         assert np.linalg.norm(m @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            numerics.solve_complex(np.zeros((2, 2)), [1.0, 1.0])
+            numerics.solve_linear(np.zeros((2, 2), dtype=complex), [1.0, 1.0])
         m = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
         with pytest.raises(SingularMatrixError):
             numerics.solve_linear(m, np.ones(2))
@@ -353,10 +353,10 @@ class TestSolveLinearStack:
         stack = lams[:, None, None] * np.eye(2) - jd.Phi0
         rhs = np.broadcast_to(jd.Gamma.astype(complex), (len(lams), 2))
         x, ok = numerics.solve_linear_stack(stack, rhs)
-        assert np.array_equal(ok, self._flags(stack, rhs, numerics.solve_complex))
+        assert np.array_equal(ok, self._flags(stack, rhs, numerics.solve_linear))
         assert list(ok) == [False, False, True, True, True, True]
         for xi, m, b in zip(x[ok], stack[ok], rhs[ok]):
-            ref = numerics.solve_complex(m, b)
+            ref = numerics.solve_linear(m, b)
             assert np.linalg.norm(xi - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_invalid_input(self):

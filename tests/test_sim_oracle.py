@@ -24,7 +24,7 @@ class TestSimulateCycle:
         )
         ramp = p.RampSignal(1.0, 5.0, 2e-3)
         for vr in (1.5, 3.0, 4.9):
-            _, d = p.simulate_cycle(m, ramp, p.InputVector(vr, 0.0), [0.1, 0.1])
+            d = p.CycleSimulator(m, ramp, p.InputVector(vr, 0.0)).cycle([0.1, 0.1]).d_event
             want = ramp.T * (vr - ramp.Vl) / ramp.Vm
             assert d == pytest.approx(want, abs=1e-12 * ramp.T)
 
@@ -35,9 +35,9 @@ class TestSimulateCycle:
             C=[0.0, 0.0], D=[0.0, 0.0], edge=p.ModulationEdge.TEM,
         )
         x_in = np.array([1.25, -0.5])
-        x_out, d = p.simulate_cycle(m, UNIT_RAMP, p.InputVector(0, 0), x_in)
-        assert np.array_equal(x_out, x_in)
-        assert d == 0.0  # h(0) >= y(0) = 0 triggers immediately
+        rec = p.CycleSimulator(m, UNIT_RAMP, p.InputVector(0, 0)).cycle(x_in)
+        assert np.array_equal(rec.x_end, x_in)
+        assert rec.d_event == 0.0  # h(0) >= y(0) = 0 triggers immediately
 
     def test_saturated_no_trigger(self):
         m = p.SwitchedLinearModel(
@@ -45,12 +45,13 @@ class TestSimulateCycle:
             B1=np.zeros((1, 2)), B2=np.zeros((1, 2)),
             C=[0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
         )
-        x_out, d = p.simulate_cycle(m, UNIT_RAMP, p.InputVector(5.0, 0.0), [0.3])
-        assert d is None
-        assert x_out[0] == 0.3
+        rec = p.CycleSimulator(m, UNIT_RAMP, p.InputVector(5.0, 0.0)).cycle([0.3])
+        assert rec.d_event is None
+        assert rec.x_end[0] == 0.3
 
     def test_fixed_point_property(self, buck_tem, ramp, u_tem, ss_tem):
-        x_out, d = p.simulate_cycle(buck_tem, ramp, u_tem, ss_tem.x0_start)
+        rec = p.CycleSimulator(buck_tem, ramp, u_tem).cycle(ss_tem.x0_start)
+        x_out, d = rec.x_end, rec.d_event
         assert d is not None
         assert abs(d - ss_tem.d) <= 1e-8 * ramp.T
         assert np.linalg.norm(x_out - ss_tem.x0_start) <= 1e-9 * (
@@ -58,7 +59,8 @@ class TestSimulateCycle:
         )
 
     def test_lem_fixed_point_property(self, buck_lem, ramp, u_lem, ss_lem):
-        x_out, d = p.simulate_cycle(buck_lem, ramp, u_lem, ss_lem.x0_start)
+        rec = p.CycleSimulator(buck_lem, ramp, u_lem).cycle(ss_lem.x0_start)
+        x_out, d = rec.x_end, rec.d_event
         assert abs(d - ss_lem.d) <= 1e-8 * ramp.T
         assert np.linalg.norm(x_out - ss_lem.x0_start) <= 1e-9 * (
             1 + np.linalg.norm(ss_lem.x0_start)
@@ -66,10 +68,11 @@ class TestSimulateCycle:
 
     def test_event_grid_independence(self, buck_tem, ramp, u_tem, ss_tem):
         # Doubling the scan grid must not move the refined event time.
-        _, d1 = p.simulate_cycle(buck_tem, ramp, u_tem, ss_tem.x0_start,
-                                 scan_points=512)
-        _, d2 = p.simulate_cycle(buck_tem, ramp, u_tem, ss_tem.x0_start,
-                                 scan_points=1024)
+        d1, d2 = (
+            p.CycleSimulator(buck_tem, ramp, u_tem, scan_points=sp)
+            .cycle(ss_tem.x0_start).d_event
+            for sp in (512, 1024)
+        )
         assert abs(d1 - d2) < 1e-10 * ramp.T
 
     def test_divergence_error(self):
@@ -100,7 +103,7 @@ class TestScanGrid:
 
 class TestStroboscopicMap:
     def test_fixed_point(self, buck_tem, ramp, u_tem, ss_tem):
-        out = p.stroboscopic_map(buck_tem, ramp, u_tem, ss_tem.x0_start)
+        out = p.CycleSimulator(buck_tem, ramp, u_tem).map(ss_tem.x0_start)
         assert np.allclose(out, ss_tem.x0_start, atol=1e-9)
 
     def test_local_linearity_order(self, buck_tem, ramp, u_tem, ss_tem):
@@ -198,7 +201,7 @@ class TestOracleAgreement:
             x = p.find_fixed_point(model, ramp, u, ss.x0_start)
             scale_x = 1 + np.linalg.norm(ss.x0_start)
             assert np.linalg.norm(x - ss.x0_start) <= 1e-8 * scale_x
-            _, d_event = p.simulate_cycle(model, ramp, u, x)
+            d_event = p.CycleSimulator(model, ramp, u).cycle(x).d_event
             assert abs(d_event - ss.d) <= 1e-8 * ramp.T
             checked += 1
         assert checked >= 6

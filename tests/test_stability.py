@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 import pwmstab as p
-from pwmstab import stability
-from pwmstab.errors import DomainError, GrazingError, ResolventPoleError
-from conftest import UNIT_RAMP, imposed_orbit, slaved_reference_orbit
+from pwmstab import numerics, stability
+from pwmstab.errors import (
+    DomainError,
+    GrazingError,
+    ResolventPoleError,
+    SingularMatrixError,
+)
+from pwmstab.model import switch_time_of_duty
+from conftest import UNIT_RAMP, slaved_reference_orbit
 
 
 def _smooth_model():
@@ -19,9 +25,113 @@ def _smooth_model():
                                  D=[1.0, 0.0], edge=p.ModulationEdge.TEM)
 
 
+def _reference(model, ramp, u, d, x0_switch):
+    # Linearization at d from fresh exponentials and the orbit derivatives
+    # written out: (e^{A1 d}, Phi0, Gamma, xdot(d-) - xdot(d+), C xdot(d-)).
+    uv = u.as_array()
+    m1 = numerics.mat_exp(model.A1, d)
+    m2 = numerics.mat_exp(model.A2, ramp.T - d)
+    xdot_minus = model.A1 @ x0_switch + model.B1 @ uv
+    jump = xdot_minus - (model.A2 @ x0_switch + model.B2 @ uv)
+    return m1, m2 @ m1, m2 @ jump, jump, float(model.C @ xdot_minus)
+
+
+def _reference_value(model, ramp, u, d, x0_switch, lam):
+    # C xdot(d-) + C e^{A1 d} (lam I - Phi0)^{-1} Gamma by one scalar solve.
+    m1, phi0, gamma, _, c_xdot_minus = _reference(model, ramp, u, d, x0_switch)
+    rg = numerics.solve_linear(lam * np.eye(model.n) - phi0, gamma.astype(complex))
+    return c_xdot_minus + model.C @ m1 @ rg
+
+
+def _close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestOrbitPoint:
+    """Every consumer reads e^{A1 d}, e^{A2 (T-d)} and xdot(d-/+) from the
+    solved SteadyState; each must match fresh numerics.mat_exp factors."""
+
+    def test_consumers_match_fresh_exponentials(self, model_cases):
+        thetas = np.linspace(-math.pi, math.pi, 17)[1:]
+        for model, rmp, u in model_cases:
+            ss = p.solve_periodic_orbit(model, rmp, u)
+            m1, phi0, gamma, jump, c_xdot_minus = _reference(
+                model, rmp, u, ss.d, ss.x0_switch
+            )
+            m2 = numerics.mat_exp(model.A2, rmp.T - ss.d)
+            hdot = rmp.slope
+            denom = c_xdot_minus - hdot
+            jd = p.jacobian(model, rmp, u, ss)
+            assert _close(jd.Phi, m2 @ (np.eye(model.n) - np.outer(jump, model.C) / denom) @ m1)
+            assert _close(jd.Phi0, phi0) and _close(jd.Gamma, gamma)
+            assert _close(jd.Psi, model.C @ m1 / denom)
+
+            def ref(lam):
+                return _reference_value(model, rmp, u, ss.d, ss.x0_switch, lam)
+
+            assert _close(p.pdb_residual(model, rmp, u, ss) + hdot, ref(-1.0))
+            assert _close(p.snb_residual(model, rmp, u, ss) + hdot, ref(1.0))
+            assert _close(p.nsb_residual(model, rmp, u, ss, 0.9) + hdot, ref(np.exp(0.9j)))
+            for lam in (0.3 - 0.7j, -2.0):
+                assert _close(p.general_critical_value(model, rmp, u, ss, lam), ref(lam))
+            want_f = np.array([ref(np.exp(1j * t)) for t in thetas])
+            f = p.f_plot(model, rmp, u, ss, thetas)
+            n = p.nyquist(model, rmp, u, ss, thetas / rmp.T)
+            for got, want in ((f, want_f), (n, (want_f - c_xdot_minus) / denom)):
+                assert not any(s.singular for s in got.samples)
+                for sample, w in zip(got.samples, want):
+                    assert abs(sample.value - w) <= 1e-12 * abs(w)
+
+    def test_orbit_at_matches_solved_orbit(self, model_cases):
+        for model, rmp, u in model_cases:
+            ss = p.solve_periodic_orbit(model, rmp, u)
+            again = p.orbit_at(model, rmp, u, ss.d)
+            for name in ("x0_start", "x0_switch", "m1", "m2", "xdot_minus", "xdot_plus"):
+                assert np.array_equal(getattr(again, name), getattr(ss, name))
+            assert (again.duty, again.y_switch) == (ss.duty, ss.y_switch)
+
+    def test_orbit_without_linearization_rejected(self, buck_tem, ramp, u_tem, ss_tem):
+        bare = p.SteadyState(
+            d=ss_tem.d, duty=ss_tem.duty, x0_start=ss_tem.x0_start,
+            x0_switch=ss_tem.x0_switch, y_switch=ss_tem.y_switch,
+        )
+        with pytest.raises(DomainError, match="no linearization"):
+            p.jacobian(buck_tem, ramp, u_tem, bare)
+
+    def test_curve_poles_match_scalar_solve(self):
+        # Lossless stages: the open-loop map rotates by w T, so Phi0 has
+        # eigenvalues e^{+-j w T} on the unit circle.  F-plot and Nyquist
+        # samples there are singular exactly where a scalar solve_linear
+        # of (e^{j theta} I - Phi0) Gamma raises.
+        w = 1.3
+        a = [[0.0, w], [-w, 0.0]]
+        m = p.SwitchedLinearModel(
+            A1=a, A2=a, B1=[[0.0, 1.0], [0.0, 0.0]], B2=np.zeros((2, 2)),
+            C=[1.0, 0.5], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
+        )
+        u = p.InputVector(0.3, 1.0)
+        ss = p.orbit_at(m, UNIT_RAMP, u, 0.4)
+        thetas = np.angle(np.linalg.eigvals(ss.m2 @ ss.m1))
+        thetas = np.concatenate([thetas, [0.5, -2.0]])
+        flags = []
+        for t in thetas:
+            try:
+                _reference_value(m, UNIT_RAMP, u, ss.d, ss.x0_switch, np.exp(1j * t))
+                flags.append(False)
+            except SingularMatrixError:
+                flags.append(True)
+        assert flags == [True, True, False, False]
+        for curve in (
+            p.f_plot(m, UNIT_RAMP, u, ss, thetas),
+            p.nyquist(m, UNIT_RAMP, u, ss, thetas / UNIT_RAMP.T),
+        ):
+            assert [s.singular for s in curve.samples] == flags
+            assert all((s.value is None) == s.singular for s in curve.samples)
+
+
 class TestJacobian:
     def test_no_jump_gives_open_loop(self):
-        from pwmstab import numerics
         m = _smooth_model()
         u = p.InputVector(0.2, 0.5)
         ss = p.solve_periodic_orbit(m, UNIT_RAMP, u)
@@ -60,7 +170,7 @@ class TestJacobian:
         )
         # Stage 1: xdot = vr, so C xdot(d-) = vr; pick vr = slope = 1.
         u = p.InputVector(1.0, 0.3)
-        ss = imposed_orbit(m, UNIT_RAMP, u, 0.4)
+        ss = p.orbit_at(m, UNIT_RAMP, u, 0.4)
         with pytest.raises(GrazingError):
             p.jacobian(m, UNIT_RAMP, u, ss)
 
@@ -100,7 +210,6 @@ class TestClassify:
 
     def test_eigenvalues_match_decomposed_form(self, buck_tem, ramp, u_tem, ss_tem):
         jd = p.jacobian(buck_tem, ramp, u_tem, ss_tem)
-        from pwmstab import numerics
         direct = numerics.eigenvalues(jd.Phi)
         recomposed = numerics.eigenvalues(jd.Phi0 - np.outer(jd.Gamma, jd.Psi))
         for lam in direct:
@@ -113,8 +222,7 @@ class TestGeneralCriticalValue:
         m = _smooth_model()
         u = p.InputVector(0.2, 0.5)
         ss = p.solve_periodic_orbit(m, UNIT_RAMP, u)
-        der = p.orbit_derivatives(m, u, ss)
-        want = float(np.asarray(m.C) @ der.xdot_minus)
+        want = float(np.asarray(m.C) @ ss.xdot_minus)
         for lam in (2.0, -3.0 + 1j, 0.9j):
             got = p.general_critical_value(m, UNIT_RAMP, u, ss, lam)
             assert got == pytest.approx(want, rel=1e-12)
@@ -122,7 +230,7 @@ class TestGeneralCriticalValue:
     def test_equals_slope_at_eigenvalue(self, buck_tem, ramp, u_tem, ss_tem):
         jd = p.jacobian(buck_tem, ramp, u_tem, ss_tem)
         rep = p.classify(jd)
-        hdot = p.ramp_slope(ramp)
+        hdot = ramp.slope
         for lam in rep.eigenvalues:
             val = p.general_critical_value(buck_tem, ramp, u_tem, ss_tem, lam)
             assert abs(val - hdot) <= 1e-6 * hdot
@@ -130,7 +238,7 @@ class TestGeneralCriticalValue:
     def test_approaching_eigenvalue(self, buck_tem, ramp, u_tem, ss_tem):
         rep = p.classify(p.jacobian(buck_tem, ramp, u_tem, ss_tem))
         lam = rep.critical_eigenvalue
-        hdot = p.ramp_slope(ramp)
+        hdot = ramp.slope
         far = abs(p.general_critical_value(buck_tem, ramp, u_tem, ss_tem, lam * 1.1) - hdot)
         near = abs(p.general_critical_value(buck_tem, ramp, u_tem, ss_tem, lam * 1.0001) - hdot)
         assert near < far
@@ -141,7 +249,7 @@ class TestGeneralCriticalValue:
         s = p.general_critical_value(buck_tem, ramp, u_tem, ss_tem, -1.0)
         res = p.pdb_residual(buck_tem, ramp, u_tem, ss_tem)
         assert s.imag == pytest.approx(0.0, abs=1e-9)
-        assert s.real - p.ramp_slope(ramp) == pytest.approx(res, rel=1e-12)
+        assert s.real - ramp.slope == pytest.approx(res, rel=1e-12)
 
     def test_open_loop_pole_raises(self, buck_tem, ramp, u_tem, ss_tem):
         jd = p.jacobian(buck_tem, ramp, u_tem, ss_tem)
@@ -175,8 +283,7 @@ class TestScalarResiduals:
         m = _smooth_model()
         u = p.InputVector(0.2, 0.5)
         ss = p.solve_periodic_orbit(m, UNIT_RAMP, u)
-        der = p.orbit_derivatives(m, u, ss)
-        base = float(np.asarray(m.C) @ der.xdot_minus) - 1.0
+        base = float(np.asarray(m.C) @ ss.xdot_minus) - 1.0
         assert p.pdb_residual(m, UNIT_RAMP, u, ss) == pytest.approx(base, rel=1e-12)
         assert p.snb_residual(m, UNIT_RAMP, u, ss) == pytest.approx(base, rel=1e-12)
         got = p.nsb_residual(m, UNIT_RAMP, u, ss, 1.0)
@@ -241,7 +348,7 @@ class TestCurves:
         plant = p.make_buck_plant(buck_tem, ramp)
         duties = np.linspace(0.05, 0.95, 181)
         curve = p.s_plot(buck_tem, ramp, u, -1.0, duties)
-        hdot = p.ramp_slope(ramp)
+        hdot = ramp.slope
         s_gap = np.array([s.value.real - hdot for s in curve.samples])
         vs_gap = np.array(
             [p.vs_critical_tem(plant, D) - u.vs for D in duties]
@@ -278,10 +385,9 @@ class TestCurves:
             for lam in (-1.0, 1.0, np.exp(1.1j)):
                 curve = p.s_plot(model, rmp, u, lam, duties)
                 for duty, sample in zip(duties, curve.samples):
-                    d = duty * rmp.T if model.edge is p.ModulationEdge.TEM else (1 - duty) * rmp.T
+                    d = switch_time_of_duty(model.edge, duty, rmp.T)
                     _, xd = p.x0_of_d(model, rmp, u, d)
-                    lin = stability._linearize_at(model, rmp, u, d, xd)
-                    ref = stability._critical_value(lin, lam)
+                    ref = _reference_value(model, rmp, u, d, xd, lam)
                     assert not sample.singular
                     assert abs(sample.value - ref) <= 1e-12 * max(abs(ref), 1.0)
 
@@ -303,11 +409,9 @@ class TestCurves:
             for duty, sample in zip(duties, curve.samples):
                 try:
                     _, xd = p.x0_of_d(model, rmp, u, duty * rmp.T)
-                    stability._critical_value(
-                        stability._linearize_at(model, rmp, u, duty * rmp.T, xd), lam
-                    )
+                    _reference_value(model, rmp, u, duty * rmp.T, xd, lam)
                     scalar_singular = False
-                except (p.DegenerateOrbitError, ResolventPoleError):
+                except (p.DegenerateOrbitError, SingularMatrixError):
                     scalar_singular = True
                 assert sample.singular and scalar_singular
                 assert sample.value is None
@@ -319,7 +423,7 @@ class TestCurves:
 
     def test_fplot_endpoints(self, buck_tem, ramp, u_tem, ss_tem):
         curve = p.f_plot(buck_tem, ramp, u_tem, ss_tem, [math.pi, 0.0, 1.1, -1.1])
-        hdot = p.ramp_slope(ramp)
+        hdot = ramp.slope
         f_pi, f_0, f_t, f_mt = [s.value for s in curve.samples]
         assert f_pi.real - hdot == pytest.approx(
             p.pdb_residual(buck_tem, ramp, u_tem, ss_tem), rel=1e-10
@@ -343,9 +447,8 @@ class TestCurves:
     def test_fplot_nyquist_loop_identity(self, buck_tem, ramp, u_tem, ss_tem):
         # F(theta) - hdot == (C xdot(d-) - hdot) * (1 + N(e^{j theta})):
         # the two plots restate the same condition.
-        der = p.orbit_derivatives(buck_tem, u_tem, ss_tem)
-        hdot = p.ramp_slope(ramp)
-        denom = float(buck_tem.C @ der.xdot_minus) - hdot
+        hdot = ramp.slope
+        denom = float(buck_tem.C @ ss_tem.xdot_minus) - hdot
         thetas = [0.7, 1.9, 2.9]
         fcurve = p.f_plot(buck_tem, ramp, u_tem, ss_tem, thetas)
         ncurve = p.nyquist(

@@ -151,7 +151,7 @@ class TestSolvePeriodicOrbit:
     def test_buck_against_simulation(self, buck_tem, ramp, u_tem, ss_tem):
         # Let the simulator converge onto the orbit, compare switching times.
         x = p.find_fixed_point(buck_tem, ramp, u_tem, ss_tem.x0_start)
-        _, d_event = p.simulate_cycle(buck_tem, ramp, u_tem, x)
+        d_event = p.CycleSimulator(buck_tem, ramp, u_tem).cycle(x).d_event
         assert d_event is not None
         assert abs(d_event - ss_tem.d) <= 1e-8 * ramp.T
 
@@ -202,14 +202,11 @@ class TestOrbitDerivatives:
         b = [[0.1, 1.0], [0.0, 0.5]]
         m = p.SwitchedLinearModel(A1=a, A2=a, B1=b, B2=b, C=[1.0, 0.0],
                                   D=[1.0, 0.0], edge=p.ModulationEdge.TEM)
-        u = p.InputVector(0.05, 0.8)
-        ss = p.solve_periodic_orbit(m, UNIT_RAMP, u)
-        der = p.orbit_derivatives(m, u, ss)
-        assert np.allclose(der.xdot_minus, der.xdot_plus)
+        ss = p.solve_periodic_orbit(m, UNIT_RAMP, p.InputVector(0.05, 0.8))
+        assert np.allclose(ss.xdot_minus, ss.xdot_plus)
 
     def test_tem_jump_is_source_column(self, buck_tem, ramp, u_tem, ss_tem):
-        der = p.orbit_derivatives(buck_tem, u_tem, ss_tem)
-        jump = der.xdot_minus - der.xdot_plus
+        jump = ss_tem.xdot_minus - ss_tem.xdot_plus
         expected = buck_tem.B1[:, 1] * u_tem.vs
         assert np.allclose(jump, expected, rtol=1e-12)
 
@@ -236,6 +233,5 @@ class TestOrbitDerivatives:
                     slopes.append((xa - ss_tem.x0_switch) / h)
             return 2.0 * slopes[1] - slopes[0]
 
-        der = p.orbit_derivatives(buck_tem, u_tem, ss_tem)
-        assert np.allclose(one_sided(1, -1), der.xdot_minus, rtol=1e-6)
-        assert np.allclose(one_sided(2, +1), der.xdot_plus, rtol=1e-6)
+        assert np.allclose(one_sided(1, -1), ss_tem.xdot_minus, rtol=1e-6)
+        assert np.allclose(one_sided(2, +1), ss_tem.xdot_plus, rtol=1e-6)
