@@ -26,7 +26,7 @@ from .buck import (
     vs_critical_lem,
     vs_critical_tem,
 )
-from .config import ConverterConfig, SweepSpec, build, emit_config, parse_config
+from .config import ConverterConfig, build, emit_config, parse_config
 from .errors import (
     ConfigError,
     DegenerateOrbitError,

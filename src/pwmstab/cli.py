@@ -26,7 +26,7 @@ import numpy as np
 from . import buck as buck_mod
 from . import sim as sim_mod
 from . import stability
-from .config import SweepSpec, build, parse_config
+from .config import build, parse_config
 from .errors import (
     ConfigError,
     DegenerateOrbitError,
@@ -99,11 +99,11 @@ def _orbit(model, ramp, u, solver):
 
 
 def _duty_grid(args):
-    try:
-        sweep = SweepSpec("duty", args.dmin, args.dmax, args.points)
-    except DomainError as exc:
-        raise UsageError(str(exc))
-    return np.linspace(sweep.lo, sweep.hi, sweep.count)
+    if args.dmin >= args.dmax:
+        raise UsageError(f"sweep needs dmin < dmax, got [{args.dmin}, {args.dmax}]")
+    if args.points < 2:
+        raise UsageError(f"sweep needs points >= 2, got {args.points}")
+    return np.linspace(args.dmin, args.dmax, args.points)
 
 
 def cmd_steady(args) -> None:

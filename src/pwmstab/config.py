@@ -88,40 +88,11 @@ class SolverSpec:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """A swept scalar: name, inclusive range, and sample count."""
-
-    name: str
-    lo: float
-    hi: float
-    count: int
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise DomainError(f"sweep needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.count < 2:
-            raise DomainError(f"sweep needs count >= 2, got {self.count}")
-
-
-@dataclass(frozen=True)
 class ConverterConfig:
     model: PresetModelSpec | RawModelSpec
-    ramp: "RampSpec"
-    inputs: "InputSpec"
+    ramp: RampSignal
+    inputs: InputVector
     solver: SolverSpec = field(default_factory=SolverSpec)
-
-
-@dataclass(frozen=True)
-class RampSpec:
-    Vl: float
-    Vh: float
-    T: float
-
-
-@dataclass(frozen=True)
-class InputSpec:
-    vr: float
-    vs: float
 
 
 def _line_of(text: str, key: str) -> int | None:
@@ -262,18 +233,8 @@ def parse_config(text: str) -> ConverterConfig:
 
     ramp_items = dict(parser.items("ramp"))
     _require_keys("ramp", set(ramp_items), _RAMP_KEYS, _RAMP_KEYS)
-    ramp_spec = RampSpec(
-        Vl=_parse_number(text, "ramp", "Vl", ramp_items["Vl"]),
-        Vh=_parse_number(text, "ramp", "Vh", ramp_items["Vh"]),
-        T=_parse_number(text, "ramp", "T", ramp_items["T"]),
-    )
-
     input_items = dict(parser.items("input"))
     _require_keys("input", set(input_items), _INPUT_KEYS, _INPUT_KEYS)
-    input_spec = InputSpec(
-        vr=_parse_number(text, "input", "vr", input_items["vr"]),
-        vs=_parse_number(text, "input", "vs", input_items["vs"]),
-    )
 
     solver_spec = SolverSpec()
     if "solver" in sections:
@@ -288,12 +249,23 @@ def parse_config(text: str) -> ConverterConfig:
                 kwargs[key] = _parse_number(text, "solver", key, solver_items[key])
         solver_spec = SolverSpec(**kwargs)
 
-    cfg = ConverterConfig(
-        model=model_spec, ramp=ramp_spec, inputs=input_spec, solver=solver_spec
-    )
-    # A parsed config must always be buildable; surface any residual
-    # model-level validation problem as a config error now.
+    # A parsed config must always be buildable: the ramp and the inputs are
+    # validated as they are built here, the model by build(), and any
+    # problem they find surfaces as a config error now.
     try:
+        cfg = ConverterConfig(
+            model=model_spec,
+            ramp=RampSignal(
+                Vl=_parse_number(text, "ramp", "Vl", ramp_items["Vl"]),
+                Vh=_parse_number(text, "ramp", "Vh", ramp_items["Vh"]),
+                T=_parse_number(text, "ramp", "T", ramp_items["T"]),
+            ),
+            inputs=InputVector(
+                vr=_parse_number(text, "input", "vr", input_items["vr"]),
+                vs=_parse_number(text, "input", "vs", input_items["vs"]),
+            ),
+            solver=solver_spec,
+        )
         build(cfg)
     except (DimensionError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -310,7 +282,8 @@ def _parse_edge(raw: str) -> str:
 def build(
     cfg: ConverterConfig,
 ) -> tuple[SwitchedLinearModel, RampSignal, InputVector, SolverSpec]:
-    """Instantiate the model, ramp, and inputs described by a config."""
+    """Instantiate the model of a config; return it with the config's ramp,
+    inputs, and solver settings."""
     if isinstance(cfg.model, PresetModelSpec):
         model = preset_vmc_buck(
             L=cfg.model.L,
@@ -329,9 +302,7 @@ def build(
             D=cfg.model.D,
             edge=ModulationEdge(cfg.model.edge),
         )
-    ramp = RampSignal(Vl=cfg.ramp.Vl, Vh=cfg.ramp.Vh, T=cfg.ramp.T)
-    u = InputVector(vr=cfg.inputs.vr, vs=cfg.inputs.vs)
-    return model, ramp, u, cfg.solver
+    return model, cfg.ramp, cfg.inputs, cfg.solver
 
 
 def _fmt(x: float) -> str:

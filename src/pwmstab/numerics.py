@@ -19,8 +19,8 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
 * ``mat_exp_integral`` evaluates ``int_0^t e^{A s} ds`` through the
   augmented block exponential, so it stays exact when ``A`` is singular
   (lossless converter idealizations).
-* ``eigenvalues`` uses closed forms for N <= 2 and the dense QR algorithm
-  (``numpy.linalg.eigvals``) for N >= 3.
+* ``eigenvalues`` runs the dense QR algorithm (``numpy.linalg.eigvals``)
+  on the matrix as given, so a real matrix keeps exact conjugate pairs.
 * ``solve_linear`` is an LU solve, real or complex, with an explicit pivot
   threshold so near-singular systems raise instead of returning garbage;
   upstream code relies on that signal (e.g. "lambda is an eigenvalue of
@@ -194,33 +194,15 @@ def mat_exp_integral(a, t: float) -> np.ndarray:
     return scipy.linalg.expm(block * t)[:n, n:]
 
 
-def _eig2(m: np.ndarray) -> np.ndarray:
-    # Closed form for the 2x2 case; complex sqrt handles both eigenvalue types.
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = complex(tr * tr / 4.0 - det)
-    root = np.sqrt(disc)
-    return np.array([tr / 2.0 + root, tr / 2.0 - root], dtype=complex)
-
-
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a small dense matrix, with multiplicity.
 
-    Closed form for N <= 2, dense QR iteration for N >= 3.  The result is
-    sorted by (real, imag) so callers get a deterministic order.
+    Dense QR iteration (``numpy.linalg.eigvals``) on the matrix as given,
+    so a real matrix yields exact conjugate pairs.  The result is complex
+    and sorted by (real, imag), so callers get a deterministic order.
     """
-    arr = as_square_matrix(m, "M").astype(complex, copy=False)
-    n = arr.shape[0]
-    if n == 0:
-        return np.array([], dtype=complex)
-    if n == 1:
-        vals = arr[0, :1].copy()
-    elif n == 2:
-        vals = _eig2(arr)
-    else:
-        vals = np.linalg.eigvals(arr)
-    order = np.lexsort((vals.imag, vals.real))
-    return vals[order]
+    vals = np.linalg.eigvals(as_square_matrix(m, "M")).astype(complex)
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def solve_linear(m, b) -> np.ndarray:

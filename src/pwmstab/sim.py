@@ -5,6 +5,9 @@ matrix exponentials of the augmented (state, constant-input) system; the
 only numerical content is locating the comparator event ``h(t) = y(t)``.
 That is done with a dense scan of precomputed stage responses followed by
 bracketing refinement, giving event times accurate to ~1e-13 of a period.
+When the refinement sees no sign change over a scan bracket (the two
+evaluate ``y`` in different association orders), the event takes the
+bracket edge the scan found nearest zero, the orbit solver's rule.
 The simulation therefore validates the closed-form machinery down to the
 1e-6 level without inheriting any of its code paths beyond the matrix
 exponential: the scan grid shares the stacked kernel
@@ -53,19 +56,9 @@ class CycleRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Cycle records plus the stroboscopic samples x(nT)."""
+    """Cycle records of consecutive clock periods."""
 
     cycles: tuple[CycleRecord, ...]
-
-    @property
-    def strobe(self) -> np.ndarray:
-        """States at clock instants, shape (cycles + 1, N)."""
-        rows = [self.cycles[0].x_start] + [c.x_end for c in self.cycles]
-        return np.array(rows)
-
-    @property
-    def switch_times(self) -> tuple[float | None, ...]:
-        return tuple(c.d_event for c in self.cycles)
 
 
 class CycleSimulator:
@@ -81,7 +74,6 @@ class CycleSimulator:
         ramp: RampSignal,
         u: InputVector,
         scan_points: int = 512,
-        event_tol: float | None = None,
     ):
         if scan_points < 8:
             raise DomainError(f"scan_points must be >= 8, got {scan_points}")
@@ -89,7 +81,6 @@ class CycleSimulator:
         self.ramp = ramp
         self.u = u
         self.scan_points = scan_points
-        self.event_tol = 1e-13 * ramp.T if event_tol is None else event_tol
 
         n = model.n
         uv = u.as_array()
@@ -156,14 +147,13 @@ class CycleSimulator:
                             - self._y_stage1(x, t),
                             float(self._grid[i - 1]),
                             float(self._grid[i]),
-                            self.event_tol,
+                            1e-13 * T,
                         )
                     except NoRootError:
-                        # The refiner re-evaluates y(t) in a different
-                        # association order; a few-ulp disagreement at the
-                        # bracket edge means the crossing sits at the grid
-                        # point itself.
-                        d = float(self._grid[i])
+                        # A few-ulp scan/refiner disagreement (see the
+                        # module docstring): take the edge nearest zero.
+                        j = i - 1 if abs(e[i - 1]) <= abs(e[i]) else i
+                        d = float(self._grid[j])
                 break
         if d is None:
             # No trigger this cycle: stay in S1 throughout.

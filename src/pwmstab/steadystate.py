@@ -228,11 +228,12 @@ def solve_periodic_orbit(
 ) -> SteadyState:
     """Find the periodic orbit: scan the switching residual, refine roots.
 
-    The residual is sampled on a uniform interior grid over ``(0, T)``;
-    every sign change is refined by the bracketing root finder, and the
-    smallest root wins (first crossing in the cycle, matching comparator
-    latch behavior).  ``candidates`` on the result reports how many sign
-    changes were seen.
+    The residual is sampled on a uniform interior grid over ``(0, T)``.
+    Grid points where it is exactly zero and sign-change brackets are the
+    candidates; they are walked in cycle order and the first one that
+    refines to a non-degenerate orbit wins (first crossing in the cycle,
+    matching comparator latch behavior).  ``candidates`` on the result
+    reports how many candidates the scan saw.
 
     Raises
     ------
@@ -254,46 +255,43 @@ def solve_periodic_orbit(
     _, x0_switch, _ = x0_of_d_stack(*stage_exponentials(model, ramp, u, grid))
     values = _residual(model, ramp, u, x0_switch, grid)
 
-    brackets: list[int] = []
-    exact: list[float] = []
+    # Candidates as (lo, hi) grid indices, lo == hi for an exact zero.
+    # They do not overlap and come in cycle order.
+    candidates: list[tuple[int, int]] = []
     for i in range(len(grid) - 1):
         a, b = values[i], values[i + 1]
         if np.isnan(a) or np.isnan(b):
             continue
         if a == 0.0:
-            exact.append(grid[i])
+            candidates.append((i, i))
         elif a * b < 0.0:
-            brackets.append(i)
+            candidates.append((i, i + 1))
     if len(grid) and values[-1] == 0.0:
-        exact.append(grid[-1])
-
-    n_candidates = len(brackets) + len(exact)
-    if n_candidates == 0:
+        candidates.append((len(grid) - 1, len(grid) - 1))
+    if not candidates:
         raise NoSwitchingError(
             "switching condition has no solution in (0, T): "
             "the converter never switches in steady state"
         )
 
-    roots = list(exact)
-    failures = 0
-    for i in brackets:
-        lo, hi = grid[i], grid[i + 1]
-        try:
-            roots.append(
-                numerics.find_root(
-                    lambda d: switching_residual(model, ramp, u, d), lo, hi, d_tol
+    for lo, hi in candidates:
+        if lo == hi:
+            d = grid[lo]
+        else:
+            try:
+                d = numerics.find_root(
+                    lambda t: switching_residual(model, ramp, u, t),
+                    grid[lo], grid[hi], d_tol,
                 )
-            )
-        except NoRootError:
-            # The scan and the refinement evaluate the residual in different
-            # association orders; a few-ulp disagreement at a bracket edge
-            # means the crossing sits at the edge the scan found nearest zero.
-            roots.append(lo if abs(values[i]) <= abs(values[i + 1]) else hi)
-        except DegenerateOrbitError:
-            failures += 1
-    if not roots:
-        raise DegenerateOrbitError(
-            f"all {failures} switching candidates hit degenerate orbits"
-        )
-
-    return replace(orbit_at(model, ramp, u, min(roots)), candidates=n_candidates)
+            except NoRootError:
+                # The scan and the refinement evaluate the residual in
+                # different association orders; a few-ulp disagreement at a
+                # bracket edge means the crossing sits at the edge the scan
+                # found nearest zero.
+                d = grid[lo] if abs(values[lo]) <= abs(values[hi]) else grid[hi]
+            except DegenerateOrbitError:
+                continue
+        return replace(orbit_at(model, ramp, u, d), candidates=len(candidates))
+    raise DegenerateOrbitError(
+        f"all {len(candidates)} switching candidates hit degenerate orbits"
+    )

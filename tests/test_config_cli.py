@@ -7,9 +7,7 @@ import pwmstab as p
 from pwmstab import cli
 from pwmstab.config import (
     ConverterConfig,
-    InputSpec,
     PresetModelSpec,
-    RampSpec,
     RawModelSpec,
     SolverSpec,
     build,
@@ -118,6 +116,9 @@ class TestParse:
     def test_rejects_nonfinite_tokens(self):
         with pytest.raises(ConfigError):
             parse_config(PRESET_TEXT.replace("R = 22.0", "R = inf"))
+        # A decimal that overflows to inf fails the input vector's check.
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(PRESET_TEXT.replace("vr = 11.3", "vr = 1e999"))
 
     def test_invalid_ramp_rejected_at_parse(self):
         bad = PRESET_TEXT.replace("Vh = 8.2", "Vh = 3.8")
@@ -138,8 +139,8 @@ class TestRoundTrip:
         cfg = ConverterConfig(
             model=PresetModelSpec("vmc_buck", L=1e-3 / 3.0, C=47.3e-6,
                                   R=0.1 + 0.2, g=8.4, edge="LEM"),
-            ramp=RampSpec(Vl=-1.75, Vh=2.25, T=1.0 / 3.0),
-            inputs=InputSpec(vr=-11.3, vs=-24.516572828563305),
+            ramp=p.RampSignal(Vl=-1.75, Vh=2.25, T=1.0 / 3.0),
+            inputs=p.InputVector(vr=-11.3, vs=-24.516572828563305),
             solver=SolverSpec(d_tol=1e-16),
         )
         assert parse_config(emit_config(cfg)) == cfg

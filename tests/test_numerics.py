@@ -263,6 +263,24 @@ class TestEigenvalues:
         assert np.allclose(np.sort_complex(vals),
                            [1.0 - math.sqrt(10) * 1j, 1.0 + math.sqrt(10) * 1j])
 
+    def test_real_matrix_gives_exact_conjugate_pair(self):
+        # A real 3x3 matrix: the pair must come back as exact conjugates, so
+        # the (real, imag) sort puts -imag first on every platform.
+        m = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+        vals = numerics.eigenvalues(m)
+        assert vals[0] == np.conj(vals[1])
+        assert vals[0].imag < 0.0 < vals[1].imag
+        assert vals[0] == pytest.approx(-1j, abs=1e-15)
+        assert vals[2] == pytest.approx(0.5, abs=1e-15)
+        # classify breaks the modulus tie by (real, imag): the +imag member.
+        jd = p.JacobianDecomposition(Phi=m, Phi0=m, Gamma=np.zeros(3), Psi=np.zeros(3))
+        assert p.classify(jd).critical_eigenvalue == complex(vals[1])
+
+    def test_empty_and_scalar(self):
+        assert numerics.eigenvalues(np.zeros((0, 0))).shape == (0,)
+        vals = numerics.eigenvalues([[2.5]])
+        assert vals.dtype == complex and vals[0] == 2.5
+
 
 class TestSolve:
     def test_identity(self):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import pwmstab as p
+from pwmstab import numerics
 from pwmstab.errors import (
     DivergenceError,
     DomainError,
@@ -27,6 +28,27 @@ class TestSimulateCycle:
             d = p.CycleSimulator(m, ramp, p.InputVector(vr, 0.0)).cycle([0.1, 0.1]).d_event
             want = ramp.T * (vr - ramp.Vl) / ramp.Vm
             assert d == pytest.approx(want, abs=1e-12 * ramp.T)
+
+    def test_refinement_sign_disagreement_takes_nearest_edge(self, monkeypatch):
+        # The scan sees the crossing just after grid[40] (event -1 ulp there,
+        # positive at grid[41]), while the refinement's event function reads
+        # a few ulps higher, as the two evaluation orders can make it.  Brent
+        # then finds no sign change over the bracket; the event takes the
+        # bracket edge the scan found nearest zero, as the orbit solver does.
+        a = [[-1.0, 0.0], [0.0, -2.0]]
+        m = p.SwitchedLinearModel(
+            A1=a, A2=a, B1=np.zeros((2, 2)), B2=np.zeros((2, 2)),
+            C=[0.0, 0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
+        )
+        grid = np.linspace(0.0, 1.0, 129)
+        vr = float(np.nextafter(grid[40], 1.0))
+        find_root = numerics.find_root
+        monkeypatch.setattr(
+            numerics, "find_root",
+            lambda f, lo, hi, tol: find_root(lambda t: f(t) + 4e-16, lo, hi, tol),
+        )
+        sim = p.CycleSimulator(m, UNIT_RAMP, p.InputVector(vr, 0.0), scan_points=128)
+        assert sim.cycle([0.1, 0.1]).d_event == grid[40] == 0.3125
 
     def test_frozen_dynamics(self):
         m = p.SwitchedLinearModel(
@@ -133,7 +155,6 @@ class TestStroboscopicMap:
 
 class TestFdJacobian:
     def test_smooth_model_gives_exponential(self):
-        from pwmstab import numerics
         a = [[-1.0, 0.3], [0.0, -2.0]]
         b = [[0.0, 0.4], [0.0, 0.6]]
         m = p.SwitchedLinearModel(A1=a, A2=a, B1=b, B2=b, C=[1.0, 0.2],

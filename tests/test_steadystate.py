@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 import pwmstab as p
-from pwmstab import steadystate
+from pwmstab import numerics, steadystate
 from pwmstab.errors import DegenerateOrbitError, DomainError, NoSwitchingError
 from conftest import UNIT_RAMP
 
@@ -135,6 +135,92 @@ class TestBatchedScan:
         assert ss.candidates == 1
 
 
+# A general N = 2 model whose scan shows two sign changes (two candidate
+# switching instants); the latch takes the first.
+TWO_CANDIDATE_TEXT = """\
+[model]
+edge = TEM
+A1 = -1.49017,-0.306048; -0.258727,-2.6326
+A2 = -6.56156,1.10869; 2.81967,-1.6154
+B1 = 0.849734,-0.454851; 0.151,-0.94896
+B2 = 0.974363,0.552529; 1.15703,0.253909
+C = 1.02215,-1.24523
+D = 0.767516,-0.0659535
+
+[ramp]
+Vl = 0
+Vh = 1
+T = 1
+
+[input]
+vr = 0.442459
+vs = 1.23162
+
+[solver]
+grid_points = 64
+"""
+
+
+class TestOrderedCandidates:
+    @pytest.fixture
+    def case(self):
+        model, ramp, u, solver = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
+        # Reference: every bracket of the scan refined on its own.
+        grid = np.linspace(0.0, ramp.T, solver.grid_points + 2)[1:-1]
+        _, x0_switch, _ = steadystate.x0_of_d_stack(
+            *steadystate.stage_exponentials(model, ramp, u, grid)
+        )
+        values = x0_switch @ model.C + model.D @ u.as_array() - p.ramp_value(ramp, grid)
+        brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        roots = [
+            numerics.find_root(
+                lambda d: p.switching_residual(model, ramp, u, d),
+                grid[i], grid[i + 1], 1e-12 * ramp.T,
+            )
+            for i in brackets
+        ]
+        assert len(roots) == 2 and roots[0] < roots[1]
+        return model, ramp, u, solver, grid[brackets], roots
+
+    def _patch_find_root(self, monkeypatch, degenerate_at=()):
+        # Counts refinements; a bracket starting at a point of
+        # ``degenerate_at`` raises as a degenerate orbit would.
+        find_root = numerics.find_root
+        calls = []
+
+        def wrapped(f, lo, hi, tol):
+            calls.append(lo)
+            if lo in degenerate_at:
+                raise DegenerateOrbitError("forced")
+            return find_root(f, lo, hi, tol)
+
+        monkeypatch.setattr(numerics, "find_root", wrapped)
+        return calls
+
+    def test_refines_only_the_first_candidate(self, case, monkeypatch):
+        model, ramp, u, solver, _, roots = case
+        calls = self._patch_find_root(monkeypatch)
+        ss = p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
+        assert len(calls) == 1
+        assert ss.d == min(roots)
+        assert ss.candidates == 2
+        assert np.array_equal(ss.x0_start, p.x0_of_d(model, ramp, u, min(roots))[0])
+
+    def test_degenerate_first_candidate_falls_through(self, case, monkeypatch):
+        model, ramp, u, solver, los, roots = case
+        calls = self._patch_find_root(monkeypatch, degenerate_at=(los[0],))
+        ss = p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
+        assert calls == list(los)
+        assert ss.d == roots[1]
+        assert ss.candidates == 2
+
+    def test_all_candidates_degenerate(self, case, monkeypatch):
+        model, ramp, u, solver, los, _ = case
+        self._patch_find_root(monkeypatch, degenerate_at=tuple(los))
+        with pytest.raises(DegenerateOrbitError, match="all 2 switching candidates"):
+            p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
+
+
 class TestSolvePeriodicOrbit:
     def test_constant_output_crossing(self):
         m = _const_y_model()
@@ -164,7 +250,6 @@ class TestSolvePeriodicOrbit:
         assert ss_l.duty == pytest.approx(1.0 - ss_l.d / ramp.T)
 
     def test_periodicity_closure(self, buck_tem, buck_lem, ramp, u_tem, u_lem):
-        from pwmstab import numerics
         for model, u in ((buck_tem, u_tem), (buck_lem, u_lem)):
             ss = p.solve_periodic_orbit(model, ramp, u)
             uv = u.as_array()
