@@ -8,6 +8,12 @@ including a harmonic-balance equivalent), and cross-checks everything
 against an exact piecewise-exponential time-domain simulator.
 """
 
+import os
+
+# The matrices are N <= 8, so BLAS threads only add wake-up stalls on a busy
+# host.  Pin them before numpy/scipy load (as perfbench/run.py does).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .buck import (
     BuckPlant,
     HarmonicBalanceResult,
@@ -35,7 +41,6 @@ from .errors import (
     DomainError,
     GrazingError,
     NoConvergenceError,
-    NoRootError,
     NoSwitchingError,
     OracleInvalidError,
     PwmStabError,

@@ -3,7 +3,8 @@
 The format is INI-style with four sections::
 
     [model]
-    preset = vmc_buck        # or raw matrices A1/A2/B1/B2/C/D
+    # or raw matrices A1/A2/B1/B2/C/D instead of the preset
+    preset = vmc_buck
     L = 20e-3
     C = 47e-6
     R = 22.0
@@ -19,7 +20,8 @@ The format is INI-style with four sections::
     vr = 11.3
     vs = 24.0
 
-    [solver]                 # optional, defaults shown
+    # optional, defaults shown
+    [solver]
     grid_points = 256
     scan_points = 512
     harmonics = 2000

@@ -21,10 +21,6 @@ class SingularMatrixError(PwmStabError):
     """A linear solve hit a pivot below the singularity threshold."""
 
 
-class NoRootError(PwmStabError):
-    """The scalar root finder was given a bracket without a sign change."""
-
-
 class NoSwitchingError(PwmStabError):
     """The switching condition has no interior solution: duty saturated at 0 or 1."""
 
@@ -49,7 +45,7 @@ class NoConvergenceError(PwmStabError):
 
 
 class DivergenceError(PwmStabError):
-    """A simulated state stopped being finite."""
+    """A simulated state or a root-finder function value stopped being finite."""
 
 
 class OracleInvalidError(PwmStabError):

@@ -16,9 +16,6 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
   so ``e^{0}`` is exactly ``I`` and an exact +1 multiplier stays exactly
   +1.  scipy's own batch forms are avoided because they loop over the
   slices in Python and need a newer scipy than the supported floor.
-* ``mat_exp_integral`` evaluates ``int_0^t e^{A s} ds`` through the
-  augmented block exponential, so it stays exact when ``A`` is singular
-  (lossless converter idealizations).
 * ``eigenvalues`` runs the dense QR algorithm (``numpy.linalg.eigvals``)
   on the matrix as given, so a real matrix keeps exact conjugate pairs.
 * ``solve_linear`` is an LU solve, real or complex, with an explicit pivot
@@ -26,7 +23,7 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
   upstream code relies on that signal (e.g. "lambda is an eigenvalue of
   the open-loop map").  ``solve_linear_stack`` applies the same threshold
   to every slice of a stack and reports it in a mask instead of raising.
-* ``find_root`` is a bracketing Brent solve; it never leaves the bracket.
+* ``find_root`` refines a bracket (Brent), or returns its end nearest zero.
 
 All functions are pure; they can be called concurrently from sweep workers.
 """
@@ -40,7 +37,13 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .errors import DimensionError, DomainError, NoRootError, SingularMatrixError
+from .errors import (
+    DimensionError,
+    DivergenceError,
+    DomainError,
+    NoConvergenceError,
+    SingularMatrixError,
+)
 
 #: Relative pivot threshold below which a linear system is declared singular.
 SINGULAR_PIVOT_RTOL = 1e-14
@@ -175,25 +178,6 @@ def mat_exp_stack(a) -> np.ndarray:
     return r
 
 
-def mat_exp_integral(a, t: float) -> np.ndarray:
-    """Integral ``int_0^t e^{A s} ds`` via the augmented block exponential.
-
-    Exponentiates ``[[A, I], [0, 0]] * t`` and reads the upper-right block,
-    which remains correct when ``A`` is singular (unlike the closed form
-    ``A^{-1}(e^{A t} - I)``).
-    """
-    arr = as_square_matrix(a, "A").astype(float, copy=False)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"t must be finite and >= 0, got {t}")
-    n = arr.shape[0]
-    if t == 0.0:
-        return np.zeros((n, n))
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = arr
-    block[:n, n:] = np.eye(n)
-    return scipy.linalg.expm(block * t)[:n, n:]
-
-
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a small dense matrix, with multiplicity.
 
@@ -287,25 +271,33 @@ def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
 def find_root(f, lo: float, hi: float, tol: float) -> float:
     """Root of ``f`` inside the bracket ``[lo, hi]`` (Brent's method).
 
-    Requires a sign change over the bracket; raises :class:`NoRootError`
-    otherwise.  The returned point is within ``tol`` of a sign change of
-    ``f`` and never leaves ``[lo, hi]``.
+    Each end is evaluated once.  Without a strict sign change over the
+    bracket (a zero at an end, or a few-ulp disagreement with the scan that
+    found it) the end with the smaller ``|f|`` is returned, ``lo`` on a tie.
+    NaN raises :class:`DivergenceError`, an exhausted Brent budget
+    :class:`NoConvergenceError`.  The result never leaves ``[lo, hi]``.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NoRootError(
-            f"f({lo:.6g}) = {flo:.6g} and f({hi:.6g}) = {fhi:.6g} "
-            "have the same sign"
-        )
-    return float(
-        scipy.optimize.brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
+    ends = {}
+
+    def value(x):
+        # brentq opens with f(lo) and f(hi); ``ends`` answers those.
+        fx = ends.pop(x) if x in ends else f(x)
+        if math.isnan(fx):
+            raise DivergenceError(f"f({x:.6g}) is NaN")
+        return fx
+
+    flo, fhi = value(lo), value(hi)
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        return lo if abs(flo) <= abs(fhi) else hi
+    ends.update({lo: flo, hi: fhi})
+    root, info = scipy.optimize.brentq(
+        value, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
+        full_output=True, disp=False,
     )
+    if not info.converged:
+        raise NoConvergenceError(f"Brent did not converge in [{lo:.6g}, {hi:.6g}]")
+    return float(root)

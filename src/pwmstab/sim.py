@@ -5,14 +5,13 @@ matrix exponentials of the augmented (state, constant-input) system; the
 only numerical content is locating the comparator event ``h(t) = y(t)``.
 That is done with a dense scan of precomputed stage responses followed by
 bracketing refinement, giving event times accurate to ~1e-13 of a period.
-When the refinement sees no sign change over a scan bracket (the two
-evaluate ``y`` in different association orders), the event takes the
-bracket edge the scan found nearest zero, the orbit solver's rule.
-The simulation therefore validates the closed-form machinery down to the
-1e-6 level without inheriting any of its code paths beyond the matrix
-exponential: the scan grid shares the stacked kernel
-``numerics.mat_exp_stack`` with the orbit solver, while every propagation
-and every event refinement calls ``scipy.linalg.expm`` on its own.
+The oracle shares the ``numerics`` layer with the orbit solver and none
+of the orbit code: the scan grid uses ``numerics.mat_exp_stack`` and the
+event refinement ``numerics.find_root`` (which returns the bracket end
+nearest zero when the refiner, evaluating ``y`` in another association
+order, sees no sign change over a scan step), while every propagation and
+every event evaluation calls ``scipy.linalg.expm`` on its own.  The
+simulation therefore validates the closed-form machinery to the 1e-6 level.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next
@@ -33,7 +32,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     NoConvergenceError,
-    NoRootError,
     OracleInvalidError,
 )
 from .model import InputVector, RampSignal, SwitchedLinearModel
@@ -130,36 +128,18 @@ class CycleSimulator:
             e = self._h_grid - (self._y_rows @ x + self._y_offsets)
         if not np.all(np.isfinite(e)):
             raise DivergenceError("compensator output overflowed during the cycle")
-        if e[0] >= 0.0:
-            # Trigger already satisfied at the clock edge: all of S2.
-            x_end = self._propagate(2, x, T)
-            return CycleRecord(0.0, x, x.copy(), self._finish(x_end))
-
-        d = None
-        for i in range(1, len(e)):
-            if e[i] >= 0.0:
-                if e[i] == 0.0:
-                    d = float(self._grid[i])
-                else:
-                    try:
-                        d = numerics.find_root(
-                            lambda t: self.ramp.Vl + self.ramp.slope * t
-                            - self._y_stage1(x, t),
-                            float(self._grid[i - 1]),
-                            float(self._grid[i]),
-                            1e-13 * T,
-                        )
-                    except NoRootError:
-                        # A few-ulp scan/refiner disagreement (see the
-                        # module docstring): take the edge nearest zero.
-                        j = i - 1 if abs(e[i - 1]) <= abs(e[i]) else i
-                        d = float(self._grid[j])
-                break
-        if d is None:
+        hits = np.flatnonzero(e >= 0.0)
+        if not hits.size:
             # No trigger this cycle: stay in S1 throughout.
-            x_end = self._propagate(1, x, T)
-            return CycleRecord(None, x, None, self._finish(x_end))
-
+            return CycleRecord(None, x, None, self._finish(self._propagate(1, x, T)))
+        # A hit at index 0 (trigger at the clock edge) or a grid zero is the event.
+        i = hits[0]
+        d = float(self._grid[i])
+        if i > 0 and e[i] > 0.0:
+            d = numerics.find_root(
+                lambda t: self.ramp.Vl + self.ramp.slope * t - self._y_stage1(x, t),
+                float(self._grid[i - 1]), d, 1e-13 * T,
+            )
         x_switch = self._propagate(1, x, d)
         x_end = self._propagate(2, x_switch, T - d)
         return CycleRecord(d, x, x_switch, self._finish(x_end))

@@ -18,7 +18,6 @@ from . import numerics
 from .errors import (
     DegenerateOrbitError,
     DomainError,
-    NoRootError,
     NoSwitchingError,
     SingularMatrixError,
 )
@@ -255,43 +254,27 @@ def solve_periodic_orbit(
     _, x0_switch, _ = x0_of_d_stack(*stage_exponentials(model, ramp, u, grid))
     values = _residual(model, ramp, u, x0_switch, grid)
 
-    # Candidates as (lo, hi) grid indices, lo == hi for an exact zero.
-    # They do not overlap and come in cycle order.
-    candidates: list[tuple[int, int]] = []
-    for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
-        if np.isnan(a) or np.isnan(b):
-            continue
-        if a == 0.0:
-            candidates.append((i, i))
-        elif a * b < 0.0:
-            candidates.append((i, i + 1))
-    if len(grid) and values[-1] == 0.0:
-        candidates.append((len(grid) - 1, len(grid) - 1))
-    if not candidates:
+    # Candidates (lo, hi): sign change to the next point, or a zero not before NaN.
+    sign = np.sign(values)
+    step = np.append(sign[:-1] * sign[1:] < 0.0, False)
+    zero = (values == 0.0) & np.append(~np.isnan(values[1:]), True)
+    los = np.flatnonzero(step | zero)
+    his = los + step[los]
+    if not los.size:
         raise NoSwitchingError(
             "switching condition has no solution in (0, T): "
             "the converter never switches in steady state"
         )
 
-    for lo, hi in candidates:
-        if lo == hi:
-            d = grid[lo]
-        else:
-            try:
-                d = numerics.find_root(
-                    lambda t: switching_residual(model, ramp, u, t),
-                    grid[lo], grid[hi], d_tol,
-                )
-            except NoRootError:
-                # The scan and the refinement evaluate the residual in
-                # different association orders; a few-ulp disagreement at a
-                # bracket edge means the crossing sits at the edge the scan
-                # found nearest zero.
-                d = grid[lo] if abs(values[lo]) <= abs(values[hi]) else grid[hi]
-            except DegenerateOrbitError:
-                continue
-        return replace(orbit_at(model, ramp, u, d), candidates=len(candidates))
+    for lo, hi in zip(los, his):
+        try:
+            d = grid[lo] if lo == hi else numerics.find_root(
+                lambda t: switching_residual(model, ramp, u, t),
+                grid[lo], grid[hi], d_tol,
+            )
+        except DegenerateOrbitError:
+            continue
+        return replace(orbit_at(model, ramp, u, d), candidates=len(los))
     raise DegenerateOrbitError(
-        f"all {len(candidates)} switching candidates hit degenerate orbits"
+        f"all {len(los)} switching candidates hit degenerate orbits"
     )

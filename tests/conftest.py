@@ -7,10 +7,13 @@ sign-mirrored branch, so its point runs at vr = -11.3 V with a negative
 source voltage.  Both land at duty cycles inside (0.3, 0.7).
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import pwmstab as p
+from pwmstab import numerics
 
 L, CF, R, GAIN = 20e-3, 47e-6, 22.0, 8.4
 T = 400e-6
@@ -52,6 +55,26 @@ def ss_tem(buck_tem, ramp, u_tem):
 @pytest.fixture(scope="session")
 def ss_lem(buck_lem, ramp, u_lem):
     return p.solve_periodic_orbit(buck_lem, ramp, u_lem)
+
+
+def mat_exp_integral(a, t):
+    """Integral ``int_0^t e^{A s} ds`` via the augmented block exponential.
+
+    Exponentiates ``[[A, I], [0, 0]] * t`` and reads the upper-right block,
+    which remains correct when ``A`` is singular (unlike the closed form
+    ``A^{-1}(e^{A t} - I)``).  A reference for the package's augmented
+    stage exponentials.
+    """
+    arr = numerics.as_square_matrix(a, "A").astype(float, copy=False)
+    if not math.isfinite(t) or t < 0.0:
+        raise p.DomainError(f"t must be finite and >= 0, got {t}")
+    n = arr.shape[0]
+    if t == 0.0:
+        return np.zeros((n, n))
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = arr
+    block[:n, n:] = np.eye(n)
+    return numerics.mat_exp(block, t)[:n, n:]
 
 
 def critical_vs(model, ramp, vr, vs0, tol=1e-13, max_iter=200):

@@ -1,5 +1,7 @@
 """Config format round-trips and the CLI's CSV/exit-code contract."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -310,3 +312,13 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == ""
         cli.main(["steady", cfg])
         assert "rows" in capsys.readouterr().err
+
+
+class TestReadmeConfig:
+    def test_readme_example_runs(self, tmp_path, capsys):
+        # The config block of the README parses as written and solves.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parse_config(text)
+        assert cli.main(["steady", _write(tmp_path, text), "--quiet"]) == 0
+        assert capsys.readouterr().out.startswith("d_seconds,")

@@ -1,6 +1,10 @@
 """Unit and property tests of the small-matrix numerics kernel."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,14 @@ import scipy.linalg
 
 import pwmstab as p
 from pwmstab import numerics
-from pwmstab.errors import DimensionError, DomainError, NoRootError, SingularMatrixError
+from pwmstab.errors import (
+    DimensionError,
+    DivergenceError,
+    DomainError,
+    NoConvergenceError,
+    SingularMatrixError,
+)
+from conftest import mat_exp_integral
 
 
 class TestMatExp:
@@ -196,11 +207,11 @@ class TestMatExpStack:
 
 class TestMatExpIntegral:
     def test_zero_matrix(self):
-        assert np.allclose(numerics.mat_exp_integral(np.zeros((3, 3)), 2.0),
+        assert np.allclose(mat_exp_integral(np.zeros((3, 3)), 2.0),
                            2.0 * np.eye(3))
 
     def test_scalar_closed_form(self):
-        out = numerics.mat_exp_integral(np.array([[-1.0]]), 1.0)
+        out = mat_exp_integral(np.array([[-1.0]]), 1.0)
         assert np.allclose(out, [[1.0 - math.exp(-1.0)]], rtol=1e-13)
 
     def test_invertible_against_quadrature(self):
@@ -213,14 +224,14 @@ class TestMatExpIntegral:
                     lambda s, i=i, j=j: numerics.mat_exp(a, s)[i, j],
                     0.0, t, epsabs=1e-13, epsrel=1e-13,
                 )
-        got = numerics.mat_exp_integral(a, t)
+        got = mat_exp_integral(a, t)
         assert np.max(np.abs(got - expected)) <= 1e-10
         closed = np.linalg.solve(a, numerics.mat_exp(a, t) - np.eye(2))
         assert np.allclose(got, closed, rtol=1e-11)
 
     def test_singular_matrix_ok(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent, not invertible
-        got = numerics.mat_exp_integral(a, 2.0)
+        got = mat_exp_integral(a, 2.0)
         # int_0^2 [[1, s], [0, 1]] ds = [[2, 2], [0, 2]]
         assert np.allclose(got, [[2.0, 2.0], [0.0, 2.0]], atol=1e-13)
 
@@ -228,13 +239,13 @@ class TestMatExpIntegral:
         a = np.array([[-1.0, 0.4], [0.2, -0.6]])
         t, h = 0.9, 1e-6
         deriv = (
-            numerics.mat_exp_integral(a, t + h) - numerics.mat_exp_integral(a, t - h)
+            mat_exp_integral(a, t + h) - mat_exp_integral(a, t - h)
         ) / (2 * h)
         assert np.allclose(deriv, numerics.mat_exp(a, t), atol=1e-6)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
-            numerics.mat_exp_integral(np.eye(2), -1.0)
+            mat_exp_integral(np.eye(2), -1.0)
 
 
 class TestEigenvalues:
@@ -397,8 +408,30 @@ class TestFindRoot:
         assert root == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_no_sign_change(self):
-        with pytest.raises(NoRootError):
-            numerics.find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+        # Ends of one sign: the end nearer zero, lo on a tie.
+        assert numerics.find_root(lambda x: (x - 0.2) ** 2 + 1.0, -1.0, 1.0, 1e-10) == 1.0
+        assert numerics.find_root(lambda x: -(x + 0.2) ** 2 - 1.0, -1.0, 1.0, 1e-10) == -1.0
+        assert numerics.find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10) == -1.0
+
+    def test_underflowing_product_is_same_sign(self):
+        # f(lo) * f(hi) underflows to 0; the signs still agree.
+        assert numerics.find_root(lambda x: 1e-170 * (1.0 + x * x), -1.0, 1.0, 1e-10) == -1.0
+
+    def test_each_end_evaluated_once(self):
+        for f in (lambda x: x * x - 2.0, lambda x: x * x + 1.0):
+            calls = []
+            numerics.find_root(lambda x: calls.append(x) or f(x), 0.0, 2.0, 1e-14)
+            assert calls.count(0.0) == 1 and calls.count(2.0) == 1
+
+    @pytest.mark.parametrize("nan_at", [1.0, 0.0])
+    def test_nan_raises_divergence(self, nan_at):
+        # Brent's first step from (-1, -1) and (1, 1) lands on x = 0.
+        with pytest.raises(DivergenceError):
+            numerics.find_root(lambda x: math.nan if x == nan_at else x, -1.0, 1.0, 1e-12)
+
+    def test_exhausted_iterations_raise_no_convergence(self):
+        with pytest.raises(NoConvergenceError):
+            numerics.find_root(lambda x: (x - 0.3) ** 3, -1.0, 2.0, 1e-12)
 
     def test_endpoint_root(self):
         assert numerics.find_root(lambda x: x, 0.0, 1.0, 1e-10) == 0.0
@@ -413,3 +446,19 @@ class TestFindRoot:
             r = numerics.find_root(f, lo, hi, tol)
             a, b = max(lo, r - 2 * tol), min(hi, r + 2 * tol)
             assert f(a) * f(b) <= 0.0
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_import_pins_openblas_unless_set(self, given, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        src = str(Path(p.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import os, pwmstab; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == expected

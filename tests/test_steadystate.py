@@ -7,7 +7,7 @@ import scipy.integrate
 import pwmstab as p
 from pwmstab import numerics, steadystate
 from pwmstab.errors import DegenerateOrbitError, DomainError, NoSwitchingError
-from conftest import UNIT_RAMP
+from conftest import UNIT_RAMP, mat_exp_integral
 
 
 def _const_y_model(c_row=(0.0, 0.0), d_row=(1.0, 0.0)):
@@ -221,6 +221,58 @@ class TestOrderedCandidates:
             p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
 
 
+def _loop_candidates(values):
+    # The scan loop the candidate masks replaced, kept as their reference.
+    out = []
+    for i in range(len(values) - 1):
+        a, b = values[i], values[i + 1]
+        if np.isnan(a) or np.isnan(b):
+            continue
+        if a == 0.0:
+            out.append((i, i))
+        elif a * b < 0.0:
+            out.append((i, i + 1))
+    if values[-1] == 0.0:
+        out.append((len(values) - 1, len(values) - 1))
+    return out
+
+
+def test_candidate_masks_match_loop(monkeypatch):
+    # Scans mixing sign changes, exact zeros and NaN (degenerate) points.
+    # Every refinement and the orbit at an exact zero are forced degenerate,
+    # so the solver walks its candidates in order up to the first zero.
+    seen = []
+
+    def refine(f, lo, hi, tol):
+        seen.append((lo, hi))
+        raise DegenerateOrbitError("forced")
+
+    def orbit(model, ramp, u, d):
+        seen.append((d, d))
+        raise DegenerateOrbitError("forced")
+
+    monkeypatch.setattr(numerics, "find_root", refine)
+    monkeypatch.setattr(steadystate, "orbit_at", orbit)
+    grid = np.linspace(0.0, 1.0, 10)[1:-1]
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        values = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5, np.nan], size=8)
+        monkeypatch.setattr(steadystate, "_residual", lambda *args: values)
+        want = _loop_candidates(values)
+        zeros = [k for k, (lo, hi) in enumerate(want) if lo == hi]
+        walked = want[:zeros[0] + 1] if zeros else want
+        seen.clear()
+        with pytest.raises((DegenerateOrbitError, NoSwitchingError)) as err:
+            p.solve_periodic_orbit(
+                _const_y_model(), UNIT_RAMP, p.InputVector(0.5, 0.0), grid_points=8
+            )
+        assert seen == [(grid[lo], grid[hi]) for lo, hi in walked]
+        if not want:
+            assert err.type is NoSwitchingError
+        elif not zeros:
+            assert f"all {len(want)} switching candidates" in str(err.value)
+
+
 class TestSolvePeriodicOrbit:
     def test_constant_output_crossing(self):
         m = _const_y_model()
@@ -255,8 +307,8 @@ class TestSolvePeriodicOrbit:
             uv = u.as_array()
             m1 = numerics.mat_exp(model.A1, ss.d)
             m2 = numerics.mat_exp(model.A2, ramp.T - ss.d)
-            j1 = numerics.mat_exp_integral(model.A1, ss.d)
-            j2 = numerics.mat_exp_integral(model.A2, ramp.T - ss.d)
+            j1 = mat_exp_integral(model.A1, ss.d)
+            j2 = mat_exp_integral(model.A2, ramp.T - ss.d)
             back = m2 @ (m1 @ ss.x0_start + j1 @ (model.B1 @ uv)) + j2 @ (model.B2 @ uv)
             assert np.linalg.norm(back - ss.x0_start) <= 1e-9 * (
                 1 + np.linalg.norm(ss.x0_start)
