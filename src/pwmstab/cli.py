@@ -8,7 +8,7 @@ round-trip; identical inputs produce byte-identical output.
 Exit codes::
 
     0  success
-    1  usage error (bad flags or arguments)
+    1  usage error (bad flags or arguments, unwritable --out)
     2  config error (unreadable, malformed, or unsuitable model)
     3  no periodic orbit: switching saturated or orbit degenerate
     4  singular condition: grazing, pole hit, or singular matrix
@@ -24,22 +24,10 @@ import sys
 import numpy as np
 
 from . import buck as buck_mod
+from . import errors
 from . import sim as sim_mod
 from . import stability
 from .config import build, parse_config
-from .errors import (
-    ConfigError,
-    DegenerateOrbitError,
-    DimensionError,
-    DivergenceError,
-    DomainError,
-    GrazingError,
-    NoConvergenceError,
-    NoSwitchingError,
-    OracleInvalidError,
-    PwmStabError,
-    SingularMatrixError,
-)
 from .model import ModulationEdge, switch_time_of_duty
 from .steadystate import solve_periodic_orbit
 
@@ -51,8 +39,30 @@ EXIT_SINGULAR = 4
 EXIT_NO_CONVERGENCE = 5
 
 
-class UsageError(PwmStabError):
+class UsageError(errors.PwmStabError):
     pass
+
+
+# Each typed error, in match order, with its exit code and stderr label.
+_EXIT_CODES = (
+    (UsageError, EXIT_USAGE, "usage error"),
+    (
+        (errors.ConfigError, errors.DimensionError, errors.DomainError),
+        EXIT_CONFIG, "config error",
+    ),
+    (
+        (errors.NoSwitchingError, errors.DegenerateOrbitError),
+        EXIT_NO_ORBIT, "no periodic orbit",
+    ),
+    (
+        (errors.GrazingError, errors.SingularMatrixError),
+        EXIT_SINGULAR, "singular condition",
+    ),
+    (
+        (errors.NoConvergenceError, errors.DivergenceError, errors.OracleInvalidError),
+        EXIT_NO_CONVERGENCE, "did not converge",
+    ),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,8 +84,11 @@ def _emit(header, rows, args) -> None:
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     if not args.quiet:
@@ -88,7 +101,7 @@ def _load(args):
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read {args.config}: {exc.strerror}")
+        raise errors.ConfigError(f"cannot read {args.config}: {exc.strerror}")
     return build(parse_config(text))
 
 
@@ -99,10 +112,10 @@ def _orbit(model, ramp, u, solver):
 
 
 def _duty_grid(args):
-    if args.dmin >= args.dmax:
-        raise UsageError(f"sweep needs dmin < dmax, got [{args.dmin}, {args.dmax}]")
-    if args.points < 2:
-        raise UsageError(f"sweep needs points >= 2, got {args.points}")
+    if not 0.0 < args.dmin < args.dmax < 1.0:
+        raise UsageError(
+            f"sweep needs 0 < dmin < dmax < 1, got [{args.dmin}, {args.dmax}]"
+        )
     return np.linspace(args.dmin, args.dmax, args.points)
 
 
@@ -151,16 +164,6 @@ def cmd_sweep_vs(args) -> None:
     _emit(["duty", "vs_critical_volts", "residual_check"], rows, args)
 
 
-def _parse_complex_flag(raw: str) -> complex:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"expected 're,im', got {raw!r}")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise UsageError(f"expected 're,im' numbers, got {raw!r}")
-
-
 def _curve_rows(curve):
     rows = []
     for sample in curve.samples:
@@ -175,8 +178,7 @@ def _curve_rows(curve):
 
 def cmd_splot(args) -> None:
     model, ramp, u, solver = _load(args)
-    lam = _parse_complex_flag(args.lam)
-    curve = stability.s_plot(model, ramp, u, lam, _duty_grid(args))
+    curve = stability.s_plot(model, ramp, u, args.lam, _duty_grid(args))
     rows = _curve_rows(curve)
     hdot = ramp.slope
     header = [
@@ -222,16 +224,9 @@ def cmd_nyquist(args) -> None:
 
 def cmd_simulate(args) -> None:
     model, ramp, u, solver = _load(args)
-    if args.x0:
-        parts = args.x0.split(",")
-        if len(parts) != model.n:
-            raise UsageError(f"--x0 needs {model.n} entries, got {len(parts)}")
-        try:
-            x0 = np.array([float(p) for p in parts])
-        except ValueError:
-            raise UsageError(f"--x0 entries must be numbers, got {args.x0!r}")
-    else:
-        x0 = np.zeros(model.n)
+    x0 = np.zeros(model.n) if args.x0 is None else np.array(args.x0)
+    if x0.shape != (model.n,):
+        raise UsageError(f"--x0 needs {model.n} entries, got {len(x0)}")
     traj = sim_mod.simulate(
         model, ramp, u, x0, args.cycles, scan_points=solver.scan_points
     )
@@ -249,13 +244,12 @@ def cmd_simulate(args) -> None:
 def cmd_check_equivalence(args) -> None:
     model, ramp, u, solver = _load(args)
     plant = buck_mod.make_buck_plant(model, ramp)
-    harmonics = args.harmonics if args.harmonics else solver.harmonics
-    gains = buck_mod.harmonic_gains(plant, harmonics)
+    gains = buck_mod.harmonic_gains(plant, solver.harmonics)
     rows = []
     for duty in _duty_grid(args):
         d = switch_time_of_duty(ModulationEdge.LEM, duty, ramp.T)
         result = buck_mod.harmonic_balance(
-            plant, d, harmonics, ModulationEdge.LEM, gains
+            plant, d, solver.harmonics, ModulationEdge.LEM, gains
         )
         lhs = 2.0 * ramp.fs * result.series_sum.real
         rhs = buck_mod.lem_boundary_coefficient(plant, d)
@@ -289,18 +283,48 @@ def cmd_taylor_compare(args) -> None:
     _emit(header, rows, args)
 
 
-def _add_common(sub):
+def _int_at_least(low: int):
+    def parse(raw: str) -> int:
+        try:
+            if int(raw) >= low:
+                return int(raw)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {raw!r}")
+
+    return parse
+
+
+def _complex(raw: str) -> complex:
+    try:
+        re_part, im_part = map(float, raw.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 're,im', got {raw!r}") from None
+    return complex(re_part, im_part)
+
+
+def _floats(raw: str) -> list[float]:
+    try:
+        return [float(part) for part in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {raw!r}"
+        ) from None
+
+
+def _command(subs, name, func, summary, duty_range=False):
+    sub = subs.add_parser(name, help=summary)
     sub.add_argument("config", help="converter config file")
     sub.add_argument("--out", help="write CSV here instead of stdout")
     sub.add_argument("--quiet", action="store_true", help="suppress stderr summary")
-
-
-def _add_duty_range(sub, default_points=81):
-    sub.add_argument("--dmin", type=float, default=0.1, help="duty sweep start")
-    sub.add_argument("--dmax", type=float, default=0.9, help="duty sweep end")
-    sub.add_argument(
-        "--points", type=int, default=default_points, help="sweep sample count"
-    )
+    if duty_range:
+        sub.add_argument("--dmin", type=float, default=0.1, help="duty sweep start")
+        sub.add_argument("--dmax", type=float, default=0.9, help="duty sweep end")
+        sub.add_argument(
+            "--points", type=_int_at_least(2), default=81, help="sweep sample count"
+        )
+    sub.set_defaults(func=func)
+    return sub
 
 
 def _build_parser() -> _Parser:
@@ -309,90 +333,61 @@ def _build_parser() -> _Parser:
         description="Sampled-data stability analysis of PWM DC-DC converters",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("steady", help="solve the periodic orbit")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_steady)
-
-    sub = subs.add_parser("eigs", help="Jacobian eigenvalues and classification")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_eigs)
-
-    sub = subs.add_parser("sweep-vs", help="critical source voltage vs duty")
-    _add_common(sub)
-    _add_duty_range(sub)
-    sub.set_defaults(func=cmd_sweep_vs)
-
-    sub = subs.add_parser("splot", help="critical condition vs duty at fixed lambda")
-    _add_common(sub)
-    _add_duty_range(sub)
-    sub.add_argument("--lam", default="-1,0", help="lambda as 're,im'")
-    sub.set_defaults(func=cmd_splot)
-
-    sub = subs.add_parser("fplot", help="critical condition around the unit circle")
-    _add_common(sub)
-    sub.add_argument("--points", type=int, default=256, help="theta sample count")
-    sub.set_defaults(func=cmd_fplot)
-
-    sub = subs.add_parser("nyquist", help="discrete-time loop-gain curve")
-    _add_common(sub)
-    sub.add_argument("--points", type=int, default=256, help="omega sample count")
-    sub.set_defaults(func=cmd_nyquist)
-
-    sub = subs.add_parser("simulate", help="cycle-by-cycle time-domain simulation")
-    _add_common(sub)
-    sub.add_argument("--cycles", type=int, default=64, help="number of cycles")
-    sub.add_argument("--x0", default="", help="initial state 'x0,x1,...' (default 0)")
-    sub.set_defaults(func=cmd_simulate)
-
-    sub = subs.add_parser(
-        "check-equivalence", help="series vs matrix boundary coefficient"
+    _command(subs, "steady", cmd_steady, "solve the periodic orbit")
+    _command(subs, "eigs", cmd_eigs, "Jacobian eigenvalues and classification")
+    _command(
+        subs, "sweep-vs", cmd_sweep_vs, "critical source voltage vs duty",
+        duty_range=True,
     )
-    _add_common(sub)
-    _add_duty_range(sub)
+    sub = _command(
+        subs, "splot", cmd_splot, "critical condition vs duty at fixed lambda",
+        duty_range=True,
+    )
+    sub.add_argument("--lam", type=_complex, default="-1,0", help="lambda as 're,im'")
+    sub = _command(
+        subs, "fplot", cmd_fplot, "critical condition around the unit circle"
+    )
     sub.add_argument(
-        "--harmonics", type=int, default=0,
-        help="series truncation (0 = take the config's solver value)",
+        "--points", type=_int_at_least(1), default=256, help="theta sample count"
     )
-    sub.set_defaults(func=cmd_check_equivalence)
-
-    sub = subs.add_parser(
-        "taylor-compare", help="short-expansion vs exact critical voltage"
+    sub = _command(subs, "nyquist", cmd_nyquist, "discrete-time loop-gain curve")
+    sub.add_argument(
+        "--points", type=_int_at_least(1), default=256, help="omega sample count"
     )
-    _add_common(sub)
-    _add_duty_range(sub)
-    sub.add_argument("--order", type=int, default=2, help="expansion order (<= 2)")
-    sub.set_defaults(func=cmd_taylor_compare)
-
+    sub = _command(
+        subs, "simulate", cmd_simulate, "cycle-by-cycle time-domain simulation"
+    )
+    sub.add_argument(
+        "--cycles", type=_int_at_least(1), default=64, help="number of cycles"
+    )
+    sub.add_argument("--x0", type=_floats, help="initial state 'x0,x1,...' (default 0)")
+    _command(
+        subs, "check-equivalence", cmd_check_equivalence,
+        "series vs matrix boundary coefficient", duty_range=True,
+    )
+    sub = _command(
+        subs, "taylor-compare", cmd_taylor_compare,
+        "short-expansion vs exact critical voltage", duty_range=True,
+    )
+    sub.add_argument(
+        "--order", type=int, choices=(0, 1, 2), default=2, help="expansion order"
+    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         args.func(args)
-        return EXIT_OK
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DimensionError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NoSwitchingError, DegenerateOrbitError) as exc:
-        print(f"no periodic orbit: {exc}", file=sys.stderr)
-        return EXIT_NO_ORBIT
-    except (GrazingError, SingularMatrixError) as exc:
-        print(f"singular condition: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except (NoConvergenceError, DivergenceError, OracleInvalidError) as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    except errors.PwmStabError as exc:
+        for classes, code, label in _EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
+    return EXIT_OK
 
 
 if __name__ == "__main__":

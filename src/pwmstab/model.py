@@ -164,6 +164,23 @@ def duty_of_switch_time(edge: ModulationEdge, d, T: float):
     return d / T if edge is ModulationEdge.TEM else 1.0 - d / T
 
 
+def stage_generators(
+    model: SwitchedLinearModel, u: InputVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """Van Loan's augmented stage generators ``[[A_i, B_i u], [0, 0]]``.
+
+    One exponential of size N + 1 holds both ``e^{A_i t}`` (top left) and
+    ``J_i(t) B_i u`` (top right column), where ``J_i(t) = int_0^t e^{A_i s} ds``.
+    """
+    uv = u.as_array()
+    gens = np.zeros((2, model.n + 1, model.n + 1))
+    gens[0, :-1, :-1] = model.A1
+    gens[0, :-1, -1] = model.B1 @ uv
+    gens[1, :-1, :-1] = model.A2
+    gens[1, :-1, -1] = model.B2 @ uv
+    return gens[0], gens[1]
+
+
 def compensator_output(model: SwitchedLinearModel, x, u: InputVector) -> float:
     """Compensator output ``y = C x + D u`` (scalar)."""
     xv = np.asarray(x, dtype=float)

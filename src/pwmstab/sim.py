@@ -5,13 +5,15 @@ matrix exponentials of the augmented (state, constant-input) system; the
 only numerical content is locating the comparator event ``h(t) = y(t)``.
 That is done with a dense scan of precomputed stage responses followed by
 bracketing refinement, giving event times accurate to ~1e-13 of a period.
-The oracle shares the ``numerics`` layer with the orbit solver and none
-of the orbit code: the scan grid uses ``numerics.mat_exp_stack`` and the
-event refinement ``numerics.find_root`` (which returns the bracket end
-nearest zero when the refiner, evaluating ``y`` in another association
-order, sees no sign change over a scan step), while every propagation and
-every event evaluation calls ``scipy.linalg.expm`` on its own.  The
-simulation therefore validates the closed-form machinery to the 1e-6 level.
+The oracle shares three things with the orbit solver: the model's
+augmented generator layout (``model.stage_generators``), the ``numerics``
+kernels and ``numerics.find_root``; it shares none of the orbit code.  The
+scan grid uses ``numerics.mat_exp_stack`` and the event refinement
+``find_root`` (which returns the bracket end nearest zero when the refiner,
+evaluating ``y`` in another association order, sees no sign change over a
+scan step), while every propagation and every event evaluation calls
+``scipy.linalg.expm`` on its own.  The simulation therefore validates the
+closed-form machinery to the 1e-6 level.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next
@@ -34,7 +36,7 @@ from .errors import (
     NoConvergenceError,
     OracleInvalidError,
 )
-from .model import InputVector, RampSignal, SwitchedLinearModel
+from .model import InputVector, RampSignal, SwitchedLinearModel, stage_generators
 
 
 @dataclass(frozen=True)
@@ -81,16 +83,8 @@ class CycleSimulator:
         self.scan_points = scan_points
 
         n = model.n
-        uv = u.as_array()
-        self._du = float(model.D @ uv)
-        # Augmented generators [[A, B u], [0, 0]]: one exponential yields both
-        # the state transition and the constant-input response.
-        self._aug1 = np.zeros((n + 1, n + 1))
-        self._aug1[:n, :n] = model.A1
-        self._aug1[:n, n] = model.B1 @ uv
-        self._aug2 = np.zeros((n + 1, n + 1))
-        self._aug2[:n, :n] = model.A2
-        self._aug2[:n, n] = model.B2 @ uv
+        self._du = float(model.D @ u.as_array())
+        self._aug1, self._aug2 = stage_generators(model, u)
 
         # Scan-grid responses of stage S1: y(t) = rows @ x_in + offset.
         self._grid = np.linspace(0.0, ramp.T, scan_points + 1)

@@ -27,6 +27,7 @@ from .model import (
     SwitchedLinearModel,
     duty_of_switch_time,
     ramp_value,
+    stage_generators,
 )
 
 
@@ -54,21 +55,6 @@ class SteadyState:
     m2: np.ndarray | None = None
     xdot_minus: np.ndarray | None = None
     xdot_plus: np.ndarray | None = None
-
-
-def _stage_generators(
-    model: SwitchedLinearModel, u: InputVector
-) -> tuple[np.ndarray, np.ndarray]:
-    # Van Loan's augmented generators [[A_i, B_i u], [0, 0]]: one exponential
-    # of size N + 1 holds both e^{A_i t} (top left) and J_i(t) B_i u (top
-    # right column), where J_i(t) = int_0^t e^{A_i s} ds.
-    uv = u.as_array()
-    gens = np.zeros((2, model.n + 1, model.n + 1))
-    gens[0, :-1, :-1] = model.A1
-    gens[0, :-1, -1] = model.B1 @ uv
-    gens[1, :-1, :-1] = model.A2
-    gens[1, :-1, -1] = model.B2 @ uv
-    return gens[0], gens[1]
 
 
 def _cycle_system(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +92,7 @@ def _orbit_states(
     T = ramp.T
     if not 0.0 <= d <= T:
         raise DomainError(f"d must lie in [0, {T}], got {d}")
-    g1, g2 = _stage_generators(model, u)
+    g1, g2 = stage_generators(model, u)
     e1 = numerics.mat_exp(g1, d)
     e2 = numerics.mat_exp(g2, T - d)
     lhs, rhs = _cycle_system(e1, e2)
@@ -175,7 +161,7 @@ def stage_exponentials(
     d = np.asarray(d, dtype=float)[:, None, None]
     if not np.all((d >= 0.0) & (d <= ramp.T)):
         raise DomainError(f"switching times must lie in [0, {ramp.T}]")
-    g1, g2 = _stage_generators(model, u)
+    g1, g2 = stage_generators(model, u)
     return (
         numerics.mat_exp_stack(g1 * d),
         numerics.mat_exp_stack(g2 * (ramp.T - d)),
@@ -240,8 +226,8 @@ def solve_periodic_orbit(
         No sign change anywhere: the converter never switches in steady
         state (duty saturated at 0 or 1).
     DegenerateOrbitError
-        Every candidate sat at a degenerate orbit (open-loop multiplier
-        at +1).
+        Every scan point, or every candidate, sat at a degenerate orbit
+        (open-loop multiplier at +1).
     """
     T = ramp.T
     if grid_points < 2:
@@ -251,7 +237,13 @@ def solve_periodic_orbit(
     grid = np.linspace(0.0, T, grid_points + 2)[1:-1]
 
     # Degenerate grid points come back NaN and take part in no bracket.
-    _, x0_switch, _ = x0_of_d_stack(*stage_exponentials(model, ramp, u, grid))
+    _, x0_switch, ok = x0_of_d_stack(*stage_exponentials(model, ramp, u, grid))
+    if not ok.any():
+        raise DegenerateOrbitError(
+            "open-loop cycle map has a multiplier at +1 at every scan point "
+            "(typically an integrating state): the cycle equations are singular "
+            "for every d"
+        )
     values = _residual(model, ramp, u, x0_switch, grid)
 
     # Candidates (lo, hi): sign change to the next point, or a zero not before NaN.

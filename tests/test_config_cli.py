@@ -122,6 +122,22 @@ class TestParse:
         with pytest.raises(ConfigError, match="finite"):
             parse_config(PRESET_TEXT.replace("vr = 11.3", "vr = 1e999"))
 
+    def test_value_error_names_section_key_and_line(self):
+        bad = RAW_TEXT.replace("A2 = -1.0,0.2; 0.0,-2.0", "A2 = -1.0,0.2; 0.0,x")
+        with pytest.raises(ConfigError) as info:
+            parse_config(bad)
+        assert str(info.value) == "line 4: [model] A2: 'x' is not a decimal number"
+        assert info.value.line == 4
+
+    def test_shape_error_comes_from_the_model(self):
+        bad = RAW_TEXT.replace("B1 = 0,0; 0,0", "B1 = 0,0,1; 0,0,1")
+        with pytest.raises(ConfigError) as info:
+            parse_config(bad)
+        assert str(info.value) == "B1 must have shape (2, 2), got (2, 3)"
+        with pytest.raises(ConfigError) as info:
+            parse_config(RAW_TEXT.replace("C = 1.0,0.4", "C = 1.0,0.4,0"))
+        assert str(info.value) == "C must have shape (1, 2), got (1, 3)"
+
     def test_invalid_ramp_rejected_at_parse(self):
         bad = PRESET_TEXT.replace("Vh = 8.2", "Vh = 3.8")
         with pytest.raises(ConfigError):
@@ -146,6 +162,90 @@ class TestRoundTrip:
             solver=SolverSpec(d_tol=1e-16),
         )
         assert parse_config(emit_config(cfg)) == cfg
+
+
+PI_BUCK_TEXT = """\
+[model]
+edge = TEM
+A1 = 0,-50,0; 21276.595744680852,-967.1179883945841,0; 0,-1,0
+A2 = 0,-50,0; 21276.595744680852,-967.1179883945841,0; 0,-1,0
+B1 = 0,50; 0,0; 1,0
+B2 = 0,0; 0,0; 1,0
+C = 0,-2,400
+D = 2,0
+
+[ramp]
+Vl = 0
+Vh = 5
+T = 400e-6
+
+[input]
+vr = 5
+vs = 12
+
+[solver]
+scan_points = 128
+d_tol = 1e-15
+"""
+
+
+class TestEmitGolden:
+    # The canonical text is pinned: key order, number format and spacing.
+    def test_preset(self):
+        assert emit_config(parse_config(PRESET_TEXT)) == """\
+[model]
+preset = vmc_buck
+L = 0.02
+C = 4.7e-05
+R = 22.0
+g = 8.4
+edge = TEM
+
+[ramp]
+Vl = 3.8
+Vh = 8.2
+T = 0.0004
+
+[input]
+vr = 11.3
+vs = 20.0
+
+[solver]
+grid_points = 256
+scan_points = 512
+harmonics = 2000
+class_tol = 0.0001
+"""
+
+    def test_raw_n3_with_d_tol(self):
+        # Numbers are emitted as repr() of the parsed double, so the
+        # 17-digit ...852 of the input comes back as its shorter twin ...853.
+        assert emit_config(parse_config(PI_BUCK_TEXT)) == """\
+[model]
+edge = TEM
+A1 = 0.0,-50.0,0.0; 21276.595744680853,-967.1179883945841,0.0; 0.0,-1.0,0.0
+A2 = 0.0,-50.0,0.0; 21276.595744680853,-967.1179883945841,0.0; 0.0,-1.0,0.0
+B1 = 0.0,50.0; 0.0,0.0; 1.0,0.0
+B2 = 0.0,0.0; 0.0,0.0; 1.0,0.0
+C = 0.0,-2.0,400.0
+D = 2.0,0.0
+
+[ramp]
+Vl = 0.0
+Vh = 5.0
+T = 0.0004
+
+[input]
+vr = 5.0
+vs = 12.0
+
+[solver]
+grid_points = 256
+scan_points = 128
+harmonics = 2000
+class_tol = 0.0001
+d_tol = 1e-15
+"""
 
 
 def _write(tmp_path, text, name="conv.cfg"):
@@ -213,7 +313,6 @@ class TestCliCommands:
         rc = cli.main([
             "check-equivalence", _write(tmp_path, PRESET_TEXT), "--quiet",
             "--dmin", "0.2", "--dmax", "0.8", "--points", "5",
-            "--harmonics", "2000",
         ])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -306,6 +405,33 @@ class TestCliExitCodes:
         assert cli.main(["simulate", cfg, "--quiet", "--cycles", "400",
                          "--x0", "0.5,0"]) == 5
 
+    def test_no_orbit_integrating_state(self, tmp_path, capsys):
+        # A PI compensator's integrator: degenerate at every d, not saturated.
+        assert cli.main(["steady", _write(tmp_path, PI_BUCK_TEXT), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("no periodic orbit: open-loop cycle map has a "
+                              "multiplier at +1 at every scan point")
+
+    @pytest.mark.parametrize("argv", [
+        ["fplot", "--points", "-5"],
+        ["fplot", "--points", "0"],
+        ["nyquist", "--points", "0"],
+        ["steady", "--out", "{tmp}/no-such-dir/x.csv"],
+        ["simulate", "--cycles", "0"],
+        ["taylor-compare", "--order", "3"],
+        ["check-equivalence", "--harmonics", "-3"],
+        ["sweep-vs", "--dmin", "0"],
+        ["splot", "--dmax", "1.2"],
+        ["check-equivalence", "--dmin", "0"],
+    ], ids=" ".join)
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, argv):
+        cfg = _write(tmp_path, PRESET_TEXT)
+        args = [a.format(tmp=tmp_path) for a in argv]
+        assert cli.main([args[0], cfg, "--quiet"] + args[1:]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_quiet_suppresses_summary(self, tmp_path, capsys):
         cfg = _write(tmp_path, PRESET_TEXT)
         cli.main(["steady", cfg, "--quiet"])
@@ -322,3 +448,19 @@ class TestReadmeConfig:
         parse_config(text)
         assert cli.main(["steady", _write(tmp_path, text), "--quiet"]) == 0
         assert capsys.readouterr().out.startswith("d_seconds,")
+
+    @pytest.mark.parametrize("edge", ["TEM", "LEM"])
+    @pytest.mark.parametrize("command", [
+        "steady", "eigs", "sweep-vs", "splot", "fplot", "nyquist", "simulate",
+        "check-equivalence", "taylor-compare",
+    ])
+    def test_every_command_on_readme_config(self, tmp_path, capsys, command, edge):
+        # The README config and its LEM mirror (vr and vs negated).
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        if edge == "LEM":
+            text = text.replace("edge = TEM", "edge = LEM").replace(
+                "vr = 11.3", "vr = -11.3").replace("vs = 20.0", "vs = -20.0")
+            assert "edge = LEM" in text and "vs = -20.0" in text
+        assert cli.main([command, _write(tmp_path, text), "--quiet"]) == 0
+        assert capsys.readouterr().out.count("\n") >= 2

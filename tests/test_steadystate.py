@@ -333,6 +333,37 @@ class TestSolvePeriodicOrbit:
         assert shifted.d == pytest.approx(base.d, abs=1e-10)
 
 
+def _pi_buck(edge):
+    # Buck (L = 20 mH, C = 47 uF, R = 22 ohm) under a PI compensator
+    # (kp = 2, ki = 400): the integrator state x2' = vr - vC gives the
+    # open-loop cycle map a multiplier at +1 for every switching time.
+    a = [[0.0, -50.0, 0.0], [21276.595744680852, -967.1179883945841, 0.0],
+         [0.0, -1.0, 0.0]]
+    on = [[0.0, 50.0], [0.0, 0.0], [1.0, 0.0]]
+    off = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    b1, b2 = (on, off) if edge is p.ModulationEdge.TEM else (off, on)
+    return p.SwitchedLinearModel(
+        A1=a, A2=a, B1=b1, B2=b2, C=[0.0, -2.0, 400.0], D=[2.0, 0.0], edge=edge
+    )
+
+
+class TestIntegratingState:
+    @pytest.mark.parametrize("edge, sign", [(p.ModulationEdge.TEM, 1.0),
+                                            (p.ModulationEdge.LEM, -1.0)])
+    def test_all_degenerate_scan_is_degenerate_not_saturated(self, edge, sign):
+        # Every scan point is singular, so the scan sees no sign change; that
+        # is a +1 multiplier, not a converter that never switches.
+        model = _pi_buck(edge)
+        ramp = p.RampSignal(0.0, 5.0, 400e-6)
+        u = p.InputVector(sign * 5.0, sign * 12.0)
+        grid = np.linspace(0.0, ramp.T, 9)[1:-1]
+        stages = steadystate.stage_exponentials(model, ramp, u, grid)
+        assert not steadystate.x0_of_d_stack(*stages)[2].any()
+        with pytest.raises(DegenerateOrbitError,
+                           match=r"multiplier at \+1 at every scan point"):
+            p.solve_periodic_orbit(model, ramp, u)
+
+
 class TestOrbitDerivatives:
     def test_no_jump_when_stages_match(self):
         a = [[-1.0, 0.2], [0.0, -2.0]]
