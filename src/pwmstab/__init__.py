@@ -27,8 +27,6 @@ from .buck import (
     make_buck_plant,
     taylor_coefficients,
     taylor_critical_vs,
-    taylor_pdb_residual,
-    transfer_eval,
     vs_critical_lem,
     vs_critical_tem,
 )
@@ -53,7 +51,6 @@ from .model import (
     ModulationEdge,
     RampSignal,
     SwitchedLinearModel,
-    compensator_output,
     detect_buck_structure,
     preset_vmc_buck,
     ramp_value,
@@ -63,7 +60,6 @@ from .sim import (
     Trajectory,
     detect_period,
     fd_jacobian,
-    find_fixed_point,
     simulate,
     steady_period,
 )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DimensionError, DomainError, ResolventPoleError, SingularMatrixError
+from .errors import DimensionError, DomainError, ResolventPoleError
 from .model import (
     ModulationEdge,
     RampSignal,
@@ -154,20 +154,6 @@ def buck_pdb_residual(
     return _edge_coefficient(plant, D, ModulationEdge(edge)) * vs - plant.ramp.slope
 
 
-def transfer_eval(plant: BuckPlant, s: complex) -> complex:
-    """Source-to-compensator transfer function ``G(s) = C (sI - A)^{-1} B``.
-
-    The source column is the diode-voltage injection path of the buck, so
-    this is the transfer function the harmonic-balance series samples.
-    """
-    n = plant.A.shape[0]
-    try:
-        x = numerics.solve_linear(s * np.eye(n) - plant.A, plant.B.astype(complex))
-    except SingularMatrixError as exc:
-        raise ResolventPoleError(f"s = {s:.6g} is a pole of the plant") from exc
-    return complex(plant.C @ x)
-
-
 def harmonic_gains(plant: BuckPlant, K: int) -> HarmonicGains:
     """Sample ``G`` at the integer and half-integer switching harmonics.
 
@@ -273,19 +259,6 @@ def _taylor_coefficient_matrix(plant: BuckPlant, D: float, order: int) -> float:
     if order >= 2:
         total = total + deltas.delta2 * (at @ at)
     return float(plant.C @ total @ plant.B)
-
-
-def taylor_pdb_residual(
-    plant: BuckPlant, D: float, vs: float, order: int = 2
-) -> float:
-    """Truncated boundary residual from the Taylor expansion (TEM form).
-
-    Accurate only while ``|eig(A)| T`` stays small; with a plant pole
-    comparable to the switching frequency the discarded orders are
-    significant and this residual is a poor proxy for the exact one.
-    """
-    _check_duty(D)
-    return _taylor_coefficient_matrix(plant, D, order) * vs - plant.ramp.slope
 
 
 def taylor_critical_vs(plant: BuckPlant, D: float, order: int = 2) -> float:

@@ -295,21 +295,24 @@ def _int_at_least(low: int):
     return parse
 
 
-def _complex(raw: str) -> complex:
-    try:
-        re_part, im_part = map(float, raw.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 're,im', got {raw!r}") from None
-    return complex(re_part, im_part)
-
-
 def _floats(raw: str) -> list[float]:
     try:
-        return [float(part) for part in raw.split(",")]
+        values = [float(part) for part in raw.split(",")]
     except ValueError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {raw!r}"
-        ) from None
+            f"expected comma-separated finite numbers, got {raw!r}"
+        )
+    return values
+
+
+def _complex(raw: str) -> complex:
+    try:
+        re_part, im_part = _floats(raw)
+    except (argparse.ArgumentTypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"expected finite 're,im', got {raw!r}") from None
+    return complex(re_part, im_part)
 
 
 def _command(subs, name, func, summary, duty_range=False):

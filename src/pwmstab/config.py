@@ -32,14 +32,18 @@ Matrices are semicolon-separated rows of comma-separated decimals, e.g.
 optional exponent.  The section tables below (``_PRESET_MODEL``,
 ``_RAW_MODEL``, ``_RAMP``, ``_INPUT``, ``_SOLVER``) are the schema: each maps
 a key to the parser and the emitter of its value, and both
-:func:`parse_config` and :func:`emit_config` walk them.  Unknown sections or
-keys are rejected, and every parsed config is guaranteed to build a valid
-model/ramp/input triple; matrix shapes are checked by the model itself.
+:func:`parse_config` and :func:`emit_config` walk them.  The ``[solver]``
+parsers also check each value's range (``grid_points >= 2``,
+``scan_points >= 8``, ``harmonics >= 1``, positive finite tolerances).
+Unknown sections or keys are rejected, and every parsed config is
+guaranteed to build a valid model/ramp/input triple and solver settings
+every command accepts; matrix shapes are checked by the model itself.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -143,8 +147,22 @@ def _emit_row(row) -> str:
     return ",".join(_emit_number(x) for x in row)
 
 
+def _where(kind, ok, what: str):
+    # ``kind`` restricted to the values ``ok`` accepts.
+    parse, emit = kind
+
+    def parse_checked(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {raw.strip()}")
+        return value
+
+    return parse_checked, emit
+
+
 _NUMBER = (_parse_number, _emit_number)
 _INTEGER = (_token(_INT_RE, "an integer", int), str)
+_POSITIVE = _where(_NUMBER, lambda v: 0.0 < v < math.inf, "positive and finite")
 _ROW = (_parse_row, _emit_row)
 _MATRIX = (_parse_matrix, lambda m: "; ".join(_emit_row(r) for r in m))
 _EDGE = (_one_of("TEM", "LEM"), str)
@@ -164,8 +182,11 @@ _RAW_MODEL = {
 _RAMP = {"Vl": _NUMBER, "Vh": _NUMBER, "T": _NUMBER}
 _INPUT = {"vr": _NUMBER, "vs": _NUMBER}
 _SOLVER = {
-    "grid_points": _INTEGER, "scan_points": _INTEGER, "harmonics": _INTEGER,
-    "class_tol": _NUMBER, "d_tol": _NUMBER,
+    "grid_points": _where(_INTEGER, lambda v: v >= 2, ">= 2"),
+    "scan_points": _where(_INTEGER, lambda v: v >= 8, ">= 8"),
+    "harmonics": _where(_INTEGER, lambda v: v >= 1, ">= 1"),
+    "class_tol": _POSITIVE,
+    "d_tol": _POSITIVE,
 }
 
 

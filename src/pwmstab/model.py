@@ -181,14 +181,6 @@ def stage_generators(
     return gens[0], gens[1]
 
 
-def compensator_output(model: SwitchedLinearModel, x, u: InputVector) -> float:
-    """Compensator output ``y = C x + D u`` (scalar)."""
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (model.n,):
-        raise DimensionError(f"x must have shape ({model.n},), got {xv.shape}")
-    return float(model.C @ xv + model.D @ u.as_array())
-
-
 def preset_vmc_buck(
     L: float, Cf: float, R: float, g: float, edge: ModulationEdge
 ) -> SwitchedLinearModel:

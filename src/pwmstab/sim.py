@@ -1,19 +1,31 @@
-"""Independent time-domain oracle: exact piecewise-exponential simulation.
+"""Time-domain oracle: exact piecewise-exponential simulation.
 
 Within each stage the dynamics are linear, so states are propagated with
-matrix exponentials of the augmented (state, constant-input) system; the
-only numerical content is locating the comparator event ``h(t) = y(t)``.
-That is done with a dense scan of precomputed stage responses followed by
-bracketing refinement, giving event times accurate to ~1e-13 of a period.
-The oracle shares three things with the orbit solver: the model's
-augmented generator layout (``model.stage_generators``), the ``numerics``
-kernels and ``numerics.find_root``; it shares none of the orbit code.  The
-scan grid uses ``numerics.mat_exp_stack`` and the event refinement
-``find_root`` (which returns the bracket end nearest zero when the refiner,
-evaluating ``y`` in another association order, sees no sign change over a
-scan step), while every propagation and every event evaluation calls
-``scipy.linalg.expm`` on its own.  The simulation therefore validates the
-closed-form machinery to the 1e-6 level.
+matrix exponentials of the augmented (state, constant-input) system
+``G = [[A, B u], [0, 0]]``; the only numerical content is locating the
+comparator event ``h(t) = y(t)``.  Stage S1 is exponentiated once per
+simulator, on a fixed scan grid ``t_j = j h`` (``numerics.mat_exp_stack``,
+the kernel the orbit solver's scan also uses).  A cycle scans the event
+function on that grid, then refines the first hit inside its scan step
+without another exponential: the stage-1 response from the step's start
+state ``z`` is the truncated Taylor series ``sum_k (G tau)^k / k! z``, with
+the step split into ``2^s`` sub-steps so that ``||G tau||_1 <= 1`` and ``K``
+terms chosen so the first dropped term is below ``2^-53`` (the truncation
+bound of Al-Mohy & Higham 2009).  ``numerics.find_root`` refines the event
+on the scalar series (returning the bracket end nearest zero when the
+series sees no sign change over the bracket, as the orbit solver does),
+and the switch state comes from the same series.  Stage S2 is one
+``scipy.linalg.expm`` per switching cycle.  Event times agree with
+per-evaluation exponentials to ~1e-13 of a period.
+
+The oracle shares the model's augmented generator layout
+(``model.stage_generators``), ``numerics.mat_exp_stack`` and
+``numerics.find_root`` with the orbit solver, and none of the orbit code.
+Its independence therefore rests on the mpmath and scipy reference tests
+of ``mat_exp_stack`` and on the test that replays every cycle against a
+reference cycle taking one ``scipy.linalg.expm`` per evaluation; on that
+footing the simulation validates the closed-form machinery to the 1e-6
+level.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next
@@ -24,6 +36,7 @@ the event is reported as saturated (``d = None``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +46,6 @@ from . import numerics
 from .errors import (
     DivergenceError,
     DomainError,
-    NoConvergenceError,
     OracleInvalidError,
 )
 from .model import InputVector, RampSignal, SwitchedLinearModel, stage_generators
@@ -64,8 +76,10 @@ class Trajectory:
 class CycleSimulator:
     """Propagates one converter cycle exactly; reusable across many cycles.
 
-    Builds the stage responses on a fixed scan grid once, so repeated
-    cycles cost a few matrix-vector products plus the event refinement.
+    Builds the stage-1 exponentials on a fixed scan grid and the Taylor
+    terms of one scan step once, so repeated cycles cost a few
+    matrix-vector products, a scalar event refinement and one stage-2
+    exponential.
     """
 
     def __init__(
@@ -86,57 +100,96 @@ class CycleSimulator:
         self._du = float(model.D @ u.as_array())
         self._aug1, self._aug2 = stage_generators(model, u)
 
-        # Scan-grid responses of stage S1: y(t) = rows @ x_in + offset.
+        # Stage S1 on the scan grid: z(t_j) = stage1[j] @ [x_in; 1], and
+        # y(t_j) = rows @ x_in + offset.
         self._grid = np.linspace(0.0, ramp.T, scan_points + 1)
-        m = numerics.mat_exp_stack(self._aug1 * self._grid[:, None, None])
-        self._y_rows = model.C @ m[:, :n, :n]
-        self._y_offsets = m[:, :n, n] @ model.C + self._du
+        self._stage1 = numerics.mat_exp_stack(self._aug1 * self._grid[:, None, None])
+        self._y_rows = model.C @ self._stage1[:, :n, :n]
+        self._y_offsets = self._stage1[:, :n, n] @ model.C + self._du
         self._h_grid = ramp.Vl + ramp.slope * self._grid
 
-    def _propagate(self, stage: int, x: np.ndarray, t: float) -> np.ndarray:
-        if t == 0.0:
-            return x.copy()
-        aug = self._aug1 if stage == 1 else self._aug2
-        n = self.model.n
-        with np.errstate(over="ignore", invalid="ignore"):
-            # Overflow here is the divergence the caller detects explicitly.
-            m = scipy.linalg.expm(aug * t)
-            return m[:n, :n] @ x + m[:n, n]
-
-    def _y_stage1(self, x_in: np.ndarray, t: float) -> float:
-        n = self.model.n
-        m = scipy.linalg.expm(self._aug1 * t)
-        return float(self.model.C @ (m[:n, :n] @ x_in + m[:n, n]) + self._du)
+        # Taylor terms of one sub-step tau = h / 2^s, with s the smallest
+        # integer giving ||G1 tau||_1 <= 1 and K the smallest order whose
+        # first dropped term ||G1 tau||^(K+1) / (K+1)! is below 2^-53.
+        h = ramp.T / scan_points
+        norm = float(np.abs(self._aug1).sum(axis=0).max())
+        frac, s = math.frexp(norm * h)
+        s = max(s - (frac == 0.5), 0)
+        self._substeps = 2 ** s
+        self._tau = h / self._substeps
+        rho = norm * self._tau
+        order, term = 0, rho
+        while term > 2.0 ** -53:
+            order += 1
+            term *= rho / (order + 1)
+        # powers[k] = (G1 tau)^k / k!, rows[k] = [C, 0] powers[k], and their
+        # sum is e^{G1 tau} to the same bound.
+        powers = [np.eye(n + 1)]
+        for k in range(1, order + 1):
+            powers.append(powers[-1] @ self._aug1 * (self._tau / k))
+        self._taylor_powers = np.stack(powers)
+        self._taylor_rows = model.C @ self._taylor_powers[:, :n, :]
+        self._taylor_orders = np.arange(order + 1)
+        self._tau_exp = self._taylor_powers.sum(axis=0)
 
     def cycle(self, x_in) -> CycleRecord:
         """Run one clock period starting from ``x_in`` at the clock edge."""
         x = np.asarray(x_in, dtype=float)
-        if x.shape != (self.model.n,):
-            raise DomainError(f"state must have shape ({self.model.n},)")
+        n = self.model.n
+        if x.shape != (n,):
+            raise DomainError(f"state must have shape ({n},)")
         if not np.all(np.isfinite(x)):
             raise DivergenceError("state is not finite")
-        T = self.ramp.T
+        z = np.concatenate((x, (1.0,)))
 
-        # Event function e(t) = h(t) - y(t) on the scan grid.
         with np.errstate(over="ignore", invalid="ignore"):
+            # Overflow here is the divergence the checks below report.
+            # Event function e(t) = h(t) - y(t) on the scan grid.
             e = self._h_grid - (self._y_rows @ x + self._y_offsets)
-        if not np.all(np.isfinite(e)):
-            raise DivergenceError("compensator output overflowed during the cycle")
-        hits = np.flatnonzero(e >= 0.0)
-        if not hits.size:
-            # No trigger this cycle: stay in S1 throughout.
-            return CycleRecord(None, x, None, self._finish(self._propagate(1, x, T)))
-        # A hit at index 0 (trigger at the clock edge) or a grid zero is the event.
-        i = hits[0]
-        d = float(self._grid[i])
-        if i > 0 and e[i] > 0.0:
-            d = numerics.find_root(
-                lambda t: self.ramp.Vl + self.ramp.slope * t - self._y_stage1(x, t),
-                float(self._grid[i - 1]), d, 1e-13 * T,
-            )
-        x_switch = self._propagate(1, x, d)
-        x_end = self._propagate(2, x_switch, T - d)
+            if not np.all(np.isfinite(e)):
+                raise DivergenceError("compensator output overflowed during the cycle")
+            hits = np.flatnonzero(e >= 0.0)
+            if not hits.size:
+                # No trigger this cycle: stay in S1 throughout.
+                return CycleRecord(None, x, None, self._finish((self._stage1[-1] @ z)[:n]))
+            # A hit at index 0 (trigger at the clock edge) or a grid zero is
+            # the event.
+            i = hits[0]
+            if i > 0 and e[i] > 0.0:
+                d, x_switch = self._refine(i, self._stage1[i - 1] @ z)
+            else:
+                d, x_switch = float(self._grid[i]), (self._stage1[i] @ z)[:n]
+            m = scipy.linalg.expm(self._aug2 * (self.ramp.T - d))
+            x_end = m[:n, :n] @ x_switch + m[:n, n]
         return CycleRecord(d, x, x_switch, self._finish(x_end))
+
+    def _refine(self, i: int, z: np.ndarray) -> tuple[float, np.ndarray]:
+        """Event time and switch state inside scan step ``i``, from the
+        augmented state ``z`` at its start, by the stage-1 Taylor series."""
+        ramp, n, du, tau = self.ramp, self.model.n, self._du, self._tau
+        start = lo = float(self._grid[i - 1])
+        hi = float(self._grid[i])
+        # The first sub-step that ends with e >= 0, or the last one.
+        for j in range(1, self._substeps):
+            z_next = self._tau_exp @ z
+            t = start + j * tau
+            if ramp.Vl + ramp.slope * t - (self.model.C @ z_next[:n] + du) >= 0.0:
+                hi = t
+                break
+            z, lo = z_next, t
+        coeffs = (self._taylor_rows @ z).tolist()[::-1]
+
+        def event(t: float) -> float:
+            # h(t) - y(t) in absolute time, y by Horner in (t - lo) / tau.
+            v = (t - lo) / tau
+            y = 0.0
+            for c in coeffs:
+                y = y * v + c
+            return ramp.Vl + ramp.slope * t - (y + du)
+
+        d = numerics.find_root(event, lo, hi, 1e-13 * ramp.T)
+        weights = ((d - lo) / tau) ** self._taylor_orders
+        return d, weights @ (self._taylor_powers[:, :n] @ z)
 
     def _finish(self, x_end: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(x_end)):
@@ -208,37 +261,6 @@ def fd_jacobian(
             )
         jac[:, j] = (rec_p.x_end - rec_m.x_end) / (2.0 * h)
     return jac
-
-
-def find_fixed_point(
-    model: SwitchedLinearModel,
-    ramp: RampSignal,
-    u: InputVector,
-    x_guess,
-    max_iter: int = 2000,
-    tol: float = 1e-11,
-    damping: float = 1.0,
-    scan_points: int = 512,
-) -> np.ndarray:
-    """Damped fixed-point iteration of the stroboscopic map.
-
-    Converges only onto *attracting* orbits; an unstable orbit makes the
-    iteration wander and raises :class:`NoConvergenceError` (use the
-    closed-form steady-state solver for those).
-    """
-    if not 0.0 < damping <= 1.0:
-        raise DomainError(f"damping must lie in (0, 1], got {damping}")
-    sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
-    x = np.asarray(x_guess, dtype=float)
-    for _ in range(max_iter):
-        fx = sim.map(x)
-        if np.linalg.norm(fx - x) <= tol * (1.0 + np.linalg.norm(x)):
-            return x
-        x = (1.0 - damping) * x + damping * fx
-    raise NoConvergenceError(
-        f"fixed-point iteration did not converge in {max_iter} cycles "
-        "(orbit may be unstable)"
-    )
 
 
 def detect_period(states, tol: float = 1e-6) -> int | None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pwmstab as p
-from pwmstab import numerics
+from pwmstab import buck, numerics
 
 L, CF, R, GAIN = 20e-3, 47e-6, 22.0, 8.4
 T = 400e-6
@@ -75,6 +75,51 @@ def mat_exp_integral(a, t):
     block[:n, :n] = arr
     block[:n, n:] = np.eye(n)
     return numerics.mat_exp(block, t)[:n, n:]
+
+
+def compensator_output(model, x, u):
+    """Compensator output ``y = C x + D u`` (scalar)."""
+    xv = np.asarray(x, dtype=float)
+    if xv.shape != (model.n,):
+        raise p.DimensionError(f"x must have shape ({model.n},), got {xv.shape}")
+    return float(model.C @ xv + model.D @ u.as_array())
+
+
+def transfer_eval(plant, s):
+    """Source-to-compensator transfer function ``G(s) = C (sI - A)^{-1} B``
+    of a buck plant, by one resolvent solve."""
+    n = plant.A.shape[0]
+    try:
+        x = numerics.solve_linear(s * np.eye(n) - plant.A, plant.B.astype(complex))
+    except p.SingularMatrixError as exc:
+        raise p.ResolventPoleError(f"s = {s:.6g} is a pole of the plant") from exc
+    return complex(plant.C @ x)
+
+
+def taylor_pdb_residual(plant, D, vs, order=2):
+    """Truncated TEM boundary residual of the Taylor expansion: the
+    coefficient behind ``taylor_critical_vs`` times ``vs``, minus the ramp
+    slope."""
+    buck._check_duty(D)
+    return buck._taylor_coefficient_matrix(plant, D, order) * vs - plant.ramp.slope
+
+
+def find_fixed_point(model, ramp, u, x_guess, max_iter=2000):
+    """Fixed-point iteration of the simulated stroboscopic map, to 1e-11.
+
+    Converges only onto attracting orbits; an unstable orbit makes the
+    iteration wander and raises :class:`NoConvergenceError`.
+    """
+    sim = p.CycleSimulator(model, ramp, u)
+    x = np.asarray(x_guess, dtype=float)
+    for _ in range(max_iter):
+        fx = sim.map(x)
+        if np.linalg.norm(fx - x) <= 1e-11 * (1.0 + np.linalg.norm(x)):
+            return x
+        x = fx
+    raise p.NoConvergenceError(
+        f"fixed-point iteration did not converge in {max_iter} cycles"
+    )
 
 
 def critical_vs(model, ramp, vr, vs0, tol=1e-13, max_iter=200):

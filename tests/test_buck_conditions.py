@@ -7,7 +7,7 @@ import pwmstab as p
 from pwmstab.errors import DomainError, ResolventPoleError, SingularMatrixError
 from pwmstab import cli
 from pwmstab.model import switch_time_of_duty
-from conftest import slaved_reference_orbit
+from conftest import slaved_reference_orbit, taylor_pdb_residual, transfer_eval
 
 L, CF, R, GAIN = 20e-3, 47e-6, 22.0, 8.4
 
@@ -146,7 +146,7 @@ class TestCriticalVoltages:
 
 class TestTransferFunction:
     def test_strictly_proper(self, plant):
-        mags = [abs(p.transfer_eval(plant, s)) for s in (1e3, 1e5, 1e7)]
+        mags = [abs(transfer_eval(plant, s)) for s in (1e3, 1e5, 1e7)]
         assert mags[0] > mags[1] > mags[2]
         assert mags[2] <= 1e-6
 
@@ -154,18 +154,18 @@ class TestTransferFunction:
         # Hand-derived: G(s) = -g / (L Cf s^2 + (L/R) s + 1).
         for s in (1j * 3e3, 2e3 + 1j * 1e3, -4e2 + 0j):
             want = -GAIN / (L * CF * s * s + (L / R) * s + 1.0)
-            assert p.transfer_eval(plant, s) == pytest.approx(want, rel=1e-12)
+            assert transfer_eval(plant, s) == pytest.approx(want, rel=1e-12)
 
     def test_conjugate_symmetry(self, plant):
         for s in (1j * 1e4, 3e2 + 5e3j):
-            assert p.transfer_eval(plant, np.conj(s)) == pytest.approx(
-                np.conj(p.transfer_eval(plant, s)), rel=1e-12
+            assert transfer_eval(plant, np.conj(s)) == pytest.approx(
+                np.conj(transfer_eval(plant, s)), rel=1e-12
             )
 
     def test_pole_raises(self, plant):
         pole = np.linalg.eigvals(plant.A)[0]
         with pytest.raises(ResolventPoleError):
-            p.transfer_eval(plant, complex(pole))
+            transfer_eval(plant, complex(pole))
 
 
 class TestHarmonicBalance:
@@ -261,8 +261,8 @@ class TestTaylor:
                             ramp=ramp)
         for D, vs in ((0.3, 4.0), (0.8,9.0)):
             want = p.taylor_coefficients(D).delta0 * 3.0 * vs - ramp.slope
-            assert p.taylor_pdb_residual(plant, D, vs, order=0) == pytest.approx(want)
-            assert p.taylor_pdb_residual(plant, D, vs, order=2) == pytest.approx(want)
+            assert taylor_pdb_residual(plant, D, vs, order=0) == pytest.approx(want)
+            assert taylor_pdb_residual(plant, D, vs, order=2) == pytest.approx(want)
 
     def test_slow_plant_within_one_percent(self, ramp):
         m = p.preset_vmc_buck(0.2, 100e-6, 50.0, GAIN, p.ModulationEdge.TEM)
@@ -293,4 +293,4 @@ class TestTaylor:
 
     def test_order_cap(self, plant):
         with pytest.raises(DomainError):
-            p.taylor_pdb_residual(plant, 0.5, 1.0, order=3)
+            taylor_pdb_residual(plant, 0.5, 1.0, order=3)

@@ -143,6 +143,29 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    @pytest.mark.parametrize("line", [
+        "grid_points = 1", "scan_points = 4", "harmonics = -3", "harmonics = 0",
+        "class_tol = -1", "class_tol = 0", "class_tol = 1e999",
+        "d_tol = 0", "d_tol = -1e-15", "d_tol = 1e999",
+    ])
+    def test_solver_range_rejected_at_parse(self, tmp_path, capsys, line):
+        # Every command refuses the value the same way, naming the key.
+        key = line.split()[0]
+        text = PRESET_TEXT + "\n[solver]\n" + line + "\n"
+        with pytest.raises(ConfigError, match=rf"^line 19: \[solver\] {key}: must be "):
+            parse_config(text)
+        cfg = _write(tmp_path, text)
+        for command in ("steady", "simulate", "check-equivalence"):
+            assert cli.main([command, cfg, "--quiet"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_solver_range_edges_accepted(self):
+        text = PRESET_TEXT + (
+            "\n[solver]\ngrid_points = 2\nscan_points = 8\nharmonics = 1\n"
+            "class_tol = 1e-300\nd_tol = 1e-300\n"
+        )
+        assert parse_config(text).solver == SolverSpec(2, 8, 1, 1e-300, 1e-300)
+
 
 class TestRoundTrip:
     def test_preset_round_trip(self):
@@ -428,6 +451,20 @@ class TestCliExitCodes:
         cfg = _write(tmp_path, PRESET_TEXT)
         args = [a.format(tmp=tmp_path) for a in argv]
         assert cli.main([args[0], cfg, "--quiet"] + args[1:]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--x0", "nan,0"],
+        ["simulate", "--x0", "0,-inf"],
+        ["splot", "--lam=nan,0"],
+        ["splot", "--lam=inf,0"],
+        ["splot", "--lam=0,1e999"],
+    ], ids=" ".join)
+    def test_non_finite_flag_is_usage_error(self, tmp_path, capsys, argv):
+        cfg = _write(tmp_path, PRESET_TEXT)
+        assert cli.main([argv[0], cfg, "--quiet"] + argv[1:]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1

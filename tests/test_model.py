@@ -5,6 +5,7 @@ import pytest
 
 import pwmstab as p
 from pwmstab.errors import DimensionError, DomainError
+from conftest import compensator_output
 
 
 class TestRamp:
@@ -57,7 +58,7 @@ class TestCompensatorOutput:
             C=[0.0, -8.4], D=[8.4, 0.0], edge=p.ModulationEdge.TEM,
         )
         vo, vr, vs = 10.7, 11.3, 24.0
-        y = p.compensator_output(m, [0.0, vo], p.InputVector(vr, vs))
+        y = compensator_output(m, [0.0, vo], p.InputVector(vr, vs))
         assert y == pytest.approx(8.4 * (vr - vo))
 
     def test_zero_maps(self):
@@ -67,7 +68,7 @@ class TestCompensatorOutput:
             C=[0.0, 0.0], D=[0.0, 0.0], edge=p.ModulationEdge.TEM,
         )
         for x, u in [([1, 2], (3, 4)), ([-5, 0.1], (0, 0))]:
-            assert p.compensator_output(m, x, p.InputVector(*u)) == 0.0
+            assert compensator_output(m, x, p.InputVector(*u)) == 0.0
 
     def test_state_pick(self):
         m = p.SwitchedLinearModel(
@@ -75,12 +76,12 @@ class TestCompensatorOutput:
             B1=np.zeros((2, 2)), B2=np.zeros((2, 2)),
             C=[1.0, 0.0], D=[0.0, 0.0], edge=p.ModulationEdge.TEM,
         )
-        assert p.compensator_output(m, [2.0, 5.0], p.InputVector(0, 0)) == 2.0
+        assert compensator_output(m, [2.0, 5.0], p.InputVector(0, 0)) == 2.0
 
     def test_dimension_mismatch(self):
         m = p.preset_vmc_buck(1e-3, 1e-6, 10.0, 1.0, p.ModulationEdge.TEM)
         with pytest.raises(DimensionError):
-            p.compensator_output(m, [1.0, 2.0, 3.0], p.InputVector(0, 0))
+            compensator_output(m, [1.0, 2.0, 3.0], p.InputVector(0, 0))
 
 
 class TestPreset:

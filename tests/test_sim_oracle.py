@@ -1,5 +1,7 @@
 """Tests of the exact time-domain simulator and its derived oracles."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,7 @@ from pwmstab.errors import (
     NoConvergenceError,
     OracleInvalidError,
 )
-from conftest import UNIT_RAMP, critical_vs
+from conftest import UNIT_RAMP, critical_vs, find_fixed_point
 
 
 class TestSimulateCycle:
@@ -123,6 +125,140 @@ class TestScanGrid:
             assert np.array_equal(sim._y_rows[0], model.C)
 
 
+def reference_cycle(sim, x):
+    """One cycle by the direct algorithm: the simulator's scan, then one
+    ``scipy.linalg.expm`` per event evaluation and per propagation.
+    Returns ``(d, x_switch, x_end)``, with ``d = x_switch = None`` when the
+    comparator never triggers."""
+    n, T = sim.model.n, sim.ramp.T
+
+    def propagate(aug, x, t):
+        m = scipy.linalg.expm(aug * t)
+        return m[:n, :n] @ x + m[:n, n]
+
+    def y(t):
+        return float(sim.model.C @ propagate(sim._aug1, x, t) + sim._du)
+
+    e = sim._h_grid - (sim._y_rows @ x + sim._y_offsets)
+    hits = np.flatnonzero(e >= 0.0)
+    if not hits.size:
+        return None, None, propagate(sim._aug1, x, T)
+    i = hits[0]
+    d = float(sim._grid[i])
+    if i > 0 and e[i] > 0.0:
+        d = numerics.find_root(
+            lambda t: sim.ramp.Vl + sim.ramp.slope * t - y(t),
+            float(sim._grid[i - 1]), d, 1e-13 * T,
+        )
+    x_switch = propagate(sim._aug1, x, d)
+    return d, x_switch, propagate(sim._aug2, x_switch, T - d)
+
+
+def _fast_pole_model():
+    # Stage S1 rings at 40 rad/s (poles -0.5 +- 40j) through the whole unit
+    # cycle: at scan_points = 8 one scan step spans ||G1 h||_1 = 5.1, so the
+    # refinement walks 2^3 sub-steps of a mode that is still excited.
+    return p.SwitchedLinearModel(
+        A1=[[-0.5, 40.0], [-40.0, -0.5]], A2=[[-2.0, 0.5], [0.0, -1.5]],
+        B1=[[0.0, 0.0], [0.0, 4.0]], B2=[[0.0, 0.0], [0.0, -1.0]],
+        C=[0.4, 0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
+    ), p.InputVector(0.3, 1.0)
+
+
+class TestReferenceCycle:
+    """The exponential-free event refinement against the direct algorithm."""
+
+    @staticmethod
+    def _agree(sim, x):
+        rec = sim.cycle(x)
+        d, x_switch, x_end = reference_cycle(sim, x)
+        T = sim.ramp.T
+        assert (rec.d_event is None) == (d is None)
+        if d is not None:
+            assert abs(rec.d_event - d) <= 2e-13 * T
+            assert np.linalg.norm(rec.x_switch - x_switch) <= 1e-12 * (
+                1 + np.linalg.norm(x_switch)
+            )
+        assert np.linalg.norm(rec.x_end - x_end) <= 1e-12 * (1 + np.linalg.norm(x_end))
+        return rec
+
+    def test_model_cases(self, model_cases):
+        refined = 0
+        for model, rmp, u in model_cases:
+            ss = p.solve_periodic_orbit(model, rmp, u)
+            for sp in (64, 512):
+                sim = p.CycleSimulator(model, rmp, u, scan_points=sp)
+                x = ss.x0_start * 1.01 + 1e-3
+                for _ in range(8):
+                    rec = self._agree(sim, x)
+                    refined += rec.d_event not in sim._grid
+                    x = rec.x_end
+        assert refined >= 80
+
+    def test_clock_edge_trigger(self, buck_tem, ramp, ss_tem):
+        # vr = 0: y(0) = -g vo lies below the ramp valley, so d = 0.
+        sim = p.CycleSimulator(buck_tem, ramp, p.InputVector(0.0, 20.0))
+        assert self._agree(sim, ss_tem.x0_start).d_event == 0.0
+
+    def test_no_trigger(self, buck_tem, ramp, ss_tem):
+        # vr = 30: y stays above the ramp peak all cycle.
+        sim = p.CycleSimulator(buck_tem, ramp, p.InputVector(30.0, 20.0))
+        assert self._agree(sim, ss_tem.x0_start).d_event is None
+
+    def test_fast_pole_walks_sub_steps(self):
+        model, u = _fast_pole_model()
+        sim = p.CycleSimulator(model, UNIT_RAMP, u, scan_points=8)
+        assert sim._substeps >= 8
+        h = UNIT_RAMP.T / 8
+        sub_steps = set()
+        for a in np.linspace(-1.0, 1.0, 5):
+            for b in np.linspace(-1.0, 1.0, 5):
+                rec = self._agree(sim, np.array([a, b]))
+                if rec.d_event is not None and rec.d_event not in sim._grid:
+                    sub_steps.add(int(rec.d_event % h / sim._tau))
+        assert len(sub_steps) >= 6
+
+    def test_truncation_order_is_the_smallest_that_meets_the_bound(self, model_cases):
+        model, u = _fast_pole_model()
+        cases = model_cases + [(model, UNIT_RAMP, u)]
+        for model, rmp, u in cases:
+            for sp in (8, 512):
+                sim = p.CycleSimulator(model, rmp, u, scan_points=sp)
+                rho = np.abs(sim._aug1).sum(axis=0).max() * sim._tau
+                assert rho <= 1.0 and (sim._substeps == 1 or 2.0 * rho > 1.0)
+                k = sim._taylor_orders[-1]
+                assert rho ** (k + 1) / math.factorial(k + 1) <= 2.0 ** -53
+                assert k == 0 or rho ** k / math.factorial(k) > 2.0 ** -53
+
+
+class TestCycleWork:
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        return calls
+
+    def test_one_exponential_per_switching_cycle(self, buck_tem, ramp, u_tem, ss_tem,
+                                                 expm_calls):
+        sim = p.CycleSimulator(buck_tem, ramp, u_tem)
+        assert expm_calls == []
+        for k in range(1, 4):
+            rec = sim.cycle(ss_tem.x0_start)
+            assert 0.0 < rec.d_event < ramp.T
+            assert len(expm_calls) == k
+
+    def test_no_exponential_without_a_trigger(self, buck_tem, ramp, ss_tem, expm_calls):
+        sim = p.CycleSimulator(buck_tem, ramp, p.InputVector(30.0, 20.0))
+        assert sim.cycle(ss_tem.x0_start).d_event is None
+        assert expm_calls == []
+
+
 class TestStroboscopicMap:
     def test_fixed_point(self, buck_tem, ramp, u_tem, ss_tem):
         out = p.CycleSimulator(buck_tem, ramp, u_tem).map(ss_tem.x0_start)
@@ -219,7 +355,7 @@ class TestOracleAgreement:
             rep = p.classify(p.jacobian(model, ramp, u, ss))
             if rep.spectral_radius >= 0.98:
                 continue  # fixed-point iteration would crawl or fail
-            x = p.find_fixed_point(model, ramp, u, ss.x0_start)
+            x = find_fixed_point(model, ramp, u, ss.x0_start)
             scale_x = 1 + np.linalg.norm(ss.x0_start)
             assert np.linalg.norm(x - ss.x0_start) <= 1e-8 * scale_x
             d_event = p.CycleSimulator(model, ramp, u).cycle(x).d_event
@@ -230,13 +366,13 @@ class TestOracleAgreement:
 
 class TestFindFixedPoint:
     def test_from_zero_state(self, buck_tem, ramp, u_tem, ss_tem):
-        x = p.find_fixed_point(buck_tem, ramp, u_tem, np.zeros(2))
+        x = find_fixed_point(buck_tem, ramp, u_tem, np.zeros(2))
         assert np.linalg.norm(x - ss_tem.x0_start) <= 1e-8 * (
             1 + np.linalg.norm(ss_tem.x0_start)
         )
 
     def test_already_converged(self, buck_tem, ramp, u_tem, ss_tem):
-        x = p.find_fixed_point(buck_tem, ramp, u_tem, ss_tem.x0_start, max_iter=1)
+        x = find_fixed_point(buck_tem, ramp, u_tem, ss_tem.x0_start, max_iter=1)
         assert np.array_equal(x, ss_tem.x0_start)
 
     def test_unstable_orbit_fails(self, buck_tem, ramp):
@@ -244,7 +380,7 @@ class TestFindFixedPoint:
         u = p.InputVector(11.3, 1.05 * vs_star)
         ss = p.solve_periodic_orbit(buck_tem, ramp, u)
         with pytest.raises(NoConvergenceError):
-            p.find_fixed_point(buck_tem, ramp, u, ss.x0_start + 1e-4,
+            find_fixed_point(buck_tem, ramp, u, ss.x0_start + 1e-4,
                                max_iter=400)
 
 

@@ -7,7 +7,7 @@ import scipy.integrate
 import pwmstab as p
 from pwmstab import numerics, steadystate
 from pwmstab.errors import DegenerateOrbitError, DomainError, NoSwitchingError
-from conftest import UNIT_RAMP, mat_exp_integral
+from conftest import UNIT_RAMP, find_fixed_point, mat_exp_integral
 
 
 def _const_y_model(c_row=(0.0, 0.0), d_row=(1.0, 0.0)):
@@ -288,7 +288,7 @@ class TestSolvePeriodicOrbit:
 
     def test_buck_against_simulation(self, buck_tem, ramp, u_tem, ss_tem):
         # Let the simulator converge onto the orbit, compare switching times.
-        x = p.find_fixed_point(buck_tem, ramp, u_tem, ss_tem.x0_start)
+        x = find_fixed_point(buck_tem, ramp, u_tem, ss_tem.x0_start)
         d_event = p.CycleSimulator(buck_tem, ramp, u_tem).cycle(x).d_event
         assert d_event is not None
         assert abs(d_event - ss_tem.d) <= 1e-8 * ramp.T
