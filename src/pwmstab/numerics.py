@@ -18,24 +18,26 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
   slices in Python and need a newer scipy than the supported floor.
 * ``eigenvalues`` runs the dense QR algorithm (``numpy.linalg.eigvals``)
   on the matrix as given, so a real matrix keeps exact conjugate pairs.
-* ``solve_linear`` is an LU solve, real or complex, with an explicit pivot
-  threshold so near-singular systems raise instead of returning garbage;
-  upstream code relies on that signal (e.g. "lambda is an eigenvalue of
-  the open-loop map").  ``solve_linear_stack`` applies the same threshold
-  to every slice of a stack and reports it in a mask instead of raising.
-* ``find_root`` refines a bracket (Brent), or returns its end nearest zero.
+* ``solve_linear`` is an LU solve, real or complex, by LAPACK
+  ``getrf``/``getrs`` called directly, with an explicit pivot threshold so
+  near-singular systems raise instead of returning garbage; upstream code
+  relies on that signal (e.g. "lambda is an eigenvalue of the open-loop
+  map").  ``solve_linear_stack`` applies the same threshold to every
+  slice of a stack and reports it in a mask instead of raising.
+* ``find_root`` refines a bracket by Brent-Dekker, ported from scipy's
+  ``brentq``, or returns its end nearest zero.
 
 All functions are pure; they can be called concurrently from sweep workers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
+import sys
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     DimensionError,
@@ -47,6 +49,11 @@ from .errors import (
 
 #: Relative pivot threshold below which a linear system is declared singular.
 SINGULAR_PIVOT_RTOL = 1e-14
+
+#: Brent's relative step tolerance (the smallest scipy accepts) and its
+#: iteration budget, scipy's defaults.
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -207,18 +214,26 @@ def solve_linear(m, b) -> np.ndarray:
     scale = np.linalg.norm(arr, np.inf)
     if scale == 0.0:
         raise SingularMatrixError("matrix is identically zero")
-    with warnings.catch_warnings():
-        # Singularity is detected by the pivot check below; scipy's own
-        # warning about exact singularity is redundant noise here.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(arr, check_finite=False)
+    getrf, getrs = _lu_routines(arr.dtype, vec.dtype)
+    lu, piv, _ = getrf(arr)
     pivots = np.abs(np.diag(lu))
     if pivots.min() <= SINGULAR_PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below threshold "
             f"{SINGULAR_PIVOT_RTOL * scale:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), vec, check_finite=False)
+    return getrs(lu, piv, vec)[0]
+
+
+@functools.cache
+def _lu_routines(m_dtype, b_dtype):
+    # The routines scipy's lu_factor/lu_solve pick for these dtypes: getrf
+    # from M alone, getrs from the LU factor and b together.
+    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (np.empty(0, m_dtype),))
+    getrs, = scipy.linalg.get_lapack_funcs(
+        ("getrs",), (np.empty(0, getrf.dtype), np.empty(0, b_dtype))
+    )
+    return getrf, getrs
 
 
 def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
@@ -276,28 +291,59 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
     found it) the end with the smaller ``|f|`` is returned, ``lo`` on a tie.
     NaN raises :class:`DivergenceError`, an exhausted Brent budget
     :class:`NoConvergenceError`.  The result never leaves ``[lo, hi]``.
+
+    The iteration is scipy's ``brentq`` (``brentq.c``) step for step, with
+    ``xtol = tol`` and ``rtol = 4 eps``: the same points are evaluated and
+    the same float is returned.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    ends = {}
 
     def value(x):
-        # brentq opens with f(lo) and f(hi); ``ends`` answers those.
-        fx = ends.pop(x) if x in ends else f(x)
+        fx = float(f(x))
         if math.isnan(fx):
             raise DivergenceError(f"f({x:.6g}) is NaN")
         return fx
 
-    flo, fhi = value(lo), value(hi)
-    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
-        return lo if abs(flo) <= abs(fhi) else hi
-    ends.update({lo: flo, hi: fhi})
-    root, info = scipy.optimize.brentq(
-        value, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
-        full_output=True, disp=False,
-    )
-    if not info.converged:
-        raise NoConvergenceError(f"Brent did not converge in [{lo:.6g}, {hi:.6g}]")
-    return float(root)
+    fpre, fcur = value(lo), value(hi)
+    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
+        return lo if abs(fpre) <= abs(fcur) else hi
+    # xcur is the best estimate, xblk the far end of the bracket around the
+    # root, xpre the previous estimate; scur and spre are the last two steps.
+    xpre, xcur, xtol = float(lo), float(hi), float(tol)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short interpolation step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # Secant.
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # Inverse quadratic extrapolation.
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # An underflowed denominator gives C an infinite or NaN
+                # step, which fails the test below: bisect.
+                if den:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NoConvergenceError(f"Brent did not converge in [{lo:.6g}, {hi:.6g}]")

@@ -22,10 +22,11 @@ The oracle shares the model's augmented generator layout
 (``model.stage_generators``), ``numerics.mat_exp_stack`` and
 ``numerics.find_root`` with the orbit solver, and none of the orbit code.
 Its independence therefore rests on the mpmath and scipy reference tests
-of ``mat_exp_stack`` and on the test that replays every cycle against a
-reference cycle taking one ``scipy.linalg.expm`` per evaluation; on that
-footing the simulation validates the closed-form machinery to the 1e-6
-level.
+of ``mat_exp_stack``, on the test that pins ``find_root`` to scipy's
+``brentq`` (same roots from the same evaluations), and on the test that
+replays every cycle against a reference cycle taking one
+``scipy.linalg.expm`` per evaluation; on that footing the simulation
+validates the closed-form machinery to the 1e-6 level.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next

@@ -1,5 +1,8 @@
 """Config format round-trips and the CLI's CSV/exit-code contract."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -501,3 +504,27 @@ class TestReadmeConfig:
             assert "edge = LEM" in text and "vs = -20.0" in text
         assert cli.main([command, _write(tmp_path, text), "--quiet"]) == 0
         assert capsys.readouterr().out.count("\n") >= 2
+
+
+class TestRuntimeImports:
+    def test_cli_runs_without_scipy_optimize(self, tmp_path):
+        # A fresh interpreter runs three commands on the README config; the
+        # runtime must not load scipy.optimize (scipy.linalg only).
+        root = Path(__file__).resolve().parents[1]
+        text = (root / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = _write(tmp_path, text)
+        script = (
+            "import sys\n"
+            "from pwmstab import cli\n"
+            "for command in ('steady', 'splot', 'simulate'):\n"
+            "    out = sys.argv[2] + '.' + command + '.csv'\n"
+            "    assert cli.main([command, sys.argv[1], '--quiet', '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), env.get("PYTHONPATH", "")])
+        out = subprocess.run(
+            [sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.optimize
 
 import pwmstab as p
 from pwmstab import numerics
@@ -321,6 +323,34 @@ class TestSolve:
             numerics.solve_linear(np.eye(2), np.ones(3))
 
 
+class TestSolveMatchesLuSolve:
+    # solve_linear calls the LAPACK routines behind scipy's lu_factor and
+    # lu_solve; the answers must be those of the wrappers, bit for bit.
+    @pytest.mark.parametrize("m_complex, b_complex", [
+        (False, False), (True, False), (False, True), (True, True),
+    ])
+    def test_bit_identical_to_lu_factor_lu_solve(self, m_complex, b_complex):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4, 5, 6):
+            for _ in range(40):
+                m = rng.normal(size=(n, n)) + m_complex * 1j * rng.normal(size=(n, n))
+                b = rng.normal(size=n) + b_complex * 1j * rng.normal(size=n)
+                x = numerics.solve_linear(m, b)
+                ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(m), b)
+                assert x.dtype == ref.dtype
+                assert np.array_equal(x.view(float), ref.view(float))
+
+    def test_exactly_singular_raises_without_warning(self):
+        # The elimination leaves an exact zero pivot, which scipy's
+        # lu_factor reports with a LinAlgWarning; solve_linear must not.
+        m = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (m, m.astype(complex)):
+                with pytest.raises(SingularMatrixError):
+                    numerics.solve_linear(a, np.ones(2))
+
+
 class TestSolveLinearStack:
     def _flags(self, stack, rhs, solve):
         flags = []
@@ -446,6 +476,66 @@ class TestFindRoot:
             r = numerics.find_root(f, lo, hi, tol)
             a, b = max(lo, r - 2 * tol), min(hi, r + 2 * tol)
             assert f(a) * f(b) <= 0.0
+
+
+class TestFindRootMatchesBrentq:
+    # find_root is a port of scipy's brentq (xtol = tol, rtol = 4 eps, 100
+    # iterations): same root, bit for bit, from the same evaluations.
+    FAMILIES = (
+        lambda r, s: lambda x: math.tanh(s * (x - r)),
+        lambda r, s: lambda x: (x - r) ** 3 + s * (x - r),
+        lambda r, s: lambda x: math.exp(s * (x - r)) - 1.0,
+        lambda r, s: lambda x: math.sin(7.0 * s * (x - r)) + 0.3 * (x - r),
+        lambda r, s: lambda x: s * (x - r) ** 3,
+        lambda r, s: lambda x: 1e-100 * s * (x - r),
+    )
+
+    @staticmethod
+    def _brentq(f, lo, hi, tol):
+        calls = []
+        root, info = scipy.optimize.brentq(
+            lambda x: calls.append(x) or f(x), lo, hi,
+            xtol=tol, rtol=4 * np.finfo(float).eps, full_output=True, disp=False,
+        )
+        return (root if info.converged else None), calls
+
+    @staticmethod
+    def _find_root(f, lo, hi, tol):
+        calls = []
+        try:
+            root = numerics.find_root(lambda x: calls.append(x) or f(x), lo, hi, tol)
+        except NoConvergenceError:
+            root = None
+        return root, calls
+
+    def test_random_brackets(self):
+        rng = np.random.default_rng(43)
+        compared = exhausted = 0
+        for i in range(2400):
+            lo, hi = float(rng.uniform(-3.0, 0.0)), float(rng.uniform(0.01, 3.0))
+            r = float(rng.uniform(lo, hi))
+            s = float(rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]))
+            tol = float(10.0 ** rng.uniform(-15.0, -6.0))
+            f = self.FAMILIES[i % len(self.FAMILIES)](r, s)
+            flo, fhi = f(lo), f(hi)
+            if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+                continue  # find_root's own end rule; brentq would refuse
+            got, got_calls = self._find_root(f, lo, hi, tol)
+            want, want_calls = self._brentq(f, lo, hi, tol)
+            assert got_calls == want_calls, (i, lo, hi, r, s, tol)
+            assert got == want
+            compared += 1
+            exhausted += want is None
+        assert compared >= 2000 and exhausted > 0, (compared, exhausted)
+
+    def test_exhausted_budget_where_brentq_does_not_converge(self):
+        f = lambda x: (x - 0.3) ** 3  # noqa: E731
+        root, want_calls = self._brentq(f, -1.0, 2.0, 1e-12)
+        assert root is None and len(want_calls) == 102
+        calls = []
+        with pytest.raises(NoConvergenceError):
+            numerics.find_root(lambda x: calls.append(x) or f(x), -1.0, 2.0, 1e-12)
+        assert calls == want_calls
 
 
 class TestBlasThreads:
