@@ -83,8 +83,6 @@ from .steadystate import (
     SteadyState,
     orbit_at,
     solve_periodic_orbit,
-    switching_residual,
-    x0_of_d,
 )
 
 __version__ = "0.1.0"

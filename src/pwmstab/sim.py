@@ -54,10 +54,9 @@ from .model import InputVector, RampSignal, SwitchedLinearModel, stage_generator
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """One clock period: switching time and the states bounding each stage."""
+    """One clock period: switching time and the states ending each stage."""
 
     d_event: float | None  # None = no trigger, cycle stayed in S1
-    x_start: np.ndarray
     x_switch: np.ndarray | None
     x_end: np.ndarray
 
@@ -152,7 +151,7 @@ class CycleSimulator:
             hits = np.flatnonzero(e >= 0.0)
             if not hits.size:
                 # No trigger this cycle: stay in S1 throughout.
-                return CycleRecord(None, x, None, self._finish((self._stage1[-1] @ z)[:n]))
+                return CycleRecord(None, None, self._finish((self._stage1[-1] @ z)[:n]))
             # A hit at index 0 (trigger at the clock edge) or a grid zero is
             # the event.
             i = hits[0]
@@ -162,7 +161,7 @@ class CycleSimulator:
                 d, x_switch = float(self._grid[i]), (self._stage1[i] @ z)[:n]
             m = scipy.linalg.expm(self._aug2 * (self.ramp.T - d))
             x_end = m[:n, :n] @ x_switch + m[:n, n]
-        return CycleRecord(d, x, x_switch, self._finish(x_end))
+        return CycleRecord(d, x_switch, self._finish(x_end))
 
     def _refine(self, i: int, z: np.ndarray) -> tuple[float, np.ndarray]:
         """Event time and switch state inside scan step ``i``, from the
@@ -201,18 +200,6 @@ class CycleSimulator:
         """Stroboscopic map: state at the next clock edge."""
         return self.cycle(x_in).x_end
 
-    def run(self, x0, cycles: int) -> Trajectory:
-        """Simulate ``cycles`` consecutive clock periods."""
-        if cycles < 1:
-            raise DomainError(f"cycles must be >= 1, got {cycles}")
-        records = []
-        x = np.asarray(x0, dtype=float)
-        for _ in range(cycles):
-            rec = self.cycle(x)
-            records.append(rec)
-            x = rec.x_end
-        return Trajectory(cycles=tuple(records))
-
 
 def simulate(
     model: SwitchedLinearModel,
@@ -222,8 +209,22 @@ def simulate(
     cycles: int,
     scan_points: int = 512,
 ) -> Trajectory:
-    """Simulate many cycles with one shared simulator."""
-    return CycleSimulator(model, ramp, u, scan_points=scan_points).run(x0, cycles)
+    """Simulate ``cycles`` consecutive clock periods with one shared simulator."""
+    if cycles < 1:
+        raise DomainError(f"cycles must be >= 1, got {cycles}")
+    sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
+    records = []
+    x = np.asarray(x0, dtype=float)
+    for _ in range(cycles):
+        rec = sim.cycle(x)
+        records.append(rec)
+        x = rec.x_end
+    return Trajectory(cycles=tuple(records))
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
 def fd_jacobian(
@@ -239,8 +240,10 @@ def fd_jacobian(
     Column ``j`` uses step ``eps * max(|x_j|, 1)``.  Raises
     :class:`OracleInvalidError` if any perturbed cycle saturates (the
     probe left the one-switching regime) and :class:`DomainError` if
-    ``x_fixed`` is not actually fixed to 1e-9.
+    ``x_fixed`` is not actually fixed to 1e-9, or ``eps`` is not positive
+    and finite.
     """
+    _check_positive("eps", eps)
     sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
     x = np.asarray(x_fixed, dtype=float)
     fx = sim.map(x)
@@ -270,6 +273,7 @@ def detect_period(states, tol: float = 1e-6) -> int | None:
     ``states`` must hold at least 64 samples.  Returns ``None`` when no
     period up to 8 fits within ``tol`` (relative to the state magnitude).
     """
+    _check_positive("tol", tol)
     arr = np.asarray(states, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 64:
         raise DomainError(
@@ -296,6 +300,9 @@ def steady_period(
     """Simulate past the transient and classify the attractor's period."""
     if tail < 64:
         raise DomainError(f"tail must be >= 64, got {tail}")
+    if transient < 0:
+        raise DomainError(f"transient must be >= 0, got {transient}")
+    _check_positive("tol", tol)
     sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
     x = np.asarray(x0, dtype=float)
     for _ in range(transient):

@@ -85,10 +85,34 @@ def switch_derivatives(
     )
 
 
-def _orbit_states(
-    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # Augmented stage exponentials and boundary states at one imposed d.
+def x0_of_d(
+    model: SwitchedLinearModel,
+    ramp: RampSignal,
+    u: InputVector,
+    d: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary states ``(x0_start, x0_switch)`` of :func:`orbit_at`."""
+    # A named layer for perfbench's span tracer; the package never calls it.
+    ss = orbit_at(model, ramp, u, d)
+    return ss.x0_start, ss.x0_switch
+
+
+def orbit_at(
+    model: SwitchedLinearModel,
+    ramp: RampSignal,
+    u: InputVector,
+    d: float,
+) -> SteadyState:
+    """Orbit point at an imposed switching time, linearization included.
+
+    Solves ``(I - e^{A2 (T-d)} e^{A1 d}) x0 = e^{A2 (T-d)} J1 B1 u + J2 B2 u``
+    where ``J_i`` are the stage exponential integrals, then maps forward to
+    the switch state.  Each stage takes one exponential of its augmented
+    generator ``[[A_i, B_i u], [0, 0]]``.  The ramp-crossing condition is
+    not enforced (boundary sweeps impose ``d``).  Raises
+    :class:`DegenerateOrbitError` when the open-loop cycle map has a
+    multiplier at +1 (no isolated orbit).
+    """
     T = ramp.T
     if not 0.0 <= d <= T:
         raise DomainError(f"d must lie in [0, {T}], got {d}")
@@ -102,44 +126,12 @@ def _orbit_states(
         raise DegenerateOrbitError(
             f"open-loop cycle map has a multiplier at +1 for d={d:.6g}"
         ) from exc
-    return e1, e2, x0_start, _switch_state(e1, x0_start)
-
-
-def x0_of_d(
-    model: SwitchedLinearModel,
-    ramp: RampSignal,
-    u: InputVector,
-    d: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary states of the periodic orbit for an imposed switching time.
-
-    Solves ``(I - e^{A2 (T-d)} e^{A1 d}) x0 = e^{A2 (T-d)} J1 B1 u + J2 B2 u``
-    where ``J_i`` are the stage exponential integrals, then maps forward to
-    the switch state.  Each stage takes one exponential of its augmented
-    generator ``[[A_i, B_i u], [0, 0]]``.  Raises
-    :class:`DegenerateOrbitError` when the open-loop cycle map has a
-    multiplier at +1 (no isolated orbit).
-    """
-    return _orbit_states(model, ramp, u, d)[2:]
-
-
-def orbit_at(
-    model: SwitchedLinearModel,
-    ramp: RampSignal,
-    u: InputVector,
-    d: float,
-) -> SteadyState:
-    """Orbit point at an imposed switching time, linearization included.
-
-    The ramp-crossing condition is not enforced (boundary sweeps impose
-    ``d``); raises as :func:`x0_of_d` does.
-    """
-    e1, e2, x0_start, x0_switch = _orbit_states(model, ramp, u, d)
+    x0_switch = _switch_state(e1, x0_start)
     xdot_minus, xdot_plus = switch_derivatives(model, u, x0_switch)
     n = model.n
     return SteadyState(
         d=d,
-        duty=duty_of_switch_time(model.edge, d, ramp.T),
+        duty=duty_of_switch_time(model.edge, d, T),
         x0_start=x0_start,
         x0_switch=x0_switch,
         y_switch=float(model.C @ x0_switch + model.D @ u.as_array()),
@@ -171,7 +163,8 @@ def stage_exponentials(
 def x0_of_d_stack(
     e1: np.ndarray, e2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`x0_of_d` over a grid, from :func:`stage_exponentials`.
+    """Boundary states of :func:`orbit_at` over a grid, from
+    :func:`stage_exponentials`.
 
     Returns ``(x0_start, x0_switch, ok)``; where ``ok`` is false the
     open-loop cycle map has a multiplier at +1 and both states are NaN.
@@ -179,17 +172,6 @@ def x0_of_d_stack(
     lhs, rhs = _cycle_system(e1, e2)
     x0_start, ok = numerics.solve_linear_stack(lhs, rhs)
     return x0_start, _switch_state(e1, x0_start), ok
-
-
-def switching_residual(
-    model: SwitchedLinearModel,
-    ramp: RampSignal,
-    u: InputVector,
-    d: float,
-) -> float:
-    """Compensator-output-minus-ramp mismatch at an imposed switching time."""
-    _, x0_switch = x0_of_d(model, ramp, u, d)
-    return float(_residual(model, ramp, u, x0_switch, d))
 
 
 def _residual(
@@ -258,15 +240,23 @@ def solve_periodic_orbit(
             "the converter never switches in steady state"
         )
 
+    # Every orbit point the refinement builds is kept; find_root returns
+    # one of the points it evaluated, so the root's point is among them.
+    points = {}
+
+    def residual(t):
+        ss = points[t] = orbit_at(model, ramp, u, t)
+        return ss.y_switch - float(ramp_value(ramp, t))
+
     for lo, hi in zip(los, his):
+        if lo == hi:
+            return replace(orbit_at(model, ramp, u, grid[lo]), candidates=len(los))
         try:
-            d = grid[lo] if lo == hi else numerics.find_root(
-                lambda t: switching_residual(model, ramp, u, t),
-                grid[lo], grid[hi], d_tol,
-            )
+            d = numerics.find_root(residual, grid[lo], grid[hi], d_tol)
         except DegenerateOrbitError:
             continue
-        return replace(orbit_at(model, ramp, u, d), candidates=len(los))
+        ss = points[d] if d in points else orbit_at(model, ramp, u, d)
+        return replace(ss, candidates=len(los))
     raise DegenerateOrbitError(
         f"all {len(los)} switching candidates hit degenerate orbits"
     )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pwmstab as p
-from pwmstab import buck, numerics
+from pwmstab import buck, numerics, steadystate
 
 L, CF, R, GAIN = 20e-3, 47e-6, 22.0, 8.4
 T = 400e-6
@@ -75,6 +75,13 @@ def mat_exp_integral(a, t):
     block[:n, :n] = arr
     block[:n, n:] = np.eye(n)
     return numerics.mat_exp(block, t)[:n, n:]
+
+
+def switching_residual(model, ramp, u, d):
+    """Compensator-output-minus-ramp mismatch ``y(d) - h(d)`` at an imposed
+    switching time: the residual ``solve_periodic_orbit`` refines."""
+    ss = p.orbit_at(model, ramp, u, d)
+    return ss.y_switch - float(p.ramp_value(ramp, d))
 
 
 def compensator_output(model, x, u):
@@ -153,7 +160,7 @@ def slaved_reference_orbit(model, ramp, vs, d):
     """
     assert not model.B1[:, 0].any() and not model.B2[:, 0].any()
     assert model.D[0] != 0.0
-    _, xd = p.x0_of_d(model, ramp, p.InputVector(0.0, vs), d)
+    _, xd = steadystate.x0_of_d(model, ramp, p.InputVector(0.0, vs), d)
     vr = (p.ramp_value(ramp, d) - float(model.C @ xd) - model.D[1] * vs) / model.D[0]
     u = p.InputVector(vr, vs)
     return u, p.orbit_at(model, ramp, u, d)

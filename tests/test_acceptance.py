@@ -24,6 +24,7 @@ from conftest import (
     make_nsb_model,
     make_snb_model,
     slaved_reference_orbit,
+    switching_residual,
 )
 
 VR = {p.ModulationEdge.TEM: 11.3, p.ModulationEdge.LEM: -11.3}
@@ -274,7 +275,7 @@ def test_criterion_7_snb_nsb_boundaries():
     nsb_mod_gap = abs(abs(lam) - 1.0)
     nsb_res = abs(p.nsb_residual(nsb, UNIT_RAMP, u_star, ss_star, theta))
     # The located point is a genuine orbit: the switching condition holds.
-    orbit_gap = abs(p.switching_residual(nsb, UNIT_RAMP, u_star, ss_star.d))
+    orbit_gap = abs(switching_residual(nsb, UNIT_RAMP, u_star, ss_star.d))
 
     ok = (
         snb_eig_gap <= 1e-9

@@ -334,6 +334,37 @@ class TestFdJacobian:
             p.fd_jacobian(m, UNIT_RAMP, u, ss.x0_start, eps=0.2)
 
 
+class TestOracleArguments:
+    # A bad step, tolerance or transient is the caller's fault: it raises
+    # DomainError before any cycle is simulated, not a NaN Jacobian, a
+    # DivergenceError or a "no period" None.
+    @pytest.fixture(autouse=True)
+    def no_cycles(self, monkeypatch):
+        def cycle(self, x_in):
+            raise AssertionError("a cycle was simulated")
+
+        monkeypatch.setattr(p.CycleSimulator, "cycle", cycle)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan, math.inf])
+    def test_fd_jacobian_eps(self, buck_tem, ramp, u_tem, ss_tem, eps):
+        with pytest.raises(DomainError, match="eps must be positive"):
+            p.fd_jacobian(buck_tem, ramp, u_tem, ss_tem.x0_start, eps=eps)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_steady_period_tol(self, buck_tem, ramp, u_tem, ss_tem, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            p.steady_period(buck_tem, ramp, u_tem, ss_tem.x0_start, tol=tol)
+
+    def test_steady_period_negative_transient(self, buck_tem, ramp, u_tem, ss_tem):
+        with pytest.raises(DomainError, match="transient must be >= 0"):
+            p.steady_period(buck_tem, ramp, u_tem, ss_tem.x0_start, transient=-5)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_detect_period_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            p.detect_period(np.tile([1.0, 2.0], (70, 1)), tol=tol)
+
+
 class TestOracleAgreement:
     def test_random_presets_round_trip(self, ramp):
         # Closed-form orbit vs simulator fixed point across preset variants.

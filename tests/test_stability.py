@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pwmstab as p
-from pwmstab import numerics, stability
+from pwmstab import numerics, stability, steadystate
 from pwmstab.errors import (
     DomainError,
     GrazingError,
@@ -14,7 +14,7 @@ from pwmstab.errors import (
     SingularMatrixError,
 )
 from pwmstab.model import switch_time_of_duty
-from conftest import UNIT_RAMP, slaved_reference_orbit
+from conftest import UNIT_RAMP, slaved_reference_orbit, switching_residual
 
 
 def _smooth_model():
@@ -322,8 +322,8 @@ class TestScalarResiduals:
             res = p.snb_residual(m, UNIT_RAMP, u, ss)
             h = 1e-7
             fd = (
-                p.switching_residual(m, UNIT_RAMP, u, d + h)
-                - p.switching_residual(m, UNIT_RAMP, u, d - h)
+                switching_residual(m, UNIT_RAMP, u, d + h)
+                - switching_residual(m, UNIT_RAMP, u, d - h)
             ) / (2 * h)
             assert res == pytest.approx(fd, rel=1e-6)
 
@@ -386,7 +386,7 @@ class TestCurves:
                 curve = p.s_plot(model, rmp, u, lam, duties)
                 for duty, sample in zip(duties, curve.samples):
                     d = switch_time_of_duty(model.edge, duty, rmp.T)
-                    _, xd = p.x0_of_d(model, rmp, u, d)
+                    _, xd = steadystate.x0_of_d(model, rmp, u, d)
                     ref = _reference_value(model, rmp, u, d, xd, lam)
                     assert not sample.singular
                     assert abs(sample.value - ref) <= 1e-12 * max(abs(ref), 1.0)
@@ -408,7 +408,7 @@ class TestCurves:
             curve = p.s_plot(model, rmp, u, lam, duties)
             for duty, sample in zip(duties, curve.samples):
                 try:
-                    _, xd = p.x0_of_d(model, rmp, u, duty * rmp.T)
+                    _, xd = steadystate.x0_of_d(model, rmp, u, duty * rmp.T)
                     _reference_value(model, rmp, u, duty * rmp.T, xd, lam)
                     scalar_singular = False
                 except (p.DegenerateOrbitError, SingularMatrixError):

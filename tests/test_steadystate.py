@@ -1,5 +1,7 @@
 """Tests of the periodic steady-state solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,7 +9,7 @@ import scipy.integrate
 import pwmstab as p
 from pwmstab import numerics, steadystate
 from pwmstab.errors import DegenerateOrbitError, DomainError, NoSwitchingError
-from conftest import UNIT_RAMP, find_fixed_point, mat_exp_integral
+from conftest import UNIT_RAMP, find_fixed_point, mat_exp_integral, switching_residual
 
 
 def _const_y_model(c_row=(0.0, 0.0), d_row=(1.0, 0.0)):
@@ -35,7 +37,7 @@ class TestX0OfD:
             C=[0, 0], D=[0, 0], edge=p.ModulationEdge.TEM,
         )
         with pytest.raises(DegenerateOrbitError):
-            p.x0_of_d(m, UNIT_RAMP, p.InputVector(0, 0), 0.5)
+            steadystate.x0_of_d(m, UNIT_RAMP, p.InputVector(0, 0), 0.5)
 
     def test_identical_stages_equilibrium(self):
         # xdot = -x + vs in both stages: the orbit is the equilibrium.
@@ -45,7 +47,7 @@ class TestX0OfD:
                                   edge=p.ModulationEdge.TEM)
         vs = 3.7
         for d in (0.1, 0.5, 0.93):
-            x0, xd = p.x0_of_d(m, UNIT_RAMP, p.InputVector(0.0, vs), d)
+            x0, xd = steadystate.x0_of_d(m, UNIT_RAMP, p.InputVector(0.0, vs), d)
             assert x0[0] == pytest.approx(vs, rel=1e-12)
             assert xd[0] == pytest.approx(vs, rel=1e-12)
 
@@ -53,7 +55,7 @@ class TestX0OfD:
         # Propagate the returned start state through both stages by direct
         # ODE integration (independent of the matrix-exponential path).
         d = 0.5 * ramp.T
-        x0, xd = p.x0_of_d(buck_tem, ramp, u_tem, d)
+        x0, xd = steadystate.x0_of_d(buck_tem, ramp, u_tem, d)
         mid = _integrate_stage(buck_tem, 1, x0, (0.0, d), u_tem)
         end = _integrate_stage(buck_tem, 2, mid, (d, ramp.T), u_tem)
         assert np.allclose(mid, xd, rtol=1e-9, atol=1e-9)
@@ -61,24 +63,24 @@ class TestX0OfD:
 
     def test_domain_check(self, buck_tem, ramp, u_tem):
         with pytest.raises(DomainError):
-            p.x0_of_d(buck_tem, ramp, u_tem, -0.1 * ramp.T)
+            steadystate.x0_of_d(buck_tem, ramp, u_tem, -0.1 * ramp.T)
 
 
 class TestSwitchingResidual:
     def test_zero_at_solution(self, buck_tem, ramp, u_tem, ss_tem):
-        res = p.switching_residual(buck_tem, ramp, u_tem, ss_tem.d)
+        res = switching_residual(buck_tem, ramp, u_tem, ss_tem.d)
         assert abs(res) <= 1e-9 * ramp.slope * ramp.T
 
     def test_pure_ramp_negative(self):
         m = _const_y_model(d_row=(0.0, 0.0))
         for d in np.linspace(0.05, 0.95, 7):
-            res = p.switching_residual(m, UNIT_RAMP, p.InputVector(0.7, 0), d)
+            res = switching_residual(m, UNIT_RAMP, p.InputVector(0.7, 0), d)
             assert res == pytest.approx(-p.ramp_value(UNIT_RAMP, d))
             assert res < 0
 
     def test_buck_sign_change_on_grid(self, buck_tem, ramp, u_tem):
         ds = np.linspace(0, ramp.T, 1002)[1:-1]
-        vals = [p.switching_residual(buck_tem, ramp, u_tem, d) for d in ds]
+        vals = [switching_residual(buck_tem, ramp, u_tem, d) for d in ds]
         signs = np.sign(vals)
         assert np.any(signs[:-1] * signs[1:] < 0)
 
@@ -92,10 +94,10 @@ class TestBatchedScan:
             assert ok.all()
             values = steadystate._residual(model, rmp, u, xd, grid)
             for i, d in enumerate(grid):
-                x0_ref, xd_ref = p.x0_of_d(model, rmp, u, d)
+                x0_ref, xd_ref = steadystate.x0_of_d(model, rmp, u, d)
                 assert np.linalg.norm(x0[i] - x0_ref) <= 1e-12 * np.linalg.norm(x0_ref)
                 assert np.linalg.norm(xd[i] - xd_ref) <= 1e-12 * np.linalg.norm(xd_ref)
-                ref = p.switching_residual(model, rmp, u, d)
+                ref = switching_residual(model, rmp, u, d)
                 assert abs(values[i] - ref) <= 1e-12 * max(abs(ref), rmp.Vm)
 
     def test_degenerate_points_are_nan(self):
@@ -114,7 +116,7 @@ class TestBatchedScan:
         assert np.isnan(x0).all() and np.isnan(xd).all()
         for d in grid:
             with pytest.raises(DegenerateOrbitError):
-                p.x0_of_d(m, UNIT_RAMP, u, d)
+                steadystate.x0_of_d(m, UNIT_RAMP, u, d)
 
     def test_refinement_sign_disagreement_takes_bracket_edge(self, monkeypatch):
         # The scan sees a crossing just after grid[i] (residual +1 ulp there,
@@ -125,11 +127,13 @@ class TestBatchedScan:
         m = _const_y_model()
         grid = np.linspace(0.0, 1.0, 66)[1:-1]
         vr = float(np.nextafter(grid[20], 1.0))
-        scalar = steadystate.switching_residual
-        monkeypatch.setattr(
-            steadystate, "switching_residual",
-            lambda *args: scalar(*args) - 4e-16,
-        )
+        orbit_at = steadystate.orbit_at
+
+        def lowered(*args):
+            ss = orbit_at(*args)
+            return replace(ss, y_switch=ss.y_switch - 4e-16)
+
+        monkeypatch.setattr(steadystate, "orbit_at", lowered)
         ss = p.solve_periodic_orbit(m, UNIT_RAMP, p.InputVector(vr, 0.0), grid_points=64)
         assert ss.d == grid[20]
         assert ss.candidates == 1
@@ -174,7 +178,7 @@ class TestOrderedCandidates:
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
         roots = [
             numerics.find_root(
-                lambda d: p.switching_residual(model, ramp, u, d),
+                lambda d: switching_residual(model, ramp, u, d),
                 grid[i], grid[i + 1], 1e-12 * ramp.T,
             )
             for i in brackets
@@ -204,7 +208,8 @@ class TestOrderedCandidates:
         assert len(calls) == 1
         assert ss.d == min(roots)
         assert ss.candidates == 2
-        assert np.array_equal(ss.x0_start, p.x0_of_d(model, ramp, u, min(roots))[0])
+        x0_start, _ = steadystate.x0_of_d(model, ramp, u, min(roots))
+        assert np.array_equal(ss.x0_start, x0_start)
 
     def test_degenerate_first_candidate_falls_through(self, case, monkeypatch):
         model, ramp, u, solver, los, roots = case
@@ -219,6 +224,51 @@ class TestOrderedCandidates:
         self._patch_find_root(monkeypatch, degenerate_at=tuple(los))
         with pytest.raises(DegenerateOrbitError, match="all 2 switching candidates"):
             p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
+
+
+
+class TestOnePointPerEvaluation:
+    # The solver returns the orbit point its refinement already built: each
+    # residual evaluation takes the two stage exponentials, nothing more.
+    def _count(self, monkeypatch):
+        counts = {"exp": 0, "evals": 0}
+        mat_exp, find_root = numerics.mat_exp, numerics.find_root
+
+        def counted_exp(*args):
+            counts["exp"] += 1
+            return mat_exp(*args)
+
+        def counted_root(f, lo, hi, tol):
+            def g(t):
+                counts["evals"] += 1
+                return f(t)
+            return find_root(g, lo, hi, tol)
+
+        monkeypatch.setattr(numerics, "mat_exp", counted_exp)
+        monkeypatch.setattr(numerics, "find_root", counted_root)
+        return counts
+
+    def test_two_exponentials_per_evaluation(self, model_cases, monkeypatch):
+        cases = [model_cases[0], model_cases[1], model_cases[3]]
+        model, ramp, u, solver = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
+        cases.append((model, ramp, u))
+        assert [c[0].n for c in cases] == [2, 2, 3, 2]
+        counts = self._count(monkeypatch)
+        for model, ramp, u in cases:
+            counts.update(exp=0, evals=0)
+            p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
+            assert counts["evals"] > 0
+            assert counts["exp"] == 2 * counts["evals"]
+
+    def test_grid_zero_builds_one_point(self, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 66)[1:-1]
+        counts = self._count(monkeypatch)
+        ss = p.solve_periodic_orbit(
+            _const_y_model(), UNIT_RAMP, p.InputVector(float(grid[20]), 0.0),
+            grid_points=64,
+        )
+        assert ss.d == grid[20]
+        assert counts == {"exp": 2, "evals": 0}
 
 
 def _loop_candidates(values):
