@@ -197,6 +197,8 @@ def harmonic_balance(
     For TEM the transfer function enters with opposite sign and ``d`` is
     the ON time; the series itself is edge-agnostic in ``d``.
     """
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got {K}")
     T = plant.ramp.T
     if not 0.0 < d < T:
         raise DomainError(f"d must lie in (0, {T}), got {d}")

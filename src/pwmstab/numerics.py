@@ -298,8 +298,8 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
     def value(x):
         fx = float(f(x))

@@ -19,14 +19,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics
 from .errors import DomainError, GrazingError, ResolventPoleError
 from .model import InputVector, RampSignal, SwitchedLinearModel, switch_time_of_duty
-from .steadystate import SteadyState, stage_exponentials, switch_derivatives, x0_of_d_stack
+from .steadystate import SteadyState, orbit_grid
 # x0_of_d stays bound here: perfbench's tracer wraps it on this module.
 from .steadystate import x0_of_d  # noqa: F401
 
@@ -91,32 +91,30 @@ class _Linearization:
     jump: np.ndarray  # xdot(d-) - xdot(d+)
 
 
-def _linearization(
-    model: SwitchedLinearModel,
-    m1: np.ndarray,
-    m2: np.ndarray,
-    xdot_minus: np.ndarray,
-    xdot_plus: np.ndarray,
-) -> _Linearization:
+def _linearization(model: SwitchedLinearModel, ss: SteadyState) -> _Linearization:
     # From the stage transition matrices and the orbit derivatives at the
-    # switch; for one orbit point, or for stacks of them.
-    jump = xdot_minus - xdot_plus
-    return _Linearization(
-        phi0=m2 @ m1,
-        gamma=(m2 @ jump[..., None])[..., 0],
-        cm1=model.C @ m1,
-        c_xdot_minus=xdot_minus @ model.C,
-        jump=jump,
-    )
-
-
-def _orbit_linearization(model: SwitchedLinearModel, ss: SteadyState) -> _Linearization:
+    # switch; for one orbit point, or for the stacked points of orbit_grid.
     if ss.m1 is None:
         raise DomainError(
             "the orbit carries no linearization: build it with "
             "solve_periodic_orbit or orbit_at"
         )
-    return _linearization(model, ss.m1, ss.m2, ss.xdot_minus, ss.xdot_plus)
+    jump = ss.xdot_minus - ss.xdot_plus
+    return _Linearization(
+        phi0=ss.m2 @ ss.m1,
+        gamma=(ss.m2 @ jump[..., None])[..., 0],
+        cm1=model.C @ ss.m1,
+        c_xdot_minus=ss.xdot_minus @ model.C,
+        jump=jump,
+    )
+
+
+def _finite(name: str, values):
+    # Sweep parameters and lambda, checked before they are exponentiated or
+    # multiplied, so inf/NaN raises without a RuntimeWarning first.
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{name} must be finite, got {values}")
+    return values
 
 
 def _loop_denominator(lin: _Linearization, hdot: float) -> float:
@@ -137,7 +135,8 @@ def _resolvent_term(lin: _Linearization, lam) -> tuple[np.ndarray, np.ndarray]:
     # linearization.  The solve is real when lam is.  Returns the values
     # and the ok mask, false where lam is an eigenvalue of Phi0.
     n = lin.phi0.shape[-1]
-    systems = (np.asarray(lam)[..., None, None] * np.eye(n) - lin.phi0).reshape(-1, n, n)
+    lam = _finite("lambda", np.asarray(lam))
+    systems = (lam[..., None, None] * np.eye(n) - lin.phi0).reshape(-1, n, n)
     rg, ok = numerics.solve_linear_stack(
         systems, np.broadcast_to(lin.gamma, systems.shape[:-1])
     )
@@ -146,7 +145,7 @@ def _resolvent_term(lin: _Linearization, lam) -> tuple[np.ndarray, np.ndarray]:
 
 def _point_value(model: SwitchedLinearModel, ss: SteadyState, lam):
     # Left side of the critical condition at the orbit point and one lam.
-    lin = _orbit_linearization(model, ss)
+    lin = _linearization(model, ss)
     term, ok = _resolvent_term(lin, lam)
     if not ok[0]:
         raise ResolventPoleError(
@@ -174,7 +173,7 @@ def jacobian(
     Raises :class:`GrazingError` when the switching condition is tangent
     to the ramp (zero linearization denominator).
     """
-    lin = _orbit_linearization(model, ss)
+    lin = _linearization(model, ss)
     denom = _loop_denominator(lin, ramp.slope)
     correction = np.eye(model.n) - np.outer(lin.jump, model.C) / denom
     phi = ss.m2 @ correction @ ss.m1
@@ -188,8 +187,8 @@ def classify(jd: JacobianDecomposition, class_tol: float = 1e-4) -> StabilityRep
     The critical eigenvalue is the one of largest modulus (ties broken by
     real then imaginary part, so reports are deterministic).
     """
-    if class_tol <= 0.0:
-        raise DomainError(f"class_tol must be positive, got {class_tol}")
+    if not 0.0 < class_tol < math.inf:
+        raise DomainError(f"class_tol must be positive and finite, got {class_tol}")
     eigs = numerics.eigenvalues(jd.Phi)
     crit = max(eigs, key=lambda z: (abs(z), z.real, z.imag))
     rho = abs(crit)
@@ -254,7 +253,7 @@ def nsb_residual(
     must stay away from 0 and pi, where the saddle-node and
     period-doubling residuals apply instead.
     """
-    wrapped = math.remainder(theta, 2.0 * math.pi)
+    wrapped = math.remainder(_finite("theta", theta), 2.0 * math.pi)
     if abs(wrapped) <= 1e-9 or abs(abs(wrapped) - math.pi) <= 1e-9:
         raise DomainError(
             f"theta = {theta:.6g} coincides with the lambda = +1 or -1 case"
@@ -285,18 +284,13 @@ def s_plot(
         raise DomainError(
             f"duty grid values must lie in (0, 1), got {duties[outside][0]}"
         )
-    n = model.n
-    e1, e2 = stage_exponentials(
-        model, ramp, u, switch_time_of_duty(model.edge, duties, ramp.T)
-    )
-    _, x0_switch, orbit_ok = x0_of_d_stack(e1, e2)
-    # Degenerate duties have NaN states; any finite stand-in keeps the
+    d = switch_time_of_duty(model.edge, duties, ramp.T)
+    points, orbit_ok = orbit_grid(model, ramp, u, d)
+    lin = _linearization(model, points)
+    # Degenerate duties have NaN states; a finite stand-in Gamma keeps the
     # stacked resolvent solve well defined, and those samples stay singular.
-    lin = _linearization(
-        model, e1[:, :n, :n], e2[:, :n, :n],
-        *switch_derivatives(model, u, np.where(orbit_ok[:, None], x0_switch, 0.0)),
-    )
-    term, pole_ok = _resolvent_term(lin, lam)
+    gamma = np.where(orbit_ok[:, None], lin.gamma, 0.0)
+    term, pole_ok = _resolvent_term(replace(lin, gamma=gamma), lam)
     return _curve("duty", duties, lin.c_xdot_minus + term, orbit_ok & pole_ok)
 
 
@@ -313,8 +307,8 @@ def f_plot(
     endpoints 0 and pi reproduce the saddle-node and period-doubling
     left sides.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    lin = _orbit_linearization(model, ss)
+    thetas = _finite("theta", np.asarray(thetas, dtype=float))
+    lin = _linearization(model, ss)
     term, ok = _resolvent_term(lin, np.exp(1j * thetas))
     return _curve("theta", thetas, lin.c_xdot_minus + term, ok)
 
@@ -334,8 +328,8 @@ def nyquist(
     ``(F - C xdot(d-)) / (C xdot(d-) - hdot)`` and raises
     :class:`GrazingError` where :func:`jacobian` does.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    lin = _orbit_linearization(model, ss)
+    omegas = _finite("omega", np.asarray(omegas, dtype=float))
+    lin = _linearization(model, ss)
     denom = _loop_denominator(lin, ramp.slope)
     term, ok = _resolvent_term(lin, np.exp(1j * omegas * ramp.T))
     return _curve("omega", omegas, term / denom, ok)

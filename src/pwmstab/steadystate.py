@@ -42,7 +42,10 @@ class SteadyState:
     The stage transition matrices ``m1 = e^{A1 d}``, ``m2 = e^{A2 (T-d)}``
     and the orbit derivatives ``xdot_minus``/``xdot_plus`` around the
     switch are what every :mod:`pwmstab.stability` consumer reads; an
-    orbit given only by its states leaves them ``None``.
+    orbit given only by its states leaves them ``None``.  The points of
+    :func:`orbit_grid` share one instance whose fields carry a leading
+    grid axis (``y_switch`` is then an array); ``candidates`` is unused
+    there.
     """
 
     d: float
@@ -68,20 +71,26 @@ def _cycle_system(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lhs, rhs
 
 
-def _switch_state(e1: np.ndarray, x0_start: np.ndarray) -> np.ndarray:
-    # State at the switching instant: e^{A1 d} x0 + J1 B1 u.
-    n = e1.shape[-1] - 1
-    return (e1[..., :n, :n] @ x0_start[..., None])[..., 0] + e1[..., :n, n]
-
-
-def switch_derivatives(
-    model: SwitchedLinearModel, u: InputVector, x0_switch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit derivatives ``xdot(d-)``, ``xdot(d+)`` at the switch state(s)."""
+def _orbit_point(
+    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d, e1, e2, x0_start
+) -> SteadyState:
+    # Orbit point(s) at switching time(s) d from the augmented stage
+    # exponentials and start state(s); grid points lie along a leading axis.
+    n = model.n
     uv = u.as_array()
-    return (
-        (model.A1 @ x0_switch[..., None])[..., 0] + model.B1 @ uv,
-        (model.A2 @ x0_switch[..., None])[..., 0] + model.B2 @ uv,
+    m1 = e1[..., :n, :n]
+    x0_switch = (m1 @ x0_start[..., None])[..., 0] + e1[..., :n, n]
+    y_switch = x0_switch @ model.C + model.D @ uv
+    return SteadyState(
+        d=d,
+        duty=duty_of_switch_time(model.edge, d, ramp.T),
+        x0_start=x0_start,
+        x0_switch=x0_switch,
+        y_switch=float(y_switch) if x0_switch.ndim == 1 else y_switch,
+        m1=m1,
+        m2=e2[..., :n, :n],
+        xdot_minus=(model.A1 @ x0_switch[..., None])[..., 0] + model.B1 @ uv,
+        xdot_plus=(model.A2 @ x0_switch[..., None])[..., 0] + model.B2 @ uv,
     )
 
 
@@ -119,71 +128,33 @@ def orbit_at(
     g1, g2 = stage_generators(model, u)
     e1 = numerics.mat_exp(g1, d)
     e2 = numerics.mat_exp(g2, T - d)
-    lhs, rhs = _cycle_system(e1, e2)
     try:
-        x0_start = numerics.solve_linear(lhs, rhs)
+        x0_start = numerics.solve_linear(*_cycle_system(e1, e2))
     except SingularMatrixError as exc:
         raise DegenerateOrbitError(
             f"open-loop cycle map has a multiplier at +1 for d={d:.6g}"
         ) from exc
-    x0_switch = _switch_state(e1, x0_start)
-    xdot_minus, xdot_plus = switch_derivatives(model, u, x0_switch)
-    n = model.n
-    return SteadyState(
-        d=d,
-        duty=duty_of_switch_time(model.edge, d, T),
-        x0_start=x0_start,
-        x0_switch=x0_switch,
-        y_switch=float(model.C @ x0_switch + model.D @ u.as_array()),
-        m1=e1[:n, :n],
-        m2=e2[:n, :n],
-        xdot_minus=xdot_minus,
-        xdot_plus=xdot_plus,
-    )
+    return _orbit_point(model, ramp, u, d, e1, e2, x0_start)
 
 
-def stage_exponentials(
-    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Augmented stage exponentials at every switching time of ``d``.
+def orbit_grid(
+    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d
+) -> tuple[SteadyState, np.ndarray]:
+    """:func:`orbit_at` at every switching time of the 1-D array ``d``.
 
-    Returns two ``(k, N+1, N+1)`` stacks: ``e^{G1 d}`` and
-    ``e^{G2 (T - d)}`` with ``G_i = [[A_i, B_i u], [0, 0]]``.
+    Both stages are exponentiated for the whole grid in one stacked pass.
+    Returns the orbit points, their fields stacked along a leading axis,
+    and an ``ok`` mask; where ``ok`` is false the open-loop cycle map has
+    a multiplier at +1 and the states are NaN.
     """
-    d = np.asarray(d, dtype=float)[:, None, None]
+    d = np.asarray(d, dtype=float)
     if not np.all((d >= 0.0) & (d <= ramp.T)):
         raise DomainError(f"switching times must lie in [0, {ramp.T}]")
     g1, g2 = stage_generators(model, u)
-    return (
-        numerics.mat_exp_stack(g1 * d),
-        numerics.mat_exp_stack(g2 * (ramp.T - d)),
-    )
-
-
-def x0_of_d_stack(
-    e1: np.ndarray, e2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boundary states of :func:`orbit_at` over a grid, from
-    :func:`stage_exponentials`.
-
-    Returns ``(x0_start, x0_switch, ok)``; where ``ok`` is false the
-    open-loop cycle map has a multiplier at +1 and both states are NaN.
-    """
-    lhs, rhs = _cycle_system(e1, e2)
-    x0_start, ok = numerics.solve_linear_stack(lhs, rhs)
-    return x0_start, _switch_state(e1, x0_start), ok
-
-
-def _residual(
-    model: SwitchedLinearModel,
-    ramp: RampSignal,
-    u: InputVector,
-    x0_switch: np.ndarray,
-    d: float | np.ndarray,
-) -> float | np.ndarray:
-    # y(d) - h(d); elementwise over a grid when x0_switch is (k, N).
-    y = x0_switch @ model.C + model.D @ u.as_array()
-    return y - ramp_value(ramp, d)
+    e1 = numerics.mat_exp_stack(g1 * d[:, None, None])
+    e2 = numerics.mat_exp_stack(g2 * (ramp.T - d)[:, None, None])
+    x0_start, ok = numerics.solve_linear_stack(*_cycle_system(e1, e2))
+    return _orbit_point(model, ramp, u, d, e1, e2, x0_start), ok
 
 
 def solve_periodic_orbit(
@@ -219,14 +190,14 @@ def solve_periodic_orbit(
     grid = np.linspace(0.0, T, grid_points + 2)[1:-1]
 
     # Degenerate grid points come back NaN and take part in no bracket.
-    _, x0_switch, ok = x0_of_d_stack(*stage_exponentials(model, ramp, u, grid))
+    scan, ok = orbit_grid(model, ramp, u, grid)
     if not ok.any():
         raise DegenerateOrbitError(
             "open-loop cycle map has a multiplier at +1 at every scan point "
             "(typically an integrating state): the cycle equations are singular "
             "for every d"
         )
-    values = _residual(model, ramp, u, x0_switch, grid)
+    values = scan.y_switch - ramp_value(ramp, grid)
 
     # Candidates (lo, hi): sign change to the next point, or a zero not before NaN.
     sign = np.sign(values)
@@ -255,8 +226,7 @@ def solve_periodic_orbit(
             d = numerics.find_root(residual, grid[lo], grid[hi], d_tol)
         except DegenerateOrbitError:
             continue
-        ss = points[d] if d in points else orbit_at(model, ramp, u, d)
-        return replace(ss, candidates=len(los))
+        return replace(points[d], candidates=len(los))
     raise DegenerateOrbitError(
         f"all {len(los)} switching candidates hit degenerate orbits"
     )

@@ -217,6 +217,17 @@ class TestHarmonicBalance:
         with pytest.raises(DomainError):
             p.harmonic_balance(plant, 0.5 * ramp.T, 0)
 
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_harmonic_count_checked_with_precomputed_gains(self, plant, ramp, K):
+        gains = p.harmonic_gains(plant, 10)
+        d = 0.5 * ramp.T
+        for call in (
+            lambda: p.harmonic_balance(plant, d, K, gains=gains),
+            lambda: p.equivalence_residual(plant, d, K, gains),
+        ):
+            with pytest.raises(DomainError, match="K must be >= 1"):
+                call()
+
 
 class TestEquivalence:
     def test_residual_small_at_k2000(self, plant, ramp):

@@ -466,6 +466,12 @@ class TestFindRoot:
     def test_endpoint_root(self):
         assert numerics.find_root(lambda x: x, 0.0, 1.0, 1e-10) == 0.0
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # An infinite tolerance would return a bracket end as the root.
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            numerics.find_root(lambda x: x - 0.3, 0.0, 1.0, tol)
+
     def test_bracketing_property(self):
         # The function still changes sign across a +-tol window of the root.
         tol = 1e-9

@@ -208,6 +208,12 @@ class TestClassify:
         rep = p.classify(self._jd(np.diag([1.5, 0.1])))
         assert rep.classification is p.StabilityClass.UNSTABLE_MIXED
 
+    @pytest.mark.parametrize("class_tol", [0.0, math.inf, math.nan])
+    def test_class_tol_must_be_positive_and_finite(self, class_tol):
+        # inf would label every orbit PDB, NaN every orbit Unstable-mixed.
+        with pytest.raises(DomainError, match="class_tol must be positive and finite"):
+            p.classify(self._jd(0.5 * np.eye(2)), class_tol)
+
     def test_eigenvalues_match_decomposed_form(self, buck_tem, ramp, u_tem, ss_tem):
         jd = p.jacobian(buck_tem, ramp, u_tem, ss_tem)
         direct = numerics.eigenvalues(jd.Phi)
@@ -326,6 +332,25 @@ class TestScalarResiduals:
                 - switching_residual(m, UNIT_RAMP, u, d - h)
             ) / (2 * h)
             assert res == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteParameters:
+    # Rejected as DomainError before any arithmetic that would warn first.
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_each_entry_point(self, buck_tem, ramp, u_tem, ss_tem, bad):
+        m, u, ss = buck_tem, u_tem, ss_tem
+        calls = [
+            lambda: p.f_plot(m, ramp, u, ss, [0.5, bad]),
+            lambda: p.nyquist(m, ramp, u, ss, [0.0, bad]),
+            lambda: p.nsb_residual(m, ramp, u, ss, bad),
+            lambda: p.s_plot(m, ramp, u, bad, [0.3, 0.6]),
+            lambda: p.s_plot(m, ramp, u, complex(0.5, bad), [0.3, 0.6]),
+            lambda: p.general_critical_value(m, ramp, u, ss, bad),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="must be finite"):
+                call()
 
 
 class TestCurves:

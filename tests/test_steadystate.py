@@ -1,5 +1,6 @@
 """Tests of the periodic steady-state solver."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -89,16 +90,38 @@ class TestBatchedScan:
     def test_matches_scalar_path(self, model_cases):
         for model, rmp, u in model_cases:
             grid = np.linspace(0.0, rmp.T, 66)[1:-1]
-            e1, e2 = steadystate.stage_exponentials(model, rmp, u, grid)
-            x0, xd, ok = steadystate.x0_of_d_stack(e1, e2)
+            points, ok = steadystate.orbit_grid(model, rmp, u, grid)
             assert ok.all()
-            values = steadystate._residual(model, rmp, u, xd, grid)
+            values = points.y_switch - p.ramp_value(rmp, grid)
             for i, d in enumerate(grid):
                 x0_ref, xd_ref = steadystate.x0_of_d(model, rmp, u, d)
-                assert np.linalg.norm(x0[i] - x0_ref) <= 1e-12 * np.linalg.norm(x0_ref)
-                assert np.linalg.norm(xd[i] - xd_ref) <= 1e-12 * np.linalg.norm(xd_ref)
+                x0, xd = points.x0_start[i], points.x0_switch[i]
+                assert np.linalg.norm(x0 - x0_ref) <= 1e-12 * np.linalg.norm(x0_ref)
+                assert np.linalg.norm(xd - xd_ref) <= 1e-12 * np.linalg.norm(xd_ref)
                 ref = switching_residual(model, rmp, u, d)
                 assert abs(values[i] - ref) <= 1e-12 * max(abs(ref), rmp.Vm)
+
+    def test_every_field_matches_orbit_at(self, model_cases):
+        # Slice i of the stacked points is the orbit_at point at grid[i].
+        for model, rmp, u in model_cases:
+            grid = np.linspace(0.0, rmp.T, 18)[1:-1]
+            points, ok = steadystate.orbit_grid(model, rmp, u, grid)
+            assert ok.all()
+            for i, d in enumerate(grid):
+                ref = p.orbit_at(model, rmp, u, d)
+                assert points.d[i] == d
+                assert abs(points.duty[i] - ref.duty) <= 1e-12
+                scale = max(abs(ref.y_switch), rmp.Vm)
+                assert abs(points.y_switch[i] - ref.y_switch) <= 1e-12 * scale
+                for name in ("m1", "m2", "xdot_minus", "xdot_plus"):
+                    got, want = getattr(points, name)[i], getattr(ref, name)
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+    def test_switching_time_outside_period(self, buck_tem, ramp, u_tem):
+        for bad in (-0.1 * ramp.T, 1.1 * ramp.T, np.nan):
+            grid = np.array([0.25 * ramp.T, bad])
+            with pytest.raises(DomainError):
+                steadystate.orbit_grid(buck_tem, ramp, u_tem, grid)
 
     def test_degenerate_points_are_nan(self):
         # Pure integrator: every grid point is degenerate in both paths.
@@ -109,11 +132,9 @@ class TestBatchedScan:
         )
         u = p.InputVector(0.0, 1.0)
         grid = np.linspace(0.1, 0.9, 5)
-        x0, xd, ok = steadystate.x0_of_d_stack(
-            *steadystate.stage_exponentials(m, UNIT_RAMP, u, grid)
-        )
+        points, ok = steadystate.orbit_grid(m, UNIT_RAMP, u, grid)
         assert not ok.any()
-        assert np.isnan(x0).all() and np.isnan(xd).all()
+        assert np.isnan(points.x0_start).all() and np.isnan(points.x0_switch).all()
         for d in grid:
             with pytest.raises(DegenerateOrbitError):
                 steadystate.x0_of_d(m, UNIT_RAMP, u, d)
@@ -171,10 +192,8 @@ class TestOrderedCandidates:
         model, ramp, u, solver = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
         # Reference: every bracket of the scan refined on its own.
         grid = np.linspace(0.0, ramp.T, solver.grid_points + 2)[1:-1]
-        _, x0_switch, _ = steadystate.x0_of_d_stack(
-            *steadystate.stage_exponentials(model, ramp, u, grid)
-        )
-        values = x0_switch @ model.C + model.D @ u.as_array() - p.ramp_value(ramp, grid)
+        points, _ = steadystate.orbit_grid(model, ramp, u, grid)
+        values = points.y_switch - p.ramp_value(ramp, grid)
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
         roots = [
             numerics.find_root(
@@ -301,13 +320,20 @@ def test_candidate_masks_match_loop(monkeypatch):
         seen.append((d, d))
         raise DegenerateOrbitError("forced")
 
+    orbit_grid = steadystate.orbit_grid
+
+    def scan(model, ramp, u, d):
+        # The real scan, its switching residual replaced by ``values``.
+        points, ok = orbit_grid(model, ramp, u, d)
+        return replace(points, y_switch=values + p.ramp_value(ramp, d)), ok
+
     monkeypatch.setattr(numerics, "find_root", refine)
     monkeypatch.setattr(steadystate, "orbit_at", orbit)
+    monkeypatch.setattr(steadystate, "orbit_grid", scan)
     grid = np.linspace(0.0, 1.0, 10)[1:-1]
     rng = np.random.default_rng(7)
     for _ in range(300):
         values = rng.choice([-1.5, -0.5, 0.0, 0.5, 1.5, np.nan], size=8)
-        monkeypatch.setattr(steadystate, "_residual", lambda *args: values)
         want = _loop_candidates(values)
         zeros = [k for k, (lo, hi) in enumerate(want) if lo == hi]
         walked = want[:zeros[0] + 1] if zeros else want
@@ -372,6 +398,12 @@ class TestSolvePeriodicOrbit:
             gap = abs(ss.y_switch - p.ramp_value(ramp, ss.d))
             assert gap <= 1e-12 * ramp.T * ramp.slope
 
+    @pytest.mark.parametrize("d_tol", [0.0, math.inf, math.nan])
+    def test_d_tol_must_be_positive_and_finite(self, buck_tem, ramp, u_tem, d_tol):
+        # find_root refuses it: inf would return a bracket end as the root.
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            p.solve_periodic_orbit(buck_tem, ramp, u_tem, d_tol=d_tol)
+
     def test_ramp_offset_shift(self):
         # For the constant-output model, d solves vr = h(d): shifting the
         # ramp window and vr together shifts nothing; shifting vr moves d.
@@ -407,8 +439,7 @@ class TestIntegratingState:
         ramp = p.RampSignal(0.0, 5.0, 400e-6)
         u = p.InputVector(sign * 5.0, sign * 12.0)
         grid = np.linspace(0.0, ramp.T, 9)[1:-1]
-        stages = steadystate.stage_exponentials(model, ramp, u, grid)
-        assert not steadystate.x0_of_d_stack(*stages)[2].any()
+        assert not steadystate.orbit_grid(model, ramp, u, grid)[1].any()
         with pytest.raises(DegenerateOrbitError,
                            match=r"multiplier at \+1 at every scan point"):
             p.solve_periodic_orbit(model, ramp, u)
