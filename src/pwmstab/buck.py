@@ -12,10 +12,16 @@ coefficient times ``v_s`` minus the ramp slope, so the critical source
 voltage is simply slope/coefficient.  A vanishing coefficient means the
 boundary sits at infinite source voltage; those points return ``inf``
 rather than raising.
+
+Only ``e^{A d}`` in the closed forms depends on the duty.  A
+:class:`BuckPlant` computes its ``e^{A T}`` terms once, on first use, and
+keeps them, so one plant should serve a whole duty sweep: each boundary
+coefficient then costs one matrix exponential and no linear solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +59,23 @@ class BuckPlant:
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "C", c)
+
+    @functools.cached_property
+    def _boundary_terms(self) -> tuple[np.ndarray, float]:
+        # z = (I - e^{AT})^-1 B and k = C [(I + e^{AT})^-1 B - z], the
+        # duty-free parts of the boundary coefficient.  Computed on first
+        # use, so a plant whose e^{AT} overflows or whose I - e^{AT} or
+        # I + e^{AT} is singular still builds and serves the series and
+        # Taylor forms; the error is raised again by every call that needs
+        # these terms, as cached_property does not cache exceptions.
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_T = numerics.mat_exp(self.A, self.ramp.T)
+        if not np.all(np.isfinite(e_T)):
+            raise DomainError("e^{AT} overflows")
+        eye = np.eye(self.A.shape[0])
+        z = numerics.solve_linear(eye - e_T, self.B)
+        k = float(self.C @ (numerics.solve_linear(eye + e_T, self.B) - z))
+        return z, k
 
 
 @dataclass(frozen=True)
@@ -99,18 +122,19 @@ def _check_duty(D: float) -> None:
 def _coefficient(plant: BuckPlant, d: float) -> float:
     """TEM boundary coefficient C [(I-e^{AT})^-1 (e^{Ad}-I) + (I+e^{AT})^-1] B.
 
+    Evaluated as C e^{Ad} z + k with the plant's cached
+    z = (I-e^{AT})^-1 B and k = C [(I+e^{AT})^-1 B - z]; the form is exact
+    because (I-e^{AT})^-1 commutes with e^{Ad}, both being functions of A.
+
     The LEM form C [(I+e^{-AT})^-1 + (I-e^{AT})^-1 (e^{AT}-e^{Ad})] B is its
     exact negative, as (I+e^{-AT})^-1 = I - (I+e^{AT})^-1; only this form
     stays finite when a plant pole has |lambda| T above ~709.
     """
-    T = plant.ramp.T
-    n = plant.A.shape[0]
-    eye = np.eye(n)
-    e_T = numerics.mat_exp(plant.A, T)
-    e_d = numerics.mat_exp(plant.A, d)
-    term1 = numerics.solve_linear(eye - e_T, (e_d - eye) @ plant.B)
-    term2 = numerics.solve_linear(eye + e_T, plant.B)
-    return float(plant.C @ (term1 + term2))
+    z, k = plant._boundary_terms
+    coef = float(plant.C @ (numerics.mat_exp(plant.A, d) @ z)) + k
+    if not math.isfinite(coef):
+        raise DomainError(f"boundary coefficient at d = {d} is not finite")
+    return coef
 
 
 def _edge_coefficient(plant: BuckPlant, D: float, edge: ModulationEdge) -> float:
@@ -151,6 +175,8 @@ def buck_pdb_residual(
 
     Affine in ``vs``; zero on the boundary.
     """
+    if not math.isfinite(vs):
+        raise DomainError(f"vs must be finite, got {vs}")
     return _edge_coefficient(plant, D, ModulationEdge(edge)) * vs - plant.ramp.slope
 
 

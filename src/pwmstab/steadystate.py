@@ -17,6 +17,7 @@ import numpy as np
 from . import numerics
 from .errors import (
     DegenerateOrbitError,
+    DimensionError,
     DomainError,
     NoSwitchingError,
     SingularMatrixError,
@@ -148,6 +149,8 @@ def orbit_grid(
     a multiplier at +1 and the states are NaN.
     """
     d = np.asarray(d, dtype=float)
+    if d.ndim != 1:
+        raise DimensionError(f"d must be a 1-D array, got shape {d.shape}")
     if not np.all((d >= 0.0) & (d <= ramp.T)):
         raise DomainError(f"switching times must lie in [0, {ramp.T}]")
     g1, g2 = stage_generators(model, u)

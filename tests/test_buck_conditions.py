@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pwmstab as p
 from pwmstab.errors import DomainError, ResolventPoleError, SingularMatrixError
-from pwmstab import cli
+from pwmstab import cli, numerics
 from pwmstab.model import switch_time_of_duty
-from conftest import slaved_reference_orbit, taylor_pdb_residual, transfer_eval
+from conftest import (
+    UNIT_RAMP,
+    slaved_reference_orbit,
+    taylor_pdb_residual,
+    transfer_eval,
+)
 
 L, CF, R, GAIN = 20e-3, 47e-6, 22.0, 8.4
 
@@ -110,8 +116,19 @@ class TestCriticalVoltages:
         # A with a zero eigenvalue makes (I - e^{AT}) singular.
         a = [[0.0, 0.0], [0.0, -1.0]]
         plant = p.BuckPlant(A=a, B=[1.0, 0.0], C=[0.0, 1.0], ramp=ramp)
-        with pytest.raises(SingularMatrixError):
-            p.vs_critical_lem(plant, 0.5)
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                p.vs_critical_lem(plant, 0.5)
+        # The series and Taylor forms need no e^{AT}; C A^k B = 0 for
+        # k = 0, 1, 2 puts this plant's Taylor boundary at infinity.
+        assert p.harmonic_gains(plant, 4).integer.shape == (4,)
+        assert p.taylor_critical_vs(plant, 0.3) == np.inf
+
+    def test_non_finite_vs_rejected(self, plant):
+        for bad in (np.nan, np.inf, -np.inf):
+            for edge in p.ModulationEdge:
+                with pytest.raises(DomainError):
+                    p.buck_pdb_residual(plant, 0.5, bad, edge)
 
     def test_jacobian_eigenvalue_at_minus_one(self, buck_lem, buck_tem, ramp):
         # Operating exactly on the closed-form boundary puts a closed-loop
@@ -142,6 +159,73 @@ class TestCriticalVoltages:
                     general = p.pdb_residual(model, ramp, u, ss)
                     special = p.buck_pdb_residual(plant, D, vs, model.edge)
                     assert special == pytest.approx(general, rel=1e-8)
+
+
+def _two_solve_coefficient(plant, d):
+    # The paper's TEM coefficient C [(I-e^{AT})^-1 (e^{Ad}-I) + (I+e^{AT})^-1] B
+    # as written: two exponentials and two solves per switching instant.
+    eye = np.eye(plant.A.shape[0])
+    e_T = scipy.linalg.expm(plant.A * plant.ramp.T)
+    e_d = scipy.linalg.expm(plant.A * d)
+    term1 = np.linalg.solve(eye - e_T, (e_d - eye) @ plant.B)
+    term2 = np.linalg.solve(eye + e_T, plant.B)
+    return float(plant.C @ (term1 + term2))
+
+
+class TestPlantTerms:
+    """The plant's cached e^{AT} terms behind every boundary coefficient."""
+
+    def test_work_counts(self, buck_lem, ramp, monkeypatch):
+        # One e^{AT} and two solves per plant, then one e^{Ad} per duty.
+        calls = {"mat_exp": 0, "solve_linear": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(numerics, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(numerics, name, counted)
+        plant = p.make_buck_plant(buck_lem, ramp)
+        for D in np.arange(1, 34) / 34:
+            p.vs_critical_tem(plant, D)
+            p.vs_critical_lem(plant, D)
+        assert calls == {"mat_exp": 67, "solve_linear": 2}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_two_solve_formula(self, n):
+        rng = np.random.default_rng(17 + n)
+        for _ in range(5):
+            a = rng.normal(size=(n, n))
+            a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.3, 1.5)) * np.eye(n)
+            plant = p.BuckPlant(
+                A=a, B=rng.normal(size=n), C=rng.normal(size=n), ramp=UNIT_RAMP
+            )
+            for D in (0.1, 0.37, 0.5, 0.81):
+                d_tem = switch_time_of_duty(p.ModulationEdge.TEM, D, UNIT_RAMP.T)
+                d_lem = switch_time_of_duty(p.ModulationEdge.LEM, D, UNIT_RAMP.T)
+                tem = _two_solve_coefficient(plant, d_tem)
+                lem = -_two_solve_coefficient(plant, d_lem)
+                # UNIT_RAMP has slope 1, so each coefficient is 1 / vs.
+                assert 1.0 / p.vs_critical_tem(plant, D) == pytest.approx(tem, rel=1e-12)
+                assert 1.0 / p.vs_critical_lem(plant, D) == pytest.approx(lem, rel=1e-12)
+                assert p.lem_boundary_coefficient(plant, d_lem) == pytest.approx(
+                    lem, rel=1e-12
+                )
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_plant_raises_without_warning(self, ramp):
+        # 2e6 * 400 us = 800 puts e^{AT} past the float range.
+        a = [[2e6, 0.0], [1.0, -1.0]]
+        plant = p.BuckPlant(A=a, B=[1.0, 0.0], C=[0.0, 1.0], ramp=ramp)
+        d = 0.5 * ramp.T
+        calls = (
+            lambda: p.vs_critical_tem(plant, 0.5),
+            lambda: p.vs_critical_lem(plant, 0.5),
+            lambda: p.buck_pdb_residual(plant, 0.5, 10.0, p.ModulationEdge.TEM),
+            lambda: p.lem_boundary_coefficient(plant, d),
+            lambda: p.equivalence_residual(plant, d, 8),
+        )
+        for call in calls + calls:
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestTransferFunction:

@@ -9,7 +9,12 @@ import scipy.integrate
 
 import pwmstab as p
 from pwmstab import numerics, steadystate
-from pwmstab.errors import DegenerateOrbitError, DomainError, NoSwitchingError
+from pwmstab.errors import (
+    DegenerateOrbitError,
+    DimensionError,
+    DomainError,
+    NoSwitchingError,
+)
 from conftest import UNIT_RAMP, find_fixed_point, mat_exp_integral, switching_residual
 
 
@@ -122,6 +127,11 @@ class TestBatchedScan:
             grid = np.array([0.25 * ramp.T, bad])
             with pytest.raises(DomainError):
                 steadystate.orbit_grid(buck_tem, ramp, u_tem, grid)
+
+    def test_switching_times_must_be_1d(self, buck_tem, ramp, u_tem):
+        for bad in (0.25 * ramp.T, np.full((2, 2), 0.25 * ramp.T)):
+            with pytest.raises(DimensionError):
+                steadystate.orbit_grid(buck_tem, ramp, u_tem, bad)
 
     def test_degenerate_points_are_nan(self):
         # Pure integrator: every grid point is degenerate in both paths.
