@@ -46,7 +46,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .model import (
-    BuckColumns,
     InputVector,
     ModulationEdge,
     RampSignal,

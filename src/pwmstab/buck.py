@@ -68,8 +68,7 @@ class BuckPlant:
         # I + e^{AT} is singular still builds and serves the series and
         # Taylor forms; the error is raised again by every call that needs
         # these terms, as cached_property does not cache exceptions.
-        with np.errstate(over="ignore", invalid="ignore"):
-            e_T = numerics.mat_exp(self.A, self.ramp.T)
+        e_T = numerics.mat_exp(self.A, self.ramp.T)
         if not np.all(np.isfinite(e_T)):
             raise DomainError("e^{AT} overflows")
         eye = np.eye(self.A.shape[0])
@@ -105,13 +104,13 @@ class HarmonicBalanceResult:
 
 def make_buck_plant(model: SwitchedLinearModel, ramp: RampSignal) -> BuckPlant:
     """Extract the buck plant, or raise if the model lacks the structure."""
-    cols = detect_buck_structure(model)
-    if cols is None:
+    vs_column = detect_buck_structure(model)
+    if vs_column is None:
         raise DomainError(
             "model does not have buck structure "
             "(shared dynamics, one-stage source column)"
         )
-    return BuckPlant(A=model.A1, B=cols.vs_column, C=model.C, ramp=ramp)
+    return BuckPlant(A=model.A1, B=vs_column, C=model.C, ramp=ramp)
 
 
 def _check_duty(D: float) -> None:
@@ -186,8 +185,7 @@ def harmonic_gains(plant: BuckPlant, K: int) -> HarmonicGains:
     These depend on the plant only, not on the switching instant, so one
     set of gains serves a whole duty sweep.
     """
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
+    numerics.check_count("K", K, 1)
     ws = plant.ramp.ws
     k = np.arange(1, K + 1)
     freqs = np.concatenate([k * ws, (k - 0.5) * ws])
@@ -216,15 +214,15 @@ def harmonic_balance(
 
     Sums ``(1 - e^{j k ws d}) G(j k ws) - G(j (k-1/2) ws)`` for
     ``k = 1..K`` in ascending order (pairwise accumulation) and returns
-    the critical source voltage ``Vm / (2 Re sum)`` together with the sum
-    and a tail estimate (magnitude of the last retained term).  The
-    rotation runs at twice the subharmonic frequency, ``2k (ws/2) d``;
-    the half-harmonic term samples the subharmonic lines themselves.
-    For TEM the transfer function enters with opposite sign and ``d`` is
-    the ON time; the series itself is edge-agnostic in ``d``.
+    the critical source voltage ``slope / (2 fs Re sum)`` (``inf`` where
+    ``Re sum`` is zero) together with the sum and a tail estimate
+    (magnitude of the last retained term).  The rotation runs at twice
+    the subharmonic frequency, ``2k (ws/2) d``; the half-harmonic term
+    samples the subharmonic lines themselves.  For TEM the transfer
+    function enters with opposite sign and ``d`` is the ON time; the
+    series itself is edge-agnostic in ``d``.
     """
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K}")
+    numerics.check_count("K", K, 1)
     T = plant.ramp.T
     if not 0.0 < d < T:
         raise DomainError(f"d must lie in (0, {T}), got {d}")
@@ -237,10 +235,8 @@ def harmonic_balance(
     rot = np.exp(1j * k * plant.ramp.ws * d)
     terms = sign * ((1.0 - rot) * gains.integer[:K] - gains.half[:K])
     total = complex(np.sum(terms))
-    denom = 2.0 * total.real
-    vs = math.inf if denom == 0.0 else plant.ramp.Vm / denom
     return HarmonicBalanceResult(
-        vs=vs,
+        vs=_vs_from_coefficient(plant, 2.0 * plant.ramp.fs * total.real),
         series_sum=total,
         tail_estimate=float(abs(terms[-1])),
         harmonics=K,
@@ -276,7 +272,8 @@ def taylor_coefficients(D: float) -> TaylorCoefficients:
 
 
 def _taylor_coefficient_matrix(plant: BuckPlant, D: float, order: int) -> float:
-    if order < 0 or order > 2:
+    numerics.check_count("order", order, 0)
+    if order > 2:
         raise DomainError(f"order must be 0, 1, or 2, got {order}")
     deltas = taylor_coefficients(D)
     at = plant.A * plant.ramp.T

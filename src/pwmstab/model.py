@@ -134,18 +134,6 @@ class InputVector:
         return np.array([self.vr, self.vs])
 
 
-@dataclass(frozen=True)
-class BuckColumns:
-    """Input-column partition of a buck-structured model.
-
-    ``vs_column`` is the source-injection column (present in the ON stage
-    only); ``vr_column`` is the reference column shared by both stages.
-    """
-
-    vs_column: np.ndarray
-    vr_column: np.ndarray
-
-
 def ramp_value(ramp: RampSignal, t: float) -> float:
     """Sawtooth value ``Vl + (Vh - Vl) * ((t/T) mod 1)``, elementwise on arrays."""
     if not np.all(np.isfinite(t)):
@@ -207,12 +195,13 @@ def preset_vmc_buck(
     )
 
 
-def detect_buck_structure(model: SwitchedLinearModel) -> BuckColumns | None:
-    """Recognize the buck input structure, or return ``None``.
+def detect_buck_structure(model: SwitchedLinearModel) -> np.ndarray | None:
+    """The source-injection column of a buck-structured model, or ``None``.
 
     A model qualifies when both stages share the same dynamics matrix and
     the same v_r column, while the v_s column is present in exactly one
-    stage and identically zero in the other.  Only such models admit the
+    stage (the ON stage) and identically zero in the other; the result is
+    a copy of that nonzero v_s column.  Only such models admit the
     closed-form boundary conditions of :mod:`pwmstab.buck`.
     """
     if not np.array_equal(model.A1, model.A2):
@@ -225,5 +214,4 @@ def detect_buck_structure(model: SwitchedLinearModel) -> BuckColumns | None:
     if zero1 == zero2:
         # Either both stages inject v_s or neither does.
         return None
-    vs_col = vs2 if zero1 else vs1
-    return BuckColumns(vs_column=vs_col.copy(), vr_column=model.B1[:, 0].copy())
+    return (vs2 if zero1 else vs1).copy()

@@ -16,6 +16,9 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
   so ``e^{0}`` is exactly ``I`` and an exact +1 multiplier stays exactly
   +1.  scipy's own batch forms are avoided because they loop over the
   slices in Python and need a newer scipy than the supported floor.
+* Both exponential kernels report an exponential past the float range
+  only as non-finite entries, with no ``RuntimeWarning``; callers that can
+  meet divergent dynamics check for them and raise :class:`DomainError`.
 * ``eigenvalues`` runs the dense QR algorithm (``numpy.linalg.eigvals``)
   on the matrix as given, so a real matrix keeps exact conjugate pairs.
 * ``solve_linear`` is an LU solve, real or complex, by LAPACK
@@ -66,18 +69,29 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def check_count(name: str, value, low: int) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an int or numpy integer
+    (not a bool, nor an integral float) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+
+
 def mat_exp(a, t: float) -> np.ndarray:
     """Matrix exponential ``e^{A t}``.
 
     ``t`` may be zero or negative (reversed-time factors such as
-    ``e^{-A T}`` are legitimate inputs).
+    ``e^{-A T}`` are legitimate inputs).  An exponential that overflows
+    comes back non-finite, as with :func:`mat_exp_stack`.
     """
     arr = as_square_matrix(a, "A").astype(float, copy=False)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
     if t == 0.0:
         return np.eye(arr.shape[0])
-    return scipy.linalg.expm(arr * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scipy.linalg.expm(arr * t)
 
 
 #: Degree-13 Pade coefficients b_0..b_13 (Higham 2005, Table 10.4), grouped
@@ -142,8 +156,8 @@ def mat_exp_stack(a) -> np.ndarray:
     ``theta_13``, one degree-13 Pade solve runs over the whole stack, and
     every slice is squared back ``s_i`` times.  Triangular slices are
     exact on the diagonal and keep their zero triangle, as with
-    ``scipy.linalg.expm``.  A slice that overflows comes back non-finite;
-    callers that can meet divergent dynamics check for it.
+    ``scipy.linalg.expm``.  A slice that overflows comes back non-finite,
+    as with :func:`mat_exp`.
     """
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:

@@ -89,8 +89,7 @@ class CycleSimulator:
         u: InputVector,
         scan_points: int = 512,
     ):
-        if scan_points < 8:
-            raise DomainError(f"scan_points must be >= 8, got {scan_points}")
+        numerics.check_count("scan_points", scan_points, 8)
         self.model = model
         self.ramp = ramp
         self.u = u
@@ -210,8 +209,7 @@ def simulate(
     scan_points: int = 512,
 ) -> Trajectory:
     """Simulate ``cycles`` consecutive clock periods with one shared simulator."""
-    if cycles < 1:
-        raise DomainError(f"cycles must be >= 1, got {cycles}")
+    numerics.check_count("cycles", cycles, 1)
     sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
     records = []
     x = np.asarray(x0, dtype=float)
@@ -298,10 +296,8 @@ def steady_period(
     scan_points: int = 512,
 ) -> int | None:
     """Simulate past the transient and classify the attractor's period."""
-    if tail < 64:
-        raise DomainError(f"tail must be >= 64, got {tail}")
-    if transient < 0:
-        raise DomainError(f"transient must be >= 0, got {transient}")
+    numerics.check_count("tail", tail, 64)
+    numerics.check_count("transient", transient, 0)
     _check_positive("tol", tol)
     sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
     x = np.asarray(x0, dtype=float)

@@ -3,8 +3,9 @@
 The one-cycle linearization of the stroboscopic map factors into an
 open-loop part ``Phi0`` (the two stage exponentials), a rank-one switching
 correction built from the vector-field jump ``Gamma`` and the sensitivity
-row ``Psi``, with ``Phi = Phi0 - Gamma Psi``.  The same pieces yield the
-general critical condition: ``lambda`` is an eigenvalue of ``Phi`` exactly
+row ``Psi``, with ``Phi = Phi0 - Gamma Psi``; :func:`jacobian` computes
+``Phi`` by exactly that formula.  The same pieces yield the general
+critical condition: ``lambda`` is an eigenvalue of ``Phi`` exactly
 when
 
     C xdot(d-) + C e^{A1 d} (lambda I - Phi0)^{-1} Gamma  ==  hdot
@@ -47,8 +48,8 @@ class StabilityClass(enum.Enum):
 class JacobianDecomposition:
     """One-cycle Jacobian ``Phi`` and its feedback-loop factors.
 
-    ``Gamma`` and ``Psi`` are stored as 1-D arrays; the identity
-    ``Phi == Phi0 - outer(Gamma, Psi)`` holds to rounding error.
+    ``Gamma`` and ``Psi`` are stored as 1-D arrays, and ``Phi`` is
+    computed as ``Phi0 - outer(Gamma, Psi)``.
     """
 
     Phi: np.ndarray
@@ -88,7 +89,6 @@ class _Linearization:
     gamma: np.ndarray
     cm1: np.ndarray  # row C e^{A1 d}
     c_xdot_minus: float | np.ndarray
-    jump: np.ndarray  # xdot(d-) - xdot(d+)
 
 
 def _linearization(model: SwitchedLinearModel, ss: SteadyState) -> _Linearization:
@@ -105,7 +105,6 @@ def _linearization(model: SwitchedLinearModel, ss: SteadyState) -> _Linearizatio
         gamma=(ss.m2 @ jump[..., None])[..., 0],
         cm1=model.C @ ss.m1,
         c_xdot_minus=ss.xdot_minus @ model.C,
-        jump=jump,
     )
 
 
@@ -174,11 +173,10 @@ def jacobian(
     to the ramp (zero linearization denominator).
     """
     lin = _linearization(model, ss)
-    denom = _loop_denominator(lin, ramp.slope)
-    correction = np.eye(model.n) - np.outer(lin.jump, model.C) / denom
-    phi = ss.m2 @ correction @ ss.m1
-    psi = lin.cm1 / denom
-    return JacobianDecomposition(Phi=phi, Phi0=lin.phi0, Gamma=lin.gamma, Psi=psi)
+    psi = lin.cm1 / _loop_denominator(lin, ramp.slope)
+    return JacobianDecomposition(
+        Phi=lin.phi0 - np.outer(lin.gamma, psi), Phi0=lin.phi0, Gamma=lin.gamma, Psi=psi
+    )
 
 
 def classify(jd: JacobianDecomposition, class_tol: float = 1e-4) -> StabilityReport:

@@ -64,11 +64,15 @@ class SteadyState:
 def _cycle_system(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Periodicity x0 = e^{A2 (T-d)} (e^{A1 d} x0 + J1 B1 u) + J2 B2 u as
     # lhs x0 = rhs, from the stage exponentials of the augmented generators
-    # (one pair, or stacks of them along a leading axis).
+    # (one pair, or stacks of them along a leading axis).  An overflowed
+    # exponential raises here, for the whole stack, with no RuntimeWarning.
     n = e1.shape[-1] - 1
     m2 = e2[..., :n, :n]
-    lhs = np.eye(n) - m2 @ e1[..., :n, :n]
-    rhs = (m2 @ e1[..., :n, n:])[..., 0] + e2[..., :n, n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.eye(n) - m2 @ e1[..., :n, :n]
+        rhs = (m2 @ e1[..., :n, n:])[..., 0] + e2[..., :n, n]
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise DomainError("a stage exponential overflows: the cycle map is not finite")
     return lhs, rhs
 
 
@@ -90,8 +94,8 @@ def _orbit_point(
         y_switch=float(y_switch) if x0_switch.ndim == 1 else y_switch,
         m1=m1,
         m2=e2[..., :n, :n],
-        xdot_minus=(model.A1 @ x0_switch[..., None])[..., 0] + model.B1 @ uv,
-        xdot_plus=(model.A2 @ x0_switch[..., None])[..., 0] + model.B2 @ uv,
+        xdot_minus=x0_switch @ model.A1.T + model.B1 @ uv,
+        xdot_plus=x0_switch @ model.A2.T + model.B2 @ uv,
     )
 
 
@@ -186,8 +190,7 @@ def solve_periodic_orbit(
         (open-loop multiplier at +1).
     """
     T = ramp.T
-    if grid_points < 2:
-        raise DomainError(f"grid_points must be >= 2, got {grid_points}")
+    numerics.check_count("grid_points", grid_points, 2)
     if d_tol is None:
         d_tol = 1e-12 * T
     grid = np.linspace(0.0, T, grid_points + 2)[1:-1]

@@ -295,6 +295,21 @@ class TestHarmonicBalance:
         b = p.harmonic_balance(plant, 0.3 * ramp.T, 800).vs
         assert a == b
 
+    def test_vs_from_series_sum(self, plant, ramp):
+        # The matrix and Taylor forms' rule: vs = slope / coefficient, with
+        # the coefficient 2 fs Re(sum).
+        for d in (0.2 * ramp.T, 0.65 * ramp.T):
+            res = p.harmonic_balance(plant, d, 300)
+            assert res.vs == ramp.slope / (2.0 * ramp.fs * res.series_sum.real)
+
+    def test_zero_series_sum_gives_infinite_vs(self, plant, ramp):
+        # Without a source column G = 0, so every form puts the boundary
+        # at infinite source voltage.
+        unfed = p.BuckPlant(A=plant.A, B=np.zeros(2), C=plant.C, ramp=ramp)
+        res = p.harmonic_balance(unfed, 0.5 * ramp.T, 10)
+        assert res.series_sum.real == 0.0
+        assert res.vs == np.inf == p.vs_critical_lem(unfed, 0.5)
+
     def test_domain_checks(self, plant, ramp):
         with pytest.raises(DomainError):
             p.harmonic_balance(plant, 0.0, 100)
@@ -389,3 +404,23 @@ class TestTaylor:
     def test_order_cap(self, plant):
         with pytest.raises(DomainError):
             taylor_pdb_residual(plant, 0.5, 1.0, order=3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda plant, T: p.taylor_critical_vs(plant, 0.3, order=1.5),
+    lambda plant, T: p.taylor_critical_vs(plant, 0.3, order=True),
+    lambda plant, T: p.taylor_critical_vs(plant, 0.3, order=2.0),
+    lambda plant, T: p.harmonic_gains(plant, 2.5),
+    lambda plant, T: p.harmonic_balance(plant, 0.4 * T, 2.5),
+    lambda plant, T: p.equivalence_residual(plant, 0.4 * T, 8.0),
+])
+def test_integer_arguments_must_be_integers(plant, ramp, call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(plant, ramp.T)
+
+
+def test_numpy_integer_arguments_accepted(plant, ramp):
+    assert p.taylor_critical_vs(plant, 0.3, order=np.int64(2)) == p.taylor_critical_vs(
+        plant, 0.3, order=2
+    )
+    assert p.harmonic_balance(plant, 0.4 * ramp.T, np.int32(20)).harmonics == 20

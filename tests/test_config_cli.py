@@ -431,6 +431,20 @@ class TestCliExitCodes:
         assert cli.main(["simulate", cfg, "--quiet", "--cycles", "400",
                          "--x0", "0.5,0"]) == 5
 
+    def test_overflowing_stage_is_domain_error(self, tmp_path, capsys):
+        text = RAW_TEXT.replace("edge = LEM", "edge = TEM")
+        for old, new in (("A1 = -1.0,0.2; 0.0,-2.0", "A1 = 2e6,0; 1,-1"),
+                         ("A2 = -1.0,0.2; 0.0,-2.0", "A2 = 2e6,0; 1,-1"),
+                         ("B1 = 0,0; 0,0", "B1 = 0,1; 0,0"),
+                         ("B2 = 0,1.0; 0,0.5", "B2 = 0,0; 0,0"),
+                         ("C = 1.0,0.4", "C = 0,1"), ("D = 1.0,0.0", "D = 0,0"),
+                         ("T = 1.0", "T = 400e-6"), ("vr = 0.2", "vr = 0"),
+                         ("vs = 0.6", "vs = 1")):
+            assert old in text
+            text = text.replace(old, new)
+        assert cli.main(["steady", _write(tmp_path, text), "--quiet"]) == 2
+        assert "stage exponential overflows" in capsys.readouterr().err
+
     def test_no_orbit_integrating_state(self, tmp_path, capsys):
         # A PI compensator's integrator: degenerate at every d, not saturated.
         assert cli.main(["steady", _write(tmp_path, PI_BUCK_TEXT), "--quiet"]) == 3

@@ -134,10 +134,10 @@ class TestDetectBuckStructure:
             R = rng.uniform(1.0, 100.0)
             edge = p.ModulationEdge.TEM if rng.random() < 0.5 else p.ModulationEdge.LEM
             m = p.preset_vmc_buck(L, Cf, R, rng.uniform(0.5, 10), edge)
-            cols = p.detect_buck_structure(m)
-            assert cols is not None
-            assert np.allclose(cols.vs_column, [1.0 / L, 0.0])
-            assert not cols.vr_column.any()
+            vs_column = p.detect_buck_structure(m)
+            assert vs_column is not None
+            assert np.allclose(vs_column, [1.0 / L, 0.0])
+            assert not m.B1[:, 0].any()
 
     def test_different_dynamics_rejected(self):
         m = p.SwitchedLinearModel(

@@ -106,6 +106,30 @@ class TestMatExp:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kernel", [
+    lambda a: numerics.mat_exp(a, 1.0),
+    lambda a: numerics.mat_exp_stack(a[None])[0],
+])
+def test_overflow_is_non_finite_without_warning(kernel):
+    # e^{800} is past the float range: both kernels report it the same way.
+    got = kernel(np.array([[800.0, 0.0], [1.0, -1.0]]))
+    assert not np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0), "5"])
+def test_check_count_rejects_non_integers(value):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        numerics.check_count("n", value, 0)
+
+
+def test_check_count_accepts_integers():
+    for value in (0, 7, np.int64(7), np.int32(0)):
+        numerics.check_count("n", value, 0)
+    with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+        numerics.check_count("n", np.int64(0), 1)
+
+
 def _rel(got, want):
     return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
 

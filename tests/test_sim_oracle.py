@@ -359,6 +359,18 @@ class TestOracleArguments:
         with pytest.raises(DomainError, match="transient must be >= 0"):
             p.steady_period(buck_tem, ramp, u_tem, ss_tem.x0_start, transient=-5)
 
+    @pytest.mark.parametrize("name, call", [
+        ("scan_points", lambda m, r, u, x0: p.CycleSimulator(m, r, u, scan_points=8.5)),
+        ("scan_points", lambda m, r, u, x0: p.CycleSimulator(m, r, u, scan_points=True)),
+        ("cycles", lambda m, r, u, x0: p.simulate(m, r, u, x0, cycles=2.5)),
+        ("tail", lambda m, r, u, x0: p.steady_period(m, r, u, x0, tail=64.5)),
+        ("transient", lambda m, r, u, x0: p.steady_period(m, r, u, x0, transient=1.5)),
+        ("scan_points", lambda m, r, u, x0: p.fd_jacobian(m, r, u, x0, scan_points=64.0)),
+    ])
+    def test_counts_must_be_integers(self, buck_tem, ramp, u_tem, ss_tem, name, call):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            call(buck_tem, ramp, u_tem, ss_tem.x0_start)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_detect_period_tol(self, tol):
         with pytest.raises(DomainError, match="tol must be positive"):

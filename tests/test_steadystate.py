@@ -414,6 +414,11 @@ class TestSolvePeriodicOrbit:
         with pytest.raises(DomainError, match="tol must be positive and finite"):
             p.solve_periodic_orbit(buck_tem, ramp, u_tem, d_tol=d_tol)
 
+    @pytest.mark.parametrize("grid_points", [2.5, 256.0, True])
+    def test_grid_points_must_be_an_integer(self, buck_tem, ramp, u_tem, grid_points):
+        with pytest.raises(DomainError, match="grid_points must be an integer"):
+            p.solve_periodic_orbit(buck_tem, ramp, u_tem, grid_points=grid_points)
+
     def test_ramp_offset_shift(self):
         # For the constant-output model, d solves vr = h(d): shifting the
         # ramp window and vr together shifts nothing; shifting vr moves d.
@@ -494,3 +499,26 @@ class TestOrbitDerivatives:
 
         assert np.allclose(one_sided(1, -1), ss_tem.xdot_minus, rtol=1e-6)
         assert np.allclose(one_sided(2, +1), ss_tem.xdot_plus, rtol=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingStage:
+    # 2e6 * 400 us = 800 puts e^{A1 d} past the float range for most d: every
+    # orbit builder raises DomainError naming the overflow, warning-free,
+    # and a grid raises as a whole rather than masking points.
+    MODEL = p.SwitchedLinearModel(
+        A1=[[2e6, 0.0], [1.0, -1.0]], A2=[[2e6, 0.0], [1.0, -1.0]],
+        B1=[[0.0, 1.0], [0.0, 0.0]], B2=np.zeros((2, 2)),
+        C=[0.0, 1.0], D=[0.0, 0.0], edge=p.ModulationEdge.TEM,
+    )
+    RAMP = p.RampSignal(0.0, 1.0, 400e-6)
+    U = p.InputVector(0.0, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, r, u: p.orbit_at(m, r, u, 0.9 * r.T),
+        lambda m, r, u: p.solve_periodic_orbit(m, r, u),
+        lambda m, r, u: p.s_plot(m, r, u, -1.0, [0.2, 0.5]),
+    ])
+    def test_raises_domain_error(self, call):
+        with pytest.raises(DomainError, match="stage exponential overflows"):
+            call(self.MODEL, self.RAMP, self.U)
