@@ -64,7 +64,7 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} has non-finite entries")
     return arr
 
@@ -223,17 +223,18 @@ def solve_linear(m, b) -> np.ndarray:
         raise DimensionError(
             f"b has length {vec.shape[0]}, expected {arr.shape[0]}"
         )
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise DomainError("b has non-finite entries")
-    scale = np.linalg.norm(arr, np.inf)
+    # ||M||_inf, as np.linalg.norm(M, np.inf) computes it.
+    scale = np.abs(arr).sum(axis=1).max()
     if scale == 0.0:
         raise SingularMatrixError("matrix is identically zero")
     getrf, getrs = _lu_routines(arr.dtype, vec.dtype)
     lu, piv, _ = getrf(arr)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= SINGULAR_PIVOT_RTOL * scale:
+    pivot = np.abs(lu.diagonal()).min()
+    if pivot <= SINGULAR_PIVOT_RTOL * scale:
         raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below threshold "
+            f"pivot {pivot:.3e} below threshold "
             f"{SINGULAR_PIVOT_RTOL * scale:.3e}"
         )
     return getrs(lu, piv, vec)[0]

@@ -3,30 +3,34 @@
 Within each stage the dynamics are linear, so states are propagated with
 matrix exponentials of the augmented (state, constant-input) system
 ``G = [[A, B u], [0, 0]]``; the only numerical content is locating the
-comparator event ``h(t) = y(t)``.  Stage S1 is exponentiated once per
-simulator, on a fixed scan grid ``t_j = j h`` (``numerics.mat_exp_stack``,
-the kernel the orbit solver's scan also uses).  A cycle scans the event
-function on that grid, then refines the first hit inside its scan step
-without another exponential: the stage-1 response from the step's start
-state ``z`` is the truncated Taylor series ``sum_k (G tau)^k / k! z``, with
-the step split into ``2^s`` sub-steps so that ``||G tau||_1 <= 1`` and ``K``
-terms chosen so the first dropped term is below ``2^-53`` (the truncation
-bound of Al-Mohy & Higham 2009).  ``numerics.find_root`` refines the event
-on the scalar series (returning the bracket end nearest zero when the
-series sees no sign change over the bracket, as the orbit solver does),
-and the switch state comes from the same series.  Stage S2 is one
-``scipy.linalg.expm`` per switching cycle.  Event times agree with
-per-evaluation exponentials to ~1e-13 of a period.
+comparator event ``h(t) = y(t)``.  A simulator takes two matrix
+exponentials, one step exponential ``e^{G_i h}`` per stage
+(``numerics.mat_exp``, i.e. ``scipy.linalg.expm``), and a cycle takes
+none.  Each stage's exponentials on the scan grid ``t_j = j h`` are the
+powers of its step exponential.  Inside a scan step each stage is the
+truncated Taylor series ``sum_k (G tau)^k / k! z``, with the step split
+into ``2^s`` sub-steps so that ``||G tau||_1 <= 1`` and ``K`` terms chosen
+so the first dropped term is below ``2^-53`` (the truncation bound of
+Al-Mohy & Higham 2009).  A cycle scans the event function on the grid
+from stage S1's powers, then refines the first hit inside its scan step:
+``numerics.find_root`` refines the event on the scalar stage-1 series
+(returning the bracket end nearest zero when the series sees no sign
+change over the bracket, as the orbit solver does), and the switch state
+comes from the same series.  Stage S2 runs from the event to the next
+grid point by its own series, then to the clock edge by one of its
+powers.  Event times agree with per-evaluation exponentials to ~1e-13 of
+a period.
 
 The oracle shares the model's augmented generator layout
-(``model.stage_generators``), ``numerics.mat_exp_stack`` and
+(``model.stage_generators``), ``numerics.mat_exp`` and
 ``numerics.find_root`` with the orbit solver, and none of the orbit code.
-Its independence therefore rests on the mpmath and scipy reference tests
-of ``mat_exp_stack``, on the test that pins ``find_root`` to scipy's
-``brentq`` (same roots from the same evaluations), and on the test that
-replays every cycle against a reference cycle taking one
-``scipy.linalg.expm`` per evaluation; on that footing the simulation
-validates the closed-form machinery to the 1e-6 level.
+Its independence therefore rests on scipy's ``expm`` for the two step
+exponentials, on the ``2^-53`` truncation bound of the series, on the test
+that pins ``find_root`` to scipy's ``brentq`` (same roots from the same
+evaluations), and on the test that replays every cycle against a
+reference cycle taking one ``scipy.linalg.expm`` per evaluation; on that
+footing the simulation validates the closed-form machinery to the 1e-6
+level.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next
@@ -41,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numerics
 from .errors import (
@@ -73,13 +76,71 @@ class Trajectory:
     cycles: tuple[CycleRecord, ...]
 
 
+class _Stage:
+    """Exponentials of one augmented stage generator ``G`` for a uniform
+    scan grid of step ``h``, from one Pade exponential ``e^{G h}``.
+
+    ``grid[j] = e^{G j h}`` for ``j = 0..points`` are the powers of
+    ``e^{G h}`` (``numerics.mat_exp``), built by doubling.  ``powers[k] =
+    (G tau)^k / k!`` for ``k = 0..K`` are the Taylor terms of one sub-step
+    ``tau = h / substeps``: ``substeps = 2^s`` with ``s`` the smallest
+    integer giving ``||G tau||_1 <= 1``, and ``K`` the smallest order whose
+    first dropped term ``||G tau||^(K+1) / (K+1)!`` is below ``2^-53``.
+    ``step = e^{G tau}`` is their sum, to the same bound.
+    """
+
+    def __init__(self, gen: np.ndarray, h: float, points: int):
+        step = numerics.mat_exp(gen, h)
+        grid = np.eye(len(gen))[None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # An overflowing power is reported as non-finite entries, as by
+            # mat_exp; the cycle that reads it raises DivergenceError.
+            while len(grid) <= points:
+                grid = np.concatenate(
+                    (grid, grid[: points + 1 - len(grid)] @ (grid[-1] @ step))
+                )
+        self.grid = grid
+
+        norm = float(np.abs(gen).sum(axis=0).max())
+        frac, s = math.frexp(norm * h)
+        s = max(s - (frac == 0.5), 0)
+        self.substeps = 2 ** s
+        self.tau = h / self.substeps
+        rho = norm * self.tau
+        order, term = 0, rho
+        while term > 2.0 ** -53:
+            order += 1
+            term *= rho / (order + 1)
+        powers = [np.eye(len(gen))]
+        for k in range(1, order + 1):
+            powers.append(powers[-1] @ gen * (self.tau / k))
+        self.powers = np.stack(powers)
+        self.orders = np.arange(order + 1)
+        self.step = self.powers.sum(axis=0)
+
+    def series(self, z: np.ndarray, v: float) -> np.ndarray:
+        """``e^{G v tau} z`` by the truncated series, for ``0 <= v <= 1``."""
+        return v ** self.orders @ (self.powers @ z)
+
+    def advance(self, z: np.ndarray, r: float) -> np.ndarray:
+        """``e^{G r} z`` for ``0 <= r <= h``: whole sub-steps of ``e^{G tau}``,
+        then the series over the rest."""
+        v = r / self.tau
+        q = int(v)
+        for _ in range(q):
+            z = self.step @ z
+        return self.series(z, v - q)
+
+
 class CycleSimulator:
     """Propagates one converter cycle exactly; reusable across many cycles.
 
-    Builds the stage-1 exponentials on a fixed scan grid and the Taylor
-    terms of one scan step once, so repeated cycles cost a few
-    matrix-vector products, a scalar event refinement and one stage-2
-    exponential.
+    Takes two matrix exponentials when built, one step exponential per
+    stage, and from their powers and the Taylor terms of one sub-step
+    builds both stages on a fixed scan grid.  A cycle then takes no
+    exponential: it costs a few matrix-vector products, a scalar event
+    refinement and the stage-2 series from the event to the next grid
+    point.
     """
 
     def __init__(
@@ -99,37 +160,19 @@ class CycleSimulator:
         self._du = float(model.D @ u.as_array())
         self._aug1, self._aug2 = stage_generators(model, u)
 
-        # Stage S1 on the scan grid: z(t_j) = stage1[j] @ [x_in; 1], and
-        # y(t_j) = rows @ x_in + offset.
-        self._grid = np.linspace(0.0, ramp.T, scan_points + 1)
-        self._stage1 = numerics.mat_exp_stack(self._aug1 * self._grid[:, None, None])
-        self._y_rows = model.C @ self._stage1[:, :n, :n]
-        self._y_offsets = self._stage1[:, :n, n] @ model.C + self._du
-        self._h_grid = ramp.Vl + ramp.slope * self._grid
-
-        # Taylor terms of one sub-step tau = h / 2^s, with s the smallest
-        # integer giving ||G1 tau||_1 <= 1 and K the smallest order whose
-        # first dropped term ||G1 tau||^(K+1) / (K+1)! is below 2^-53.
+        # Both stages on the scan grid t_j = j h.  Stage S1 gives the event
+        # function there, z(t_j) = stage1.grid[j] @ [x_in; 1] and
+        # y(t_j) = rows @ x_in + offset, and its Taylor rows [C, 0] powers[k]
+        # give y inside a step.
         h = ramp.T / scan_points
-        norm = float(np.abs(self._aug1).sum(axis=0).max())
-        frac, s = math.frexp(norm * h)
-        s = max(s - (frac == 0.5), 0)
-        self._substeps = 2 ** s
-        self._tau = h / self._substeps
-        rho = norm * self._tau
-        order, term = 0, rho
-        while term > 2.0 ** -53:
-            order += 1
-            term *= rho / (order + 1)
-        # powers[k] = (G1 tau)^k / k!, rows[k] = [C, 0] powers[k], and their
-        # sum is e^{G1 tau} to the same bound.
-        powers = [np.eye(n + 1)]
-        for k in range(1, order + 1):
-            powers.append(powers[-1] @ self._aug1 * (self._tau / k))
-        self._taylor_powers = np.stack(powers)
-        self._taylor_rows = model.C @ self._taylor_powers[:, :n, :]
-        self._taylor_orders = np.arange(order + 1)
-        self._tau_exp = self._taylor_powers.sum(axis=0)
+        self._stage1 = _Stage(self._aug1, h, scan_points)
+        self._stage2 = _Stage(self._aug2, h, scan_points)
+        grid1 = self._stage1.grid
+        self._grid = np.linspace(0.0, ramp.T, scan_points + 1)
+        self._y_rows = model.C @ grid1[:, :n, :n]
+        self._y_offsets = grid1[:, :n, n] @ model.C + self._du
+        self._h_grid = ramp.Vl + ramp.slope * self._grid
+        self._taylor_rows = model.C @ self._stage1.powers[:, :n, :]
 
     def cycle(self, x_in) -> CycleRecord:
         """Run one clock period starting from ``x_in`` at the clock edge."""
@@ -137,40 +180,44 @@ class CycleSimulator:
         n = self.model.n
         if x.shape != (n,):
             raise DomainError(f"state must have shape ({n},)")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DivergenceError("state is not finite")
         z = np.concatenate((x, (1.0,)))
+        stage1, stage2 = self._stage1, self._stage2
 
         with np.errstate(over="ignore", invalid="ignore"):
             # Overflow here is the divergence the checks below report.
             # Event function e(t) = h(t) - y(t) on the scan grid.
             e = self._h_grid - (self._y_rows @ x + self._y_offsets)
-            if not np.all(np.isfinite(e)):
+            if not np.isfinite(e).all():
                 raise DivergenceError("compensator output overflowed during the cycle")
             hits = np.flatnonzero(e >= 0.0)
             if not hits.size:
                 # No trigger this cycle: stay in S1 throughout.
-                return CycleRecord(None, None, self._finish((self._stage1[-1] @ z)[:n]))
+                return CycleRecord(None, None, self._finish((stage1.grid[-1] @ z)[:n]))
             # A hit at index 0 (trigger at the clock edge) or a grid zero is
-            # the event.
+            # the event.  A refined event d first runs S2 over t_i - d to the
+            # grid point; from there S2 is on the grid.
             i = hits[0]
             if i > 0 and e[i] > 0.0:
-                d, x_switch = self._refine(i, self._stage1[i - 1] @ z)
+                d, z_switch = self._refine(i, stage1.grid[i - 1] @ z)
+                z_grid = stage2.advance(z_switch, self._grid[i] - d)
             else:
-                d, x_switch = float(self._grid[i]), (self._stage1[i] @ z)[:n]
-            m = scipy.linalg.expm(self._aug2 * (self.ramp.T - d))
-            x_end = m[:n, :n] @ x_switch + m[:n, n]
-        return CycleRecord(d, x_switch, self._finish(x_end))
+                d = float(self._grid[i])
+                z_switch = z_grid = stage1.grid[i] @ z
+            x_end = (stage2.grid[self.scan_points - i] @ z_grid)[:n]
+        return CycleRecord(d, z_switch[:n], self._finish(x_end))
 
     def _refine(self, i: int, z: np.ndarray) -> tuple[float, np.ndarray]:
-        """Event time and switch state inside scan step ``i``, from the
-        augmented state ``z`` at its start, by the stage-1 Taylor series."""
-        ramp, n, du, tau = self.ramp, self.model.n, self._du, self._tau
+        """Event time and augmented switch state inside scan step ``i``, from
+        the augmented state ``z`` at its start, by the stage-1 Taylor series."""
+        ramp, n, du, stage1 = self.ramp, self.model.n, self._du, self._stage1
+        tau = stage1.tau
         start = lo = float(self._grid[i - 1])
         hi = float(self._grid[i])
         # The first sub-step that ends with e >= 0, or the last one.
-        for j in range(1, self._substeps):
-            z_next = self._tau_exp @ z
+        for j in range(1, stage1.substeps):
+            z_next = stage1.step @ z
             t = start + j * tau
             if ramp.Vl + ramp.slope * t - (self.model.C @ z_next[:n] + du) >= 0.0:
                 hi = t
@@ -187,11 +234,10 @@ class CycleSimulator:
             return ramp.Vl + ramp.slope * t - (y + du)
 
         d = numerics.find_root(event, lo, hi, 1e-13 * ramp.T)
-        weights = ((d - lo) / tau) ** self._taylor_orders
-        return d, weights @ (self._taylor_powers[:, :n] @ z)
+        return d, stage1.series(z, (d - lo) / tau)
 
     def _finish(self, x_end: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(x_end)):
+        if not np.isfinite(x_end).all():
             raise DivergenceError("state diverged during the cycle")
         return x_end
 

@@ -111,7 +111,8 @@ class TestSimulateCycle:
 
 class TestScanGrid:
     def test_rows_match_per_point_expm(self, model_cases):
-        # The stacked scan-grid responses against one scipy expm per point.
+        # The scan-grid responses and both stages' power stacks against one
+        # scipy expm per point.
         for model, rmp, u in model_cases:
             sim = p.CycleSimulator(model, rmp, u, scan_points=64)
             n = model.n
@@ -123,6 +124,11 @@ class TestScanGrid:
                 assert np.linalg.norm(row - want_row) <= 1e-12 * np.linalg.norm(want_row)
                 assert abs(off - want_off) <= 1e-12 * max(abs(want_off), 1.0)
             assert np.array_equal(sim._y_rows[0], model.C)
+            for stage, aug in ((sim._stage1, sim._aug1), (sim._stage2, sim._aug2)):
+                assert np.array_equal(stage.grid[0], np.eye(n + 1))
+                for t, got in zip(sim._grid, stage.grid):
+                    want = scipy.linalg.expm(aug * t)
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def reference_cycle(sim, x):
@@ -154,13 +160,25 @@ def reference_cycle(sim, x):
     return d, x_switch, propagate(sim._aug2, x_switch, T - d)
 
 
+_FAST = dict(A=[[-0.5, 40.0], [-40.0, -0.5]], B=[[0.0, 0.0], [0.0, 4.0]])
+_SLOW = dict(A=[[-2.0, 0.5], [0.0, -1.5]], B=[[0.0, 0.0], [0.0, -1.0]])
+
+
 def _fast_pole_model():
     # Stage S1 rings at 40 rad/s (poles -0.5 +- 40j) through the whole unit
     # cycle: at scan_points = 8 one scan step spans ||G1 h||_1 = 5.1, so the
     # refinement walks 2^3 sub-steps of a mode that is still excited.
     return p.SwitchedLinearModel(
-        A1=[[-0.5, 40.0], [-40.0, -0.5]], A2=[[-2.0, 0.5], [0.0, -1.5]],
-        B1=[[0.0, 0.0], [0.0, 4.0]], B2=[[0.0, 0.0], [0.0, -1.0]],
+        A1=_FAST["A"], A2=_SLOW["A"], B1=_FAST["B"], B2=_SLOW["B"],
+        C=[0.4, 0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
+    ), p.InputVector(0.3, 1.0)
+
+
+def _fast_stage2_model():
+    # The mirror of _fast_pole_model: stage S2 rings at 40 rad/s, so the
+    # run from a refined event to the next grid point walks 2^3 sub-steps.
+    return p.SwitchedLinearModel(
+        A1=_SLOW["A"], A2=_FAST["A"], B1=_SLOW["B"], B2=_FAST["B"],
         C=[0.4, 0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
     ), p.InputVector(0.3, 1.0)
 
@@ -208,27 +226,44 @@ class TestReferenceCycle:
     def test_fast_pole_walks_sub_steps(self):
         model, u = _fast_pole_model()
         sim = p.CycleSimulator(model, UNIT_RAMP, u, scan_points=8)
-        assert sim._substeps >= 8
+        assert sim._stage1.substeps >= 8
         h = UNIT_RAMP.T / 8
         sub_steps = set()
         for a in np.linspace(-1.0, 1.0, 5):
             for b in np.linspace(-1.0, 1.0, 5):
                 rec = self._agree(sim, np.array([a, b]))
                 if rec.d_event is not None and rec.d_event not in sim._grid:
-                    sub_steps.add(int(rec.d_event % h / sim._tau))
+                    sub_steps.add(int(rec.d_event % h / sim._stage1.tau))
+        assert len(sub_steps) >= 6
+
+    def test_fast_stage2_walks_sub_steps(self):
+        # Stage S2 runs from a refined event d in scan step i over the
+        # remainder r = t_i - d by whole sub-steps and the series.
+        model, u = _fast_stage2_model()
+        sim = p.CycleSimulator(model, UNIT_RAMP, u, scan_points=8)
+        assert sim._stage2.substeps >= 8
+        sub_steps = set()
+        for a in np.linspace(-1.0, 1.0, 7):
+            for b in np.linspace(-1.0, 1.0, 5):
+                rec = self._agree(sim, np.array([a, b]))
+                if rec.d_event is not None and rec.d_event not in sim._grid:
+                    i = np.searchsorted(sim._grid, rec.d_event)
+                    sub_steps.add(int((sim._grid[i] - rec.d_event) / sim._stage2.tau))
         assert len(sub_steps) >= 6
 
     def test_truncation_order_is_the_smallest_that_meets_the_bound(self, model_cases):
-        model, u = _fast_pole_model()
-        cases = model_cases + [(model, UNIT_RAMP, u)]
+        cases = model_cases + [
+            (model, UNIT_RAMP, u) for model, u in (_fast_pole_model(), _fast_stage2_model())
+        ]
         for model, rmp, u in cases:
             for sp in (8, 512):
                 sim = p.CycleSimulator(model, rmp, u, scan_points=sp)
-                rho = np.abs(sim._aug1).sum(axis=0).max() * sim._tau
-                assert rho <= 1.0 and (sim._substeps == 1 or 2.0 * rho > 1.0)
-                k = sim._taylor_orders[-1]
-                assert rho ** (k + 1) / math.factorial(k + 1) <= 2.0 ** -53
-                assert k == 0 or rho ** k / math.factorial(k) > 2.0 ** -53
+                for stage, aug in ((sim._stage1, sim._aug1), (sim._stage2, sim._aug2)):
+                    rho = np.abs(aug).sum(axis=0).max() * stage.tau
+                    assert rho <= 1.0 and (stage.substeps == 1 or 2.0 * rho > 1.0)
+                    k = stage.orders[-1]
+                    assert rho ** (k + 1) / math.factorial(k + 1) <= 2.0 ** -53
+                    assert k == 0 or rho ** k / math.factorial(k) > 2.0 ** -53
 
 
 class TestCycleWork:
@@ -244,17 +279,26 @@ class TestCycleWork:
         monkeypatch.setattr(scipy.linalg, "expm", counted)
         return calls
 
-    def test_one_exponential_per_switching_cycle(self, buck_tem, ramp, u_tem, ss_tem,
-                                                 expm_calls):
-        sim = p.CycleSimulator(buck_tem, ramp, u_tem)
+    def test_two_exponentials_per_simulator(self, buck_tem, ramp, u_tem, expm_calls):
+        # One step exponential e^{G_i h} per stage, of the augmented size.
+        p.CycleSimulator(buck_tem, ramp, u_tem)
+        n = buck_tem.n
+        assert expm_calls == [(n + 1, n + 1)] * 2
+
+    def test_no_exponential_per_switching_cycle(self, buck_tem, ramp, u_tem, ss_tem,
+                                                expm_calls):
+        # A trigger refined inside a scan step, and one at the clock edge.
+        mid, edge = [p.CycleSimulator(buck_tem, ramp, u)
+                     for u in (u_tem, p.InputVector(0.0, 20.0))]
+        expm_calls.clear()
+        d = mid.cycle(ss_tem.x0_start).d_event
+        assert 0.0 < d < ramp.T and d not in mid._grid
+        assert edge.cycle(ss_tem.x0_start).d_event == 0.0
         assert expm_calls == []
-        for k in range(1, 4):
-            rec = sim.cycle(ss_tem.x0_start)
-            assert 0.0 < rec.d_event < ramp.T
-            assert len(expm_calls) == k
 
     def test_no_exponential_without_a_trigger(self, buck_tem, ramp, ss_tem, expm_calls):
         sim = p.CycleSimulator(buck_tem, ramp, p.InputVector(30.0, 20.0))
+        expm_calls.clear()
         assert sim.cycle(ss_tem.x0_start).d_event is None
         assert expm_calls == []
 
