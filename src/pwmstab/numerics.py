@@ -27,8 +27,12 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
   relies on that signal (e.g. "lambda is an eigenvalue of the open-loop
   map").  ``solve_linear_stack`` applies the same threshold to every
   slice of a stack and reports it in a mask instead of raising.
+* ``newton_root`` refines a bracket whose end values are already known by
+  Newton steps on a caller-supplied slope, bisecting where a step would
+  leave the bracket; the orbit solver refines its switching time with it.
 * ``find_root`` refines a bracket by Brent-Dekker, ported from scipy's
-  ``brentq``, or returns its end nearest zero.
+  ``brentq``, or returns its end nearest zero; the simulator refines its
+  comparator event with it.
 
 All functions are pure; they can be called concurrently from sweep workers.
 """
@@ -57,6 +61,9 @@ SINGULAR_PIVOT_RTOL = 1e-14
 #: iteration budget, scipy's defaults.
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
+
+#: Evaluation budget of ``newton_root``, Brent's.
+_NEWTON_MAXITER = _BRENT_MAXITER
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -298,6 +305,63 @@ def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
     return x, ok
 
 
+def _check_bracket(lo: float, hi: float, tol: float) -> None:
+    # The arguments both root finders refuse.
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"invalid bracket [{lo}, {hi}]")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+
+
+def _checked(x: float, fx) -> float:
+    # f(x) as a float; NaN ends either root finder.
+    fx = float(fx)
+    if math.isnan(fx):
+        raise DivergenceError(f"f({x:.6g}) is NaN")
+    return fx
+
+
+def newton_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
+    """Root of ``f`` inside the bracket ``[lo, hi]`` by bracketed Newton.
+
+    ``f(x)`` returns the value and the slope at ``x``; ``flo`` and ``fhi``
+    are the values at the ends, already known and of opposite signs, so
+    the ends are not evaluated again.  The first iterate is the
+    regula-falsi point of the ends, or the end it lies within ``tol`` of.
+    Every value narrows the bracket by its sign; the next iterate is the
+    Newton step, or the midpoint where that step would not land strictly
+    inside the bracket or the slope is zero.  The last iterate is returned
+    once its value is zero, its Newton step is at most ``tol`` long, or the
+    bracket is at most ``tol`` wide.  A NaN value raises
+    :class:`DivergenceError`, a budget of 100 evaluations spent
+    :class:`NoConvergenceError`.  The result never leaves ``[lo, hi]``.
+    """
+    _check_bracket(lo, hi, tol)
+    flo, fhi = float(flo), float(fhi)
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        raise DomainError(f"no sign change over [{lo}, {hi}]: f = {flo}, {fhi}")
+    # flo / (flo - fhi) lies in [0, 1]; the end tests also clamp rounding.
+    x = lo + (hi - lo) * (flo / (flo - fhi))
+    if x - lo <= tol:
+        x = lo
+    elif hi - x <= tol:
+        x = hi
+    for _ in range(_NEWTON_MAXITER):
+        fx, slope = f(x)
+        fx, slope = _checked(x, fx), float(slope)
+        if fx == 0.0 or abs(fx) <= tol * abs(slope):
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= tol:
+            return x
+        step = x - fx / slope if slope else math.nan
+        x = step if lo < step < hi else lo + (hi - lo) / 2
+    raise NoConvergenceError(f"Newton did not converge in [{lo:.6g}, {hi:.6g}]")
+
+
 def find_root(f, lo: float, hi: float, tol: float) -> float:
     """Root of ``f`` inside the bracket ``[lo, hi]`` (Brent's method).
 
@@ -311,16 +375,10 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
     ``xtol = tol`` and ``rtol = 4 eps``: the same points are evaluated and
     the same float is returned.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    _check_bracket(lo, hi, tol)
 
     def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise DivergenceError(f"f({x:.6g}) is NaN")
-        return fx
+        return _checked(x, f(x))
 
     fpre, fcur = value(lo), value(hi)
     if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):

@@ -15,22 +15,22 @@ Al-Mohy & Higham 2009).  A cycle scans the event function on the grid
 from stage S1's powers, then refines the first hit inside its scan step:
 ``numerics.find_root`` refines the event on the scalar stage-1 series
 (returning the bracket end nearest zero when the series sees no sign
-change over the bracket, as the orbit solver does), and the switch state
-comes from the same series.  Stage S2 runs from the event to the next
-grid point by its own series, then to the clock edge by one of its
-powers.  Event times agree with per-evaluation exponentials to ~1e-13 of
-a period.
+change over the bracket), and the switch state comes from the same
+series.  Stage S2 runs from the event to the next grid point by its own
+series, then to the clock edge by one of its powers.  Event times agree
+with per-evaluation exponentials to ~1e-13 of a period.
 
 The oracle shares the model's augmented generator layout
-(``model.stage_generators``), ``numerics.mat_exp`` and
-``numerics.find_root`` with the orbit solver, and none of the orbit code.
-Its independence therefore rests on scipy's ``expm`` for the two step
-exponentials, on the ``2^-53`` truncation bound of the series, on the test
-that pins ``find_root`` to scipy's ``brentq`` (same roots from the same
-evaluations), and on the test that replays every cycle against a
-reference cycle taking one ``scipy.linalg.expm`` per evaluation; on that
-footing the simulation validates the closed-form machinery to the 1e-6
-level.
+(``model.stage_generators``) and ``numerics.mat_exp`` with the orbit
+solver, and none of the orbit code.  It does not share its root finder
+either: the solver refines by Newton steps on the exact slope of its
+residual (``numerics.newton_root``).  The oracle's independence therefore
+rests on scipy's ``expm`` for the two step exponentials, on the ``2^-53``
+truncation bound of the series, on the test that pins ``find_root`` to
+scipy's ``brentq`` (same roots from the same evaluations), and on the test
+that replays every cycle against a reference cycle taking one
+``scipy.linalg.expm`` per evaluation; on that footing the simulation
+validates the closed-form machinery to the 1e-6 level.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next

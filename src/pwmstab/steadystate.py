@@ -5,7 +5,8 @@ state through stage S1 for ``d`` seconds, through stage S2 for ``T - d``,
 returning to the starting state, and the compensator output meeting the
 ramp at the switching instant.  For a candidate ``d`` the first two are a
 linear boundary-value problem solved in closed form with matrix
-exponentials; the third is a scalar root-finding problem in ``d``.
+exponentials; the third is a scalar root-finding problem in ``d``, solved
+by Newton steps on the exact slope of its residual.
 """
 
 from __future__ import annotations
@@ -158,10 +159,27 @@ def orbit_grid(
     if not np.all((d >= 0.0) & (d <= ramp.T)):
         raise DomainError(f"switching times must lie in [0, {ramp.T}]")
     g1, g2 = stage_generators(model, u)
-    e1 = numerics.mat_exp_stack(g1 * d[:, None, None])
-    e2 = numerics.mat_exp_stack(g2 * (ramp.T - d)[:, None, None])
+    # One stacked pass for both stages: the kernel's cost barely grows with
+    # the stack, and every slice is exponentiated on its own.
+    e = numerics.mat_exp_stack(
+        np.concatenate([g1 * d[:, None, None], g2 * (ramp.T - d)[:, None, None]])
+    )
+    e1, e2 = e[: d.size], e[d.size:]
     x0_start, ok = numerics.solve_linear_stack(*_cycle_system(e1, e2))
     return _orbit_point(model, ramp, u, d, e1, e2, x0_start), ok
+
+
+def _switching_slope(
+    model: SwitchedLinearModel, ramp: RampSignal, ss: SteadyState
+) -> float:
+    # d/dd of the switching residual y_switch(d) - h(d) at an orbit point:
+    # C xdot(d-) - hdot + C m1 (I - m2 m1)^{-1} m2 (xdot(d-) - xdot(d+)),
+    # the saddle-node residual of pwmstab.stability.  The matrix is the one
+    # orbit_at just factored, so the solve cannot find it singular.
+    dx0 = numerics.solve_linear(
+        np.eye(model.n) - ss.m2 @ ss.m1, ss.m2 @ (ss.xdot_minus - ss.xdot_plus)
+    )
+    return float(model.C @ (ss.xdot_minus + ss.m1 @ dx0)) - ramp.slope
 
 
 def solve_periodic_orbit(
@@ -178,10 +196,17 @@ def solve_periodic_orbit(
     candidates; they are walked in cycle order and the first one that
     refines to a non-degenerate orbit wins (first crossing in the cycle,
     matching comparator latch behavior).  ``candidates`` on the result
-    reports how many candidates the scan saw.
+    reports how many candidates the scan saw.  A bracket is refined by
+    :func:`numerics.newton_root` from the scan's values at its ends, with
+    the exact slope of the residual (the saddle-node left side minus the
+    ramp slope) from the orbit point each step builds; the result is the
+    point of the last step, whose Newton step, or bracket, is at most
+    ``d_tol`` (default ``1e-12 T``) long.
 
     Raises
     ------
+    DomainError
+        ``d_tol`` is not positive and finite.
     NoSwitchingError
         No sign change anywhere: the converter never switches in steady
         state (duty saturated at 0 or 1).
@@ -193,6 +218,8 @@ def solve_periodic_orbit(
     numerics.check_count("grid_points", grid_points, 2)
     if d_tol is None:
         d_tol = 1e-12 * T
+    if not 0.0 < d_tol < np.inf:
+        raise DomainError(f"d_tol must be positive and finite, got {d_tol}")
     grid = np.linspace(0.0, T, grid_points + 2)[1:-1]
 
     # Degenerate grid points come back NaN and take part in no bracket.
@@ -217,19 +244,22 @@ def solve_periodic_orbit(
             "the converter never switches in steady state"
         )
 
-    # Every orbit point the refinement builds is kept; find_root returns
+    # Every orbit point the refinement builds is kept; newton_root returns
     # one of the points it evaluated, so the root's point is among them.
     points = {}
 
     def residual(t):
         ss = points[t] = orbit_at(model, ramp, u, t)
-        return ss.y_switch - float(ramp_value(ramp, t))
+        r = ss.y_switch - float(ramp_value(ramp, t))
+        return r, _switching_slope(model, ramp, ss)
 
     for lo, hi in zip(los, his):
         if lo == hi:
             return replace(orbit_at(model, ramp, u, grid[lo]), candidates=len(los))
         try:
-            d = numerics.find_root(residual, grid[lo], grid[hi], d_tol)
+            d = numerics.newton_root(
+                residual, grid[lo], grid[hi], values[lo], values[hi], d_tol
+            )
         except DegenerateOrbitError:
             continue
         return replace(points[d], candidates=len(los))

@@ -508,6 +508,74 @@ class TestFindRoot:
             assert f(a) * f(b) <= 0.0
 
 
+class TestNewtonRoot:
+    @staticmethod
+    def _newton(f, df, lo, hi, tol):
+        calls = []
+        root = numerics.newton_root(
+            lambda x: calls.append(x) or (f(x), df(x)), lo, hi, f(lo), f(hi), tol
+        )
+        return root, calls
+
+    def test_sqrt2_from_the_regula_falsi_point(self):
+        root, calls = self._newton(lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0, 1e-14)
+        assert root == pytest.approx(math.sqrt(2), abs=1e-14)
+        # Regula falsi of (0, -2) and (2, 2); the known ends are not evaluated.
+        assert calls[0] == 1.0
+        assert 0.0 not in calls and 2.0 not in calls
+        assert len(calls) <= 6
+
+    def test_start_within_tol_of_an_end_takes_the_end(self):
+        one = lambda x: 1.0  # noqa: E731
+        assert self._newton(lambda x: x - 1e-13, one, 0.0, 1.0, 1e-12) == (0.0, [0.0])
+        hi = 1.0 - 1e-13
+        assert self._newton(lambda x: x - hi, one, 0.0, 1.0, 1e-12) == (1.0, [1.0])
+
+    @pytest.mark.parametrize("first_slope", [0.0, -1.0])
+    def test_zero_slope_or_step_out_of_bracket_bisects(self, first_slope):
+        # At the start x = 0.2 (regula falsi of (0, -0.2), (1, 0.8)) the slope
+        # is zero, or sends the step below the bracket: the next iterate is
+        # the midpoint of [0.2, 1], and Newton then converges.
+        slopes = iter([first_slope])
+        root, calls = self._newton(
+            lambda x: x**3 - 0.2, lambda x: next(slopes, 3.0 * x * x), 0.0, 1.0, 1e-14
+        )
+        assert calls[:2] == [0.2, 0.2 + (1.0 - 0.2) / 2]
+        assert root == pytest.approx(0.2 ** (1 / 3), abs=1e-14)
+
+    def test_bisection_alone_converges_to_tol(self):
+        root, calls = self._newton(lambda x: x**3 - 0.2, lambda x: 0.0, 0.0, 1.0, 1e-10)
+        assert abs(root - 0.2 ** (1 / 3)) <= 1e-10
+        assert len(calls) <= 36
+
+    def test_nan_raises_divergence(self):
+        with pytest.raises(DivergenceError):
+            numerics.newton_root(lambda x: (math.nan, 1.0), 0.0, 1.0, -1.0, 1.0, 1e-12)
+
+    def test_exhausted_budget_raises_no_convergence(self):
+        # x * x == 2 holds at no float, and a tol below the float spacing
+        # cannot end the bisection: 100 evaluations, then the error.
+        calls = []
+        with pytest.raises(NoConvergenceError):
+            numerics.newton_root(
+                lambda x: calls.append(x) or (x * x - 2.0, 0.0), 0.0, 2.0, -2.0, 2.0, 1e-300
+            )
+        assert len(calls) == 100
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            numerics.newton_root(lambda x: (x - 0.3, 1.0), 0.0, 1.0, -0.3, 0.7, tol)
+
+    @pytest.mark.parametrize("lo, hi, flo, fhi", [
+        (1.0, 0.0, -0.3, 0.7), (0.0, math.inf, -0.3, 0.7),
+        (0.0, 1.0, 0.3, 0.7), (0.0, 1.0, 0.0, 0.7), (0.0, 1.0, math.nan, 0.7),
+    ])
+    def test_bracket_must_hold_a_sign_change(self, lo, hi, flo, fhi):
+        with pytest.raises(DomainError):
+            numerics.newton_root(lambda x: (x - 0.3, 1.0), lo, hi, flo, fhi, 1e-12)
+
+
 class TestFindRootMatchesBrentq:
     # find_root is a port of scipy's brentq (xtol = tol, rtol = 4 eps, 100
     # iterations): same root, bit for bit, from the same evaluations.

@@ -12,7 +12,9 @@ from pwmstab import numerics, steadystate
 from pwmstab.errors import (
     DegenerateOrbitError,
     DimensionError,
+    DivergenceError,
     DomainError,
+    NoConvergenceError,
     NoSwitchingError,
 )
 from conftest import UNIT_RAMP, find_fixed_point, mat_exp_integral, switching_residual
@@ -153,8 +155,9 @@ class TestBatchedScan:
         # The scan sees a crossing just after grid[i] (residual +1 ulp there,
         # negative at grid[i + 1]), while the refinement's residual at
         # grid[i] is a few ulps lower, as the two evaluation orders can
-        # make it.  Brent then finds no sign change over the bracket; the
-        # solver takes the bracket edge the scan found nearest zero.
+        # make it.  The regula-falsi start lies within d_tol of grid[i], so
+        # the refinement evaluates that edge and stops there: its Newton
+        # step is a few ulps long.
         m = _const_y_model()
         grid = np.linspace(0.0, 1.0, 66)[1:-1]
         vr = float(np.nextafter(grid[20], 1.0))
@@ -205,34 +208,39 @@ class TestOrderedCandidates:
         points, _ = steadystate.orbit_grid(model, ramp, u, grid)
         values = points.y_switch - p.ramp_value(ramp, grid)
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+
+        def point(d):
+            ss = steadystate.orbit_at(model, ramp, u, d)
+            return (switching_residual(model, ramp, u, d),
+                    steadystate._switching_slope(model, ramp, ss))
+
         roots = [
-            numerics.find_root(
-                lambda d: switching_residual(model, ramp, u, d),
-                grid[i], grid[i + 1], 1e-12 * ramp.T,
+            numerics.newton_root(
+                point, grid[i], grid[i + 1], values[i], values[i + 1], 1e-12 * ramp.T,
             )
             for i in brackets
         ]
         assert len(roots) == 2 and roots[0] < roots[1]
         return model, ramp, u, solver, grid[brackets], roots
 
-    def _patch_find_root(self, monkeypatch, degenerate_at=()):
+    def _patch_refinement(self, monkeypatch, degenerate_at=()):
         # Counts refinements; a bracket starting at a point of
         # ``degenerate_at`` raises as a degenerate orbit would.
-        find_root = numerics.find_root
+        newton_root = numerics.newton_root
         calls = []
 
-        def wrapped(f, lo, hi, tol):
+        def wrapped(f, lo, *rest):
             calls.append(lo)
             if lo in degenerate_at:
                 raise DegenerateOrbitError("forced")
-            return find_root(f, lo, hi, tol)
+            return newton_root(f, lo, *rest)
 
-        monkeypatch.setattr(numerics, "find_root", wrapped)
+        monkeypatch.setattr(numerics, "newton_root", wrapped)
         return calls
 
     def test_refines_only_the_first_candidate(self, case, monkeypatch):
         model, ramp, u, solver, _, roots = case
-        calls = self._patch_find_root(monkeypatch)
+        calls = self._patch_refinement(monkeypatch)
         ss = p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
         assert len(calls) == 1
         assert ss.d == min(roots)
@@ -242,7 +250,7 @@ class TestOrderedCandidates:
 
     def test_degenerate_first_candidate_falls_through(self, case, monkeypatch):
         model, ramp, u, solver, los, roots = case
-        calls = self._patch_find_root(monkeypatch, degenerate_at=(los[0],))
+        calls = self._patch_refinement(monkeypatch, degenerate_at=(los[0],))
         ss = p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
         assert calls == list(los)
         assert ss.d == roots[1]
@@ -250,7 +258,7 @@ class TestOrderedCandidates:
 
     def test_all_candidates_degenerate(self, case, monkeypatch):
         model, ramp, u, solver, los, _ = case
-        self._patch_find_root(monkeypatch, degenerate_at=tuple(los))
+        self._patch_refinement(monkeypatch, degenerate_at=tuple(los))
         with pytest.raises(DegenerateOrbitError, match="all 2 switching candidates"):
             p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
 
@@ -261,33 +269,35 @@ class TestOnePointPerEvaluation:
     # residual evaluation takes the two stage exponentials, nothing more.
     def _count(self, monkeypatch):
         counts = {"exp": 0, "evals": 0}
-        mat_exp, find_root = numerics.mat_exp, numerics.find_root
+        mat_exp, newton_root = numerics.mat_exp, numerics.newton_root
 
         def counted_exp(*args):
             counts["exp"] += 1
             return mat_exp(*args)
 
-        def counted_root(f, lo, hi, tol):
+        def counted_root(f, *rest):
             def g(t):
                 counts["evals"] += 1
                 return f(t)
-            return find_root(g, lo, hi, tol)
+            return newton_root(g, *rest)
 
         monkeypatch.setattr(numerics, "mat_exp", counted_exp)
-        monkeypatch.setattr(numerics, "find_root", counted_root)
+        monkeypatch.setattr(numerics, "newton_root", counted_root)
         return counts
 
     def test_two_exponentials_per_evaluation(self, model_cases, monkeypatch):
-        cases = [model_cases[0], model_cases[1], model_cases[3]]
-        model, ramp, u, solver = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
-        cases.append((model, ramp, u))
-        assert [c[0].n for c in cases] == [2, 2, 3, 2]
+        # Newton from the scan's regula-falsi point needs at most three
+        # evaluations on these models, at either grid.
+        model, ramp, u, _ = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
+        cases = model_cases + [(model, ramp, u)]
+        assert [c[0].n for c in cases] == [2, 2, 2, 3, 4, 5, 2]
         counts = self._count(monkeypatch)
-        for model, ramp, u in cases:
-            counts.update(exp=0, evals=0)
-            p.solve_periodic_orbit(model, ramp, u, grid_points=solver.grid_points)
-            assert counts["evals"] > 0
-            assert counts["exp"] == 2 * counts["evals"]
+        for grid_points in (64, 256):
+            for model, ramp, u in cases:
+                counts.update(exp=0, evals=0)
+                p.solve_periodic_orbit(model, ramp, u, grid_points=grid_points)
+                assert 0 < counts["evals"] <= 3
+                assert counts["exp"] == 2 * counts["evals"]
 
     def test_grid_zero_builds_one_point(self, monkeypatch):
         grid = np.linspace(0.0, 1.0, 66)[1:-1]
@@ -322,7 +332,7 @@ def test_candidate_masks_match_loop(monkeypatch):
     # so the solver walks its candidates in order up to the first zero.
     seen = []
 
-    def refine(f, lo, hi, tol):
+    def refine(f, lo, hi, *rest):
         seen.append((lo, hi))
         raise DegenerateOrbitError("forced")
 
@@ -337,7 +347,7 @@ def test_candidate_masks_match_loop(monkeypatch):
         points, ok = orbit_grid(model, ramp, u, d)
         return replace(points, y_switch=values + p.ramp_value(ramp, d)), ok
 
-    monkeypatch.setattr(numerics, "find_root", refine)
+    monkeypatch.setattr(numerics, "newton_root", refine)
     monkeypatch.setattr(steadystate, "orbit_at", orbit)
     monkeypatch.setattr(steadystate, "orbit_grid", scan)
     grid = np.linspace(0.0, 1.0, 10)[1:-1]
@@ -408,11 +418,25 @@ class TestSolvePeriodicOrbit:
             gap = abs(ss.y_switch - p.ramp_value(ramp, ss.d))
             assert gap <= 1e-12 * ramp.T * ramp.slope
 
-    @pytest.mark.parametrize("d_tol", [0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("d_tol", [0.0, -1.0, math.inf, math.nan])
     def test_d_tol_must_be_positive_and_finite(self, buck_tem, ramp, u_tem, d_tol):
-        # find_root refuses it: inf would return a bracket end as the root.
-        with pytest.raises(DomainError, match="tol must be positive and finite"):
-            p.solve_periodic_orbit(buck_tem, ramp, u_tem, d_tol=d_tol)
+        # Refused before the scan: inf would take the first iterate as the
+        # root, and a scan that lands on an exact zero, or finds no sign
+        # change, never reaches the refinement.
+        grid = np.linspace(0.0, 1.0, 66)[1:-1]
+        calls = [
+            lambda: p.solve_periodic_orbit(buck_tem, ramp, u_tem, d_tol=d_tol),
+            lambda: p.solve_periodic_orbit(
+                _const_y_model(), UNIT_RAMP, p.InputVector(float(grid[20]), 0.0),
+                grid_points=64, d_tol=d_tol,
+            ),
+            lambda: p.solve_periodic_orbit(
+                _const_y_model(), UNIT_RAMP, p.InputVector(2.0, 0.0), d_tol=d_tol
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="tol must be positive and finite"):
+                call()
 
     @pytest.mark.parametrize("grid_points", [2.5, 256.0, True])
     def test_grid_points_must_be_an_integer(self, buck_tem, ramp, u_tem, grid_points):
@@ -428,6 +452,38 @@ class TestSolvePeriodicOrbit:
             m, p.RampSignal(2.0, 3.0, 1.0), p.InputVector(2.4, 0.0)
         )
         assert shifted.d == pytest.approx(base.d, abs=1e-10)
+
+
+class TestNewtonRefinement:
+    def test_slope_is_the_snb_residual(self, model_cases):
+        # The exact slope of the switching residual equals the saddle-node
+        # residual F(+1) - hdot at the solved orbit.
+        for model, rmp, u in model_cases:
+            ss = p.solve_periodic_orbit(model, rmp, u)
+            slope = steadystate._switching_slope(model, rmp, ss)
+            assert slope == pytest.approx(p.snb_residual(model, rmp, u, ss), rel=1e-12)
+
+    def test_zero_slope_bisects_to_the_root(self, buck_tem, ramp, u_tem, monkeypatch):
+        newton = p.solve_periodic_orbit(buck_tem, ramp, u_tem)
+        monkeypatch.setattr(steadystate, "_switching_slope", lambda *args: 0.0)
+        bisected = p.solve_periodic_orbit(buck_tem, ramp, u_tem)
+        assert abs(bisected.d - newton.d) <= 2e-12 * ramp.T
+
+    def test_nan_residual_raises_divergence(self, buck_tem, ramp, u_tem, monkeypatch):
+        orbit_at = steadystate.orbit_at
+        monkeypatch.setattr(
+            steadystate, "orbit_at",
+            lambda *args: replace(orbit_at(*args), y_switch=math.nan),
+        )
+        with pytest.raises(DivergenceError):
+            p.solve_periodic_orbit(buck_tem, ramp, u_tem)
+
+    def test_exhausted_budget_raises_no_convergence(self, buck_tem, ramp, u_tem,
+                                                    monkeypatch):
+        # The regula-falsi start alone does not meet d_tol on the buck.
+        monkeypatch.setattr(numerics, "_NEWTON_MAXITER", 1)
+        with pytest.raises(NoConvergenceError):
+            p.solve_periodic_orbit(buck_tem, ramp, u_tem)
 
 
 def _pi_buck(edge):
