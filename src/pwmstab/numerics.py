@@ -16,7 +16,12 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
   so ``e^{0}`` is exactly ``I`` and an exact +1 multiplier stays exactly
   +1.  scipy's own batch forms are avoided because they loop over the
   slices in Python and need a newer scipy than the supported floor.
-* Both exponential kernels report an exponential past the float range
+* ``mat_powers`` stacks the powers ``step^j``, ``j = 0..points``, of one
+  matrix by doubling.  Of a step exponential ``e^{G h}`` they are the
+  exponentials ``e^{G j h}`` on a uniform grid: the orbit solver's scan and
+  the simulator's scan grids both come from it, at one ``mat_exp`` per
+  stage.
+* The exponential and power kernels report a value past the float range
   only as non-finite entries, with no ``RuntimeWarning``; callers that can
   meet divergent dynamics check for them and raise :class:`DomainError`.
 * ``eigenvalues`` runs the dense QR algorithm (``numpy.linalg.eigvals``)
@@ -206,6 +211,29 @@ def mat_exp_stack(a) -> np.ndarray:
     return r
 
 
+def mat_powers(step, points: int) -> np.ndarray:
+    """``step^j`` for ``j = 0..points``, as a ``(points + 1, m, m)`` stack.
+
+    Built by doubling: each pass multiplies every power so far by the
+    highest one times ``step``, so ``step^0`` is exactly ``I`` and about
+    ``log2(points)`` passes build the stack.  With ``step = e^{G h}``
+    the slices are ``e^{G j h}`` on a uniform grid.  A non-finite ``step``,
+    or a power past the float range, comes back as non-finite entries,
+    with no ``RuntimeWarning``, as with :func:`mat_exp`.
+    """
+    arr = np.asarray(step, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"step must be square, got shape {arr.shape}")
+    check_count("points", points, 1)
+    powers = np.eye(len(arr))[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(powers) <= points:
+            powers = np.concatenate(
+                (powers, powers[: points + 1 - len(powers)] @ (powers[-1] @ arr))
+            )
+    return powers
+
+
 def eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a small dense matrix, with multiplicity.
 
@@ -276,31 +304,38 @@ def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(arr)) and np.all(np.isfinite(vec))):
         raise DomainError("M or b has non-finite entries")
     k, n, _ = arr.shape
-    # [M | b], eliminated in place; row swaps carry b along.
+    # [M | b], eliminated in place; row swaps carry b along.  Below the
+    # diagonal only the multipliers' column is left stale: nothing reads it.
     lu = np.concatenate([arr, vec[:, :, None]], axis=2).astype(
         np.result_type(arr, vec, float), copy=False
     )
     real = not np.iscomplexobj(lu)
     scale = np.abs(arr).sum(axis=2).max(axis=1, initial=0.0)
-    rows = np.arange(k)[:, None]
-    pivots = np.empty((k, n))
+    slices = np.arange(k)
+    pivot_min = np.full(k, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Singular slices divide by a zero pivot; their rows become NaN.
         for j in range(n):
             col = lu[:, j:, j]
             # LAPACK's pivot order: |re| + |im| for complex entries.
             mag = np.abs(col) if real else np.abs(col.real) + np.abs(col.imag)
-            swap = np.full((k, 2), j)
-            swap[:, 1] += np.argmax(mag, axis=1)
-            lu[rows, swap] = lu[rows, swap[:, ::-1]]
+            below = np.argmax(mag, axis=1)
+            if below.any():
+                # Row j trades places with row j + below of every slice.
+                other = j + below
+                row = lu[slices, other]
+                lu[slices, other] = lu[:, j]
+                lu[:, j] = row
             pivot = lu[:, j, j]
-            pivots[:, j] = np.abs(pivot)
+            np.minimum(pivot_min, np.abs(pivot), out=pivot_min)
             f = lu[:, j + 1:, j] / pivot[:, None]
-            lu[:, j + 1:, j:] -= f[:, :, None] * lu[:, None, j, j:]
+            lu[:, j + 1:, j + 1:] -= f[:, :, None] * lu[:, None, j, j + 1:]
         x = lu[:, :, n]
         for j in range(n - 1, -1, -1):
-            x[:, j] = (x[:, j] - np.sum(lu[:, j, j + 1:n] * x[:, j + 1:], axis=1)) / lu[:, j, j]
-    ok = (scale > 0.0) & (pivots.min(axis=1, initial=np.inf) > SINGULAR_PIVOT_RTOL * scale)
+            x[:, j] = (
+                x[:, j] - np.einsum("ki,ki->k", lu[:, j, j + 1:n], x[:, j + 1:])
+            ) / lu[:, j, j]
+    ok = (scale > 0.0) & (pivot_min > SINGULAR_PIVOT_RTOL * scale)
     x[~ok] = np.nan
     return x, ok
 

@@ -21,11 +21,13 @@ series, then to the clock edge by one of its powers.  Event times agree
 with per-evaluation exponentials to ~1e-13 of a period.
 
 The oracle shares the model's augmented generator layout
-(``model.stage_generators``) and ``numerics.mat_exp`` with the orbit
-solver, and none of the orbit code.  It does not share its root finder
-either: the solver refines by Newton steps on the exact slope of its
-residual (``numerics.newton_root``).  The oracle's independence therefore
-rests on scipy's ``expm`` for the two step exponentials, on the ``2^-53``
+(``model.stage_generators``), ``numerics.mat_exp`` and the power kernel
+``numerics.mat_powers`` with the orbit solver, and none of the orbit code.
+It does not share its root finder either: the solver refines by Newton
+steps on the exact slope of its residual (``numerics.newton_root``).  The
+oracle's independence therefore rests on the tests of every power against
+one ``scipy.linalg.expm`` per point (``TestMatPowers``, ``TestScanGrid``),
+on scipy's ``expm`` for the two step exponentials, on the ``2^-53``
 truncation bound of the series, on the test that pins ``find_root`` to
 scipy's ``brentq`` (same roots from the same evaluations), and on the test
 that replays every cycle against a reference cycle taking one
@@ -81,7 +83,7 @@ class _Stage:
     scan grid of step ``h``, from one Pade exponential ``e^{G h}``.
 
     ``grid[j] = e^{G j h}`` for ``j = 0..points`` are the powers of
-    ``e^{G h}`` (``numerics.mat_exp``), built by doubling.  ``powers[k] =
+    ``e^{G h}`` (``numerics.mat_powers``).  ``powers[k] =
     (G tau)^k / k!`` for ``k = 0..K`` are the Taylor terms of one sub-step
     ``tau = h / substeps``: ``substeps = 2^s`` with ``s`` the smallest
     integer giving ``||G tau||_1 <= 1``, and ``K`` the smallest order whose
@@ -90,16 +92,9 @@ class _Stage:
     """
 
     def __init__(self, gen: np.ndarray, h: float, points: int):
-        step = numerics.mat_exp(gen, h)
-        grid = np.eye(len(gen))[None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            # An overflowing power is reported as non-finite entries, as by
-            # mat_exp; the cycle that reads it raises DivergenceError.
-            while len(grid) <= points:
-                grid = np.concatenate(
-                    (grid, grid[: points + 1 - len(grid)] @ (grid[-1] @ step))
-                )
-        self.grid = grid
+        # An overflowing power comes back non-finite; the cycle that reads
+        # it raises DivergenceError.
+        self.grid = numerics.mat_powers(numerics.mat_exp(gen, h), points)
 
         norm = float(np.abs(gen).sum(axis=0).max())
         frac, s = math.frexp(norm * h)

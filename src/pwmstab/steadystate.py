@@ -6,7 +6,11 @@ returning to the starting state, and the compensator output meeting the
 ramp at the switching instant.  For a candidate ``d`` the first two are a
 linear boundary-value problem solved in closed form with matrix
 exponentials; the third is a scalar root-finding problem in ``d``, solved
-by Newton steps on the exact slope of its residual.
+by Newton steps on the exact slope of its residual.  The roots are
+bracketed by a scan on a uniform grid of ``d``, whose stage exponentials
+are the powers of one step exponential per stage
+(``numerics.mat_powers``); :func:`orbit_grid` takes one Pade exponential
+per point instead, for arbitrary switching times.
 """
 
 from __future__ import annotations
@@ -169,6 +173,22 @@ def orbit_grid(
     return _orbit_point(model, ramp, u, d, e1, e2, x0_start), ok
 
 
+def _power_scan(
+    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, grid_points: int
+) -> tuple[SteadyState, np.ndarray]:
+    # orbit_grid on the interior grid d_j = j h, j = 1..K, h = T / (K + 1),
+    # from two step exponentials: e^{A1 d_j} is the j-th power of e^{G1 h}
+    # and e^{A2 (T - d_j)} the (K + 1 - j)-th of e^{G2 h}.
+    d = np.linspace(0.0, ramp.T, grid_points + 2)[1:-1]
+    h = ramp.T / (grid_points + 1)
+    g1, g2 = stage_generators(model, u)
+    p1 = numerics.mat_powers(numerics.mat_exp(g1, h), grid_points)
+    p2 = numerics.mat_powers(numerics.mat_exp(g2, h), grid_points)
+    e1, e2 = p1[1:], p2[:0:-1]
+    x0_start, ok = numerics.solve_linear_stack(*_cycle_system(e1, e2))
+    return _orbit_point(model, ramp, u, d, e1, e2, x0_start), ok
+
+
 def _switching_slope(
     model: SwitchedLinearModel, ramp: RampSignal, ss: SteadyState
 ) -> float:
@@ -191,17 +211,22 @@ def solve_periodic_orbit(
 ) -> SteadyState:
     """Find the periodic orbit: scan the switching residual, refine roots.
 
-    The residual is sampled on a uniform interior grid over ``(0, T)``.
-    Grid points where it is exactly zero and sign-change brackets are the
-    candidates; they are walked in cycle order and the first one that
-    refines to a non-degenerate orbit wins (first crossing in the cycle,
-    matching comparator latch behavior).  ``candidates`` on the result
-    reports how many candidates the scan saw.  A bracket is refined by
-    :func:`numerics.newton_root` from the scan's values at its ends, with
-    the exact slope of the residual (the saddle-node left side minus the
-    ramp slope) from the orbit point each step builds; the result is the
-    point of the last step, whose Newton step, or bracket, is at most
-    ``d_tol`` (default ``1e-12 T``) long.
+    The residual is sampled on the uniform interior grid ``d_j = j h``,
+    ``j = 1..grid_points``, ``h = T / (grid_points + 1)``.  The scan takes
+    one step exponential ``e^{G_i h}`` per stage and reads
+    ``e^{A1 d_j}`` and ``e^{A2 (T - d_j)}`` off their powers
+    (:func:`numerics.mat_powers`); it then solves every point as
+    :func:`orbit_grid` does.  Grid points where the residual is exactly
+    zero and sign-change brackets are the candidates; they are walked in
+    cycle order and the first one that refines to a non-degenerate orbit
+    wins (first crossing in the cycle, matching comparator latch
+    behavior).  ``candidates`` on the result reports how many candidates
+    the scan saw.  A bracket is refined by :func:`numerics.newton_root`
+    from the scan's values at its ends, with the exact slope of the
+    residual (the saddle-node left side minus the ramp slope) from the
+    orbit point each step builds; the result is the point of the last
+    step, whose Newton step, or bracket, is at most ``d_tol`` (default
+    ``1e-12 T``) long.
 
     Raises
     ------
@@ -220,10 +245,10 @@ def solve_periodic_orbit(
         d_tol = 1e-12 * T
     if not 0.0 < d_tol < np.inf:
         raise DomainError(f"d_tol must be positive and finite, got {d_tol}")
-    grid = np.linspace(0.0, T, grid_points + 2)[1:-1]
 
     # Degenerate grid points come back NaN and take part in no bracket.
-    scan, ok = orbit_grid(model, ramp, u, grid)
+    scan, ok = _power_scan(model, ramp, u, grid_points)
+    grid = scan.d
     if not ok.any():
         raise DegenerateOrbitError(
             "open-loop cycle map has a multiplier at +1 at every scan point "

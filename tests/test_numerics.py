@@ -22,6 +22,7 @@ from pwmstab.errors import (
     NoConvergenceError,
     SingularMatrixError,
 )
+from pwmstab.model import stage_generators
 from conftest import mat_exp_integral
 
 
@@ -110,9 +111,10 @@ class TestMatExp:
 @pytest.mark.parametrize("kernel", [
     lambda a: numerics.mat_exp(a, 1.0),
     lambda a: numerics.mat_exp_stack(a[None])[0],
+    lambda a: numerics.mat_powers(numerics.mat_exp(a, 0.01), 100)[-1],
 ])
 def test_overflow_is_non_finite_without_warning(kernel):
-    # e^{800} is past the float range: both kernels report it the same way.
+    # e^{800} is past the float range: every kernel reports it the same way.
     got = kernel(np.array([[800.0, 0.0], [1.0, -1.0]]))
     assert not np.all(np.isfinite(got))
 
@@ -229,6 +231,37 @@ class TestMatExpStack:
             numerics.mat_exp_stack(np.zeros((2, 3, 2)))
         with pytest.raises(DomainError):
             numerics.mat_exp_stack(np.full((1, 2, 2), np.nan))
+
+
+class TestMatPowers:
+    def test_powers_match_per_point_expm(self, model_cases):
+        # Both augmented stage generators, powers of their step exponential
+        # over one period, against one scipy expm per point.
+        for model, rmp, u in model_cases:
+            h = rmp.T / 64
+            for gen in stage_generators(model, u):
+                got = numerics.mat_powers(numerics.mat_exp(gen, h), 64)
+                assert got.shape == (65,) + gen.shape
+                for j, e in enumerate(got):
+                    want = scipy.linalg.expm(gen * (j * h))
+                    assert np.linalg.norm(e - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_zeroth_power_is_identity(self):
+        step = np.random.default_rng(3).normal(size=(4, 4))
+        for points in (1, 2, 7, 8):
+            got = numerics.mat_powers(step, points)
+            assert len(got) == points + 1
+            assert np.array_equal(got[0], np.eye(4))
+            assert np.array_equal(got[1], step)
+
+    @pytest.mark.parametrize("points", [2.0, 2.5, True, "3", 0, -1])
+    def test_invalid_points(self, points):
+        with pytest.raises(DomainError, match="points must be"):
+            numerics.mat_powers(np.eye(2), points)
+
+    def test_non_square_step(self):
+        with pytest.raises(DimensionError):
+            numerics.mat_powers(np.zeros((2, 3)), 4)
 
 
 class TestMatExpIntegral:

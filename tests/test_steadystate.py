@@ -124,6 +124,33 @@ class TestBatchedScan:
                     got, want = getattr(points, name)[i], getattr(ref, name)
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
+    @pytest.mark.parametrize("grid_points", [64, 256])
+    def test_power_scan_matches_pade_scan(self, model_cases, grid_points, monkeypatch):
+        # The solver's scan (powers of two step exponentials) against
+        # orbit_grid (one Pade exponential per point) on the same abscissae,
+        # and the orbit each scan leads the solver to.
+        model, ramp, u, _ = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
+        cases = model_cases + [(model, ramp, u)]
+
+        def pade_scan(model, rmp, u, grid_points):
+            grid = np.linspace(0.0, rmp.T, grid_points + 2)[1:-1]
+            return steadystate.orbit_grid(model, rmp, u, grid)
+
+        solved = []
+        for model, rmp, u in cases:
+            points, ok = steadystate._power_scan(model, rmp, u, grid_points)
+            ref, ref_ok = pade_scan(model, rmp, u, grid_points)
+            assert np.array_equal(points.d, ref.d)
+            assert np.array_equal(ok, ref_ok)
+            h = p.ramp_value(rmp, points.d)
+            got, want = points.y_switch - h, ref.y_switch - h
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            solved.append(p.solve_periodic_orbit(model, rmp, u, grid_points=grid_points).d)
+        monkeypatch.setattr(steadystate, "_power_scan", pade_scan)
+        for (model, rmp, u), d in zip(cases, solved):
+            ref = p.solve_periodic_orbit(model, rmp, u, grid_points=grid_points)
+            assert abs(d - ref.d) <= 1e-12 * rmp.T
+
     def test_switching_time_outside_period(self, buck_tem, ramp, u_tem):
         for bad in (-0.1 * ramp.T, 1.1 * ramp.T, np.nan):
             grid = np.array([0.25 * ramp.T, bad])
@@ -203,9 +230,9 @@ class TestOrderedCandidates:
     @pytest.fixture
     def case(self):
         model, ramp, u, solver = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
-        # Reference: every bracket of the scan refined on its own.
-        grid = np.linspace(0.0, ramp.T, solver.grid_points + 2)[1:-1]
-        points, _ = steadystate.orbit_grid(model, ramp, u, grid)
+        # Reference: every bracket of the solver's scan refined on its own.
+        points, _ = steadystate._power_scan(model, ramp, u, solver.grid_points)
+        grid = points.d
         values = points.y_switch - p.ramp_value(ramp, grid)
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
 
@@ -265,8 +292,9 @@ class TestOrderedCandidates:
 
 
 class TestOnePointPerEvaluation:
-    # The solver returns the orbit point its refinement already built: each
-    # residual evaluation takes the two stage exponentials, nothing more.
+    # The solver returns the orbit point its refinement already built: the
+    # scan takes two step exponentials and each residual evaluation the two
+    # stage exponentials, nothing more.
     def _count(self, monkeypatch):
         counts = {"exp": 0, "evals": 0}
         mat_exp, newton_root = numerics.mat_exp, numerics.newton_root
@@ -297,7 +325,7 @@ class TestOnePointPerEvaluation:
                 counts.update(exp=0, evals=0)
                 p.solve_periodic_orbit(model, ramp, u, grid_points=grid_points)
                 assert 0 < counts["evals"] <= 3
-                assert counts["exp"] == 2 * counts["evals"]
+                assert counts["exp"] == 2 * counts["evals"] + 2
 
     def test_grid_zero_builds_one_point(self, monkeypatch):
         grid = np.linspace(0.0, 1.0, 66)[1:-1]
@@ -307,7 +335,7 @@ class TestOnePointPerEvaluation:
             grid_points=64,
         )
         assert ss.d == grid[20]
-        assert counts == {"exp": 2, "evals": 0}
+        assert counts == {"exp": 4, "evals": 0}
 
 
 def _loop_candidates(values):
@@ -340,16 +368,16 @@ def test_candidate_masks_match_loop(monkeypatch):
         seen.append((d, d))
         raise DegenerateOrbitError("forced")
 
-    orbit_grid = steadystate.orbit_grid
+    power_scan = steadystate._power_scan
 
-    def scan(model, ramp, u, d):
+    def scan(model, ramp, u, grid_points):
         # The real scan, its switching residual replaced by ``values``.
-        points, ok = orbit_grid(model, ramp, u, d)
-        return replace(points, y_switch=values + p.ramp_value(ramp, d)), ok
+        points, ok = power_scan(model, ramp, u, grid_points)
+        return replace(points, y_switch=values + p.ramp_value(ramp, points.d)), ok
 
     monkeypatch.setattr(numerics, "newton_root", refine)
     monkeypatch.setattr(steadystate, "orbit_at", orbit)
-    monkeypatch.setattr(steadystate, "orbit_grid", scan)
+    monkeypatch.setattr(steadystate, "_power_scan", scan)
     grid = np.linspace(0.0, 1.0, 10)[1:-1]
     rng = np.random.default_rng(7)
     for _ in range(300):
