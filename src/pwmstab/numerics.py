@@ -34,10 +34,13 @@ matrices evaluated on a whole grid at once go to a numpy kernel:
   slice of a stack and reports it in a mask instead of raising.
 * ``newton_root`` refines a bracket whose end values are already known by
   Newton steps on a caller-supplied slope, bisecting where a step would
-  leave the bracket; the orbit solver refines its switching time with it.
+  leave the bracket; the orbit solver refines its switching time with it,
+  and the simulator its comparator event.
 * ``find_root`` refines a bracket by Brent-Dekker, ported from scipy's
-  ``brentq``, or returns its end nearest zero; the simulator refines its
-  comparator event with it.
+  ``brentq``, or returns its end nearest zero.  The package itself does
+  not call it: it is the root finder of the test-side reference cycle
+  the simulator is checked against, and ``perfbench/spans.py`` wraps it by
+  name.
 
 All functions are pure; they can be called concurrently from sweep workers.
 """

@@ -13,26 +13,30 @@ into ``2^s`` sub-steps so that ``||G tau||_1 <= 1`` and ``K`` terms chosen
 so the first dropped term is below ``2^-53`` (the truncation bound of
 Al-Mohy & Higham 2009).  A cycle scans the event function on the grid
 from stage S1's powers, then refines the first hit inside its scan step:
-``numerics.find_root`` refines the event on the scalar stage-1 series
-(returning the bracket end nearest zero when the series sees no sign
-change over the bracket), and the switch state comes from the same
-series.  Stage S2 runs from the event to the next grid point by its own
-series, then to the clock edge by one of its powers.  Event times agree
-with per-evaluation exponentials to ~1e-13 of a period.
+the step's sub-steps are walked to the first one whose end the event
+reaches, and over that sub-step the event is ``h(t) - y(t)`` with ``y`` a
+degree-``K`` polynomial in ``v = (t - lo) / tau`` whose coefficients are
+the ``C`` rows of the Taylor terms.  ``numerics.newton_root`` refines it
+from the event values the scan already has at the bracket ends, with the
+slope from the same Horner pass as the value; an event exactly zero at a
+sub-step end is the event itself.  The switch state comes from the same
+Taylor terms.  Stage S2 runs from the event to the next grid point by its
+own series, then to the clock edge by one of its powers.  Event times
+agree with per-evaluation exponentials to ~1e-13 of a period.
 
 The oracle shares the model's augmented generator layout
-(``model.stage_generators``), ``numerics.mat_exp`` and the power kernel
-``numerics.mat_powers`` with the orbit solver, and none of the orbit code.
-It does not share its root finder either: the solver refines by Newton
-steps on the exact slope of its residual (``numerics.newton_root``).  The
-oracle's independence therefore rests on the tests of every power against
-one ``scipy.linalg.expm`` per point (``TestMatPowers``, ``TestScanGrid``),
-on scipy's ``expm`` for the two step exponentials, on the ``2^-53``
-truncation bound of the series, on the test that pins ``find_root`` to
-scipy's ``brentq`` (same roots from the same evaluations), and on the test
-that replays every cycle against a reference cycle taking one
-``scipy.linalg.expm`` per evaluation; on that footing the simulation
-validates the closed-form machinery to the 1e-6 level.
+(``model.stage_generators``), ``numerics.mat_exp``, the power kernel
+``numerics.mat_powers`` and the bracketed Newton ``numerics.newton_root``
+with the orbit solver, and none of the orbit code: the solver's Newton
+runs on its orbit residual, the oracle's on the stage-1 series.  The
+oracle's independence therefore rests on the test that replays every
+cycle against a reference cycle taking one ``scipy.linalg.expm`` per
+evaluation and refining by Brent (``numerics.find_root``), not Newton
+(``TestReferenceCycle``); on the tests of every power against one
+``scipy.linalg.expm`` per point (``TestMatPowers``, ``TestScanGrid``); on
+scipy's ``expm`` for the two step exponentials; and on the ``2^-53``
+truncation bound of the series.  On that footing the simulation validates
+the closed-form machinery to the 1e-6 level.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next
@@ -133,8 +137,9 @@ class CycleSimulator:
     Takes two matrix exponentials when built, one step exponential per
     stage, and from their powers and the Taylor terms of one sub-step
     builds both stages on a fixed scan grid.  A cycle then takes no
-    exponential: it costs a few matrix-vector products, a scalar event
-    refinement and the stage-2 series from the event to the next grid
+    exponential: it costs a few matrix-vector products, a scalar Newton
+    refinement of the event (two to four evaluations of the stage-1
+    polynomial) and the stage-2 series from the event to the next grid
     point.
     """
 
@@ -157,8 +162,8 @@ class CycleSimulator:
 
         # Both stages on the scan grid t_j = j h.  Stage S1 gives the event
         # function there, z(t_j) = stage1.grid[j] @ [x_in; 1] and
-        # y(t_j) = rows @ x_in + offset, and its Taylor rows [C, 0] powers[k]
-        # give y inside a step.
+        # y(t_j) = rows @ x_in + offset; inside a step, the C rows of its
+        # Taylor terms give y.
         h = ramp.T / scan_points
         self._stage1 = _Stage(self._aug1, h, scan_points)
         self._stage2 = _Stage(self._aug2, h, scan_points)
@@ -167,7 +172,6 @@ class CycleSimulator:
         self._y_rows = model.C @ grid1[:, :n, :n]
         self._y_offsets = grid1[:, :n, n] @ model.C + self._du
         self._h_grid = ramp.Vl + ramp.slope * self._grid
-        self._taylor_rows = model.C @ self._stage1.powers[:, :n, :]
 
     def cycle(self, x_in) -> CycleRecord:
         """Run one clock period starting from ``x_in`` at the clock edge."""
@@ -195,7 +199,7 @@ class CycleSimulator:
             # grid point; from there S2 is on the grid.
             i = hits[0]
             if i > 0 and e[i] > 0.0:
-                d, z_switch = self._refine(i, stage1.grid[i - 1] @ z)
+                d, z_switch = self._refine(i, stage1.grid[i - 1] @ z, e[i - 1], e[i])
                 z_grid = stage2.advance(z_switch, self._grid[i] - d)
             else:
                 d = float(self._grid[i])
@@ -203,33 +207,45 @@ class CycleSimulator:
             x_end = (stage2.grid[self.scan_points - i] @ z_grid)[:n]
         return CycleRecord(d, z_switch[:n], self._finish(x_end))
 
-    def _refine(self, i: int, z: np.ndarray) -> tuple[float, np.ndarray]:
+    def _refine(
+        self, i: int, z: np.ndarray, flo: float, fhi: float
+    ) -> tuple[float, np.ndarray]:
         """Event time and augmented switch state inside scan step ``i``, from
-        the augmented state ``z`` at its start, by the stage-1 Taylor series."""
-        ramp, n, du, stage1 = self.ramp, self.model.n, self._du, self._stage1
-        tau = stage1.tau
+        the augmented state ``z`` at its start and the scan's event values
+        ``flo < 0 < fhi`` at its ends, by the stage-1 Taylor series."""
+        n, du, stage1 = self.model.n, self._du, self._stage1
+        vl, slope, tau = self.ramp.Vl, self.ramp.slope, stage1.tau
         start = lo = float(self._grid[i - 1])
         hi = float(self._grid[i])
         # The first sub-step that ends with e >= 0, or the last one.
         for j in range(1, stage1.substeps):
             z_next = stage1.step @ z
             t = start + j * tau
-            if ramp.Vl + ramp.slope * t - (self.model.C @ z_next[:n] + du) >= 0.0:
-                hi = t
+            f = vl + slope * t - (self.model.C @ z_next[:n] + du)
+            if f == 0.0:
+                return t, z_next
+            if f > 0.0:
+                hi, fhi = t, f
                 break
-            z, lo = z_next, t
-        coeffs = (self._taylor_rows @ z).tolist()[::-1]
+            z, lo, flo = z_next, t, f
+        # Taylor terms (G tau)^k / k! z of the sub-step; y's coefficients in
+        # v = (t - lo) / tau are their C rows.
+        terms = stage1.powers @ z
+        coeffs = (terms[:, :n] @ self.model.C).tolist()[::-1]
 
-        def event(t: float) -> float:
-            # h(t) - y(t) in absolute time, y by Horner in (t - lo) / tau.
+        def event(t: float) -> tuple[float, float]:
+            # h(t) - y(t) and its slope, y and dy/dv by one Horner pass.
             v = (t - lo) / tau
-            y = 0.0
+            y = dy = 0.0
             for c in coeffs:
+                dy = dy * v + y
                 y = y * v + c
-            return ramp.Vl + ramp.slope * t - (y + du)
+            return vl + slope * t - (y + du), slope - dy / tau
 
-        d = numerics.find_root(event, lo, hi, 1e-13 * ramp.T)
-        return d, stage1.series(z, (d - lo) / tau)
+        # newton_root stops once its next step is at most tol and does not
+        # take it, so tol sits a decade below the ~1e-13 T accuracy wanted.
+        d = numerics.newton_root(event, lo, hi, flo, fhi, 1e-14 * self.ramp.T)
+        return d, ((d - lo) / tau) ** stage1.orders @ terms
 
     def _finish(self, x_end: np.ndarray) -> np.ndarray:
         if not np.isfinite(x_end).all():

@@ -34,9 +34,11 @@ class TestSimulateCycle:
     def test_refinement_sign_disagreement_takes_nearest_edge(self, monkeypatch):
         # The scan sees the crossing just after grid[40] (event -1 ulp there,
         # positive at grid[41]), while the refinement's event function reads
-        # a few ulps higher, as the two evaluation orders can make it.  Brent
-        # then finds no sign change over the bracket; the event takes the
-        # bracket edge the scan found nearest zero, as the orbit solver does.
+        # a few ulps higher, as the two evaluation orders can make it.  The
+        # regula-falsi point of the scan's values lies within the tolerance
+        # of grid[40], where the series reads zero to that tolerance; the
+        # event takes the bracket edge the scan found nearest zero, as the
+        # orbit solver does.
         a = [[-1.0, 0.0], [0.0, -2.0]]
         m = p.SwitchedLinearModel(
             A1=a, A2=a, B1=np.zeros((2, 2)), B2=np.zeros((2, 2)),
@@ -44,11 +46,15 @@ class TestSimulateCycle:
         )
         grid = np.linspace(0.0, 1.0, 129)
         vr = float(np.nextafter(grid[40], 1.0))
-        find_root = numerics.find_root
-        monkeypatch.setattr(
-            numerics, "find_root",
-            lambda f, lo, hi, tol: find_root(lambda t: f(t) + 4e-16, lo, hi, tol),
-        )
+        newton_root = numerics.newton_root
+
+        def shifted(f, *rest):
+            def raised(t):
+                value, slope = f(t)
+                return value + 4e-16, slope
+            return newton_root(raised, *rest)
+
+        monkeypatch.setattr(numerics, "newton_root", shifted)
         sim = p.CycleSimulator(m, UNIT_RAMP, p.InputVector(vr, 0.0), scan_points=128)
         assert sim.cycle([0.1, 0.1]).d_event == grid[40] == 0.3125
 
@@ -236,6 +242,20 @@ class TestReferenceCycle:
                     sub_steps.add(int(rec.d_event % h / sim._stage1.tau))
         assert len(sub_steps) >= 6
 
+    def test_event_on_a_sub_step_boundary(self):
+        # y = vr = 3/64 against h(t) = t: at scan_points = 8 the fast pole
+        # splits the first scan step into 8 sub-steps of 1/64, and the walk
+        # meets e = 0 exactly at the end of the third.  That value is the
+        # event; there is no sign change left to refine.
+        a = [[-40.0, 0.0], [0.0, -2.0]]
+        m = p.SwitchedLinearModel(
+            A1=a, A2=a, B1=np.zeros((2, 2)), B2=np.zeros((2, 2)),
+            C=[0.0, 0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
+        )
+        sim = p.CycleSimulator(m, UNIT_RAMP, p.InputVector(3 / 64, 0.0), scan_points=8)
+        assert sim._stage1.substeps == 8
+        assert self._agree(sim, np.array([0.1, 0.1])).d_event == 3 / 64
+
     def test_fast_stage2_walks_sub_steps(self):
         # Stage S2 runs from a refined event d in scan step i over the
         # remainder r = t_i - d by whole sub-steps and the series.
@@ -301,6 +321,43 @@ class TestCycleWork:
         expm_calls.clear()
         assert sim.cycle(ss_tem.x0_start).d_event is None
         assert expm_calls == []
+
+    def test_at_most_four_evaluations_per_event(self, model_cases, monkeypatch):
+        # Newton on the stage-1 series, seeded with the scan's values at the
+        # bracket ends, evaluates the event a few times and never at an end.
+        starts = []
+        for model, rmp, u in model_cases:
+            ss = p.solve_periodic_orbit(model, rmp, u)
+            for sp in (64, 128, 512):
+                starts.append((p.CycleSimulator(model, rmp, u, scan_points=sp),
+                               ss.x0_start * 1.01 + 1e-3, 8))
+        model, u = _fast_pole_model()
+        fast = p.CycleSimulator(model, UNIT_RAMP, u, scan_points=8)
+        for a in np.linspace(-1.0, 1.0, 5):
+            for b in np.linspace(-1.0, 1.0, 5):
+                starts.append((fast, np.array([a, b]), 1))
+
+        newton_root = numerics.newton_root
+        counts = []
+
+        def counted(f, lo, hi, *rest):
+            evals = []
+
+            def event(t):
+                assert lo < t < hi
+                evals.append(t)
+                return f(t)
+
+            d = newton_root(event, lo, hi, *rest)
+            counts.append(len(evals))
+            return d
+
+        monkeypatch.setattr(numerics, "newton_root", counted)
+        for sim, x, cycles in starts:
+            for _ in range(cycles):
+                x = sim.map(x)
+        assert len(counts) >= 100
+        assert max(counts) <= 4
 
 
 class TestStroboscopicMap:
