@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
 from .errors import DimensionError, DomainError
 
 
@@ -181,8 +182,7 @@ def preset_vmc_buck(
     ``D = (g, 0)``; the reference drives no state directly.
     """
     for name, val in (("L", L), ("Cf", Cf), ("R", R)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise DomainError(f"{name} must be positive and finite, got {val}")
+        numerics.check_positive(name, val)
     if not math.isfinite(g):
         raise DomainError(f"g must be finite, got {g}")
     edge = ModulationEdge(edge)

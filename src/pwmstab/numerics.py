@@ -1,29 +1,24 @@
 """Small dense-matrix numerics used throughout the package.
 
 Converter models are low order (N <= 8), so everything here targets small
-dense matrices.  Single matrices go to LAPACK-backed routines; stacks of
-matrices evaluated on a whole grid at once go to a numpy kernel:
+dense matrices:
 
 * ``mat_exp`` wraps scaling-and-squaring with a Pade kernel
   (``scipy.linalg.expm``), accurate to ~1e-13 relative for the norms that
-  occur in one switching period.
-* ``mat_exp_stack`` exponentiates a ``(k, m, m)`` stack in one pass:
-  degree-13 Pade with per-slice scaling and squaring (Al-Mohy & Higham
-  2009, the algorithm behind ``scipy.linalg.expm``), written with numpy's
-  batched ``matmul`` and ``solve`` only.  It applies scipy's structure
-  test: on triangular slices (diagonal ones included) the diagonal and the
-  first off-diagonal are recomputed in closed form after every squaring,
-  so ``e^{0}`` is exactly ``I`` and an exact +1 multiplier stays exactly
-  +1.  scipy's own batch forms are avoided because they loop over the
-  slices in Python and need a newer scipy than the supported floor.
+  occur in one switching period; every other exponential is built from it.
 * ``mat_powers`` stacks the powers ``step^j``, ``j = 0..points``, of one
   matrix by doubling.  Of a step exponential ``e^{G h}`` they are the
   exponentials ``e^{G j h}`` on a uniform grid: the orbit solver's scan and
   the simulator's scan grids both come from it, at one ``mat_exp`` per
   stage.
-* The exponential and power kernels report a value past the float range
-  only as non-finite entries, with no ``RuntimeWarning``; callers that can
-  meet divergent dynamics check for them and raise :class:`DomainError`.
+* ``taylor_terms`` gives the terms ``(G tau)^k / k!`` of ``e^{G tau}`` for
+  ``||G tau||_1 <= 1`` down to ``2^-53``: the simulator's in-step series,
+  and ``grid_exponentials``, which takes ``e^{G t}`` at arbitrary times of a
+  period as a power of one step exponential times a Taylor sum.
+* The exponential, power and grid kernels report a value past the float
+  range only as non-finite entries, with no ``RuntimeWarning``; callers
+  that can meet divergent dynamics check for them and raise
+  :class:`DomainError`.
 * ``eigenvalues`` runs the dense QR algorithm (``numpy.linalg.eigvals``)
   on the matrix as given, so a real matrix keeps exact conjugate pairs.
 * ``solve_linear`` is an LU solve, real or complex, by LAPACK
@@ -93,12 +88,18 @@ def check_count(name: str, value, low: int) -> None:
         raise DomainError(f"{name} must be >= {low}, got {value}")
 
 
+def check_positive(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 def mat_exp(a, t: float) -> np.ndarray:
     """Matrix exponential ``e^{A t}``.
 
     ``t`` may be zero or negative (reversed-time factors such as
     ``e^{-A T}`` are legitimate inputs).  An exponential that overflows
-    comes back non-finite, as with :func:`mat_exp_stack`.
+    comes back non-finite, with no ``RuntimeWarning``.
     """
     arr = as_square_matrix(a, "A").astype(float, copy=False)
     if not math.isfinite(t):
@@ -107,111 +108,6 @@ def mat_exp(a, t: float) -> np.ndarray:
         return np.eye(arr.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         return scipy.linalg.expm(arr * t)
-
-
-#: Degree-13 Pade coefficients b_0..b_13 (Higham 2005, Table 10.4), grouped
-#: as the four combinations of (A2, A4, A6) the evaluation needs: rows 0-1 build
-#: U = A (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I) and
-#: rows 2-3 build V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I.
-_PADE13_B0, _PADE13_B1 = 64764752532480000.0, 32382376266240000.0
-_PADE13_MIX = np.array([
-    [40840800.0, 16380.0, 1.0],
-    [1187353796428800.0, 10559470521600.0, 33522128640.0],
-    [1323241920.0, 960960.0, 182.0],
-    [7771770303897600.0, 129060195264000.0, 670442572800.0],
-])
-#: Largest 1-norm for which the degree-13 approximant is exact to unit
-#: roundoff in backward error (Al-Mohy & Higham 2009, Table 3.1).
-_THETA13 = 5.371920351148152
-
-
-def _pin_triangular(r, a, up, scale):
-    # Code Fragment 2.1 of Al-Mohy & Higham (2009): overwrite the diagonal
-    # and the first off-diagonal of r ~ e^{A scale} with their closed forms.
-    # The off-diagonal needs the divided difference (e^b - e^a)/(b - a),
-    # taken as e^{(a+b)/2} sinh(h)/h with h = (b - a)/2, which does not
-    # cancel when a and b are close.
-    m = a.shape[-1]
-    ii = np.arange(m)
-    diag = np.diagonal(a, axis1=1, axis2=2) * scale[:, None]
-    r[:, ii, ii] = np.exp(diag)
-    if m == 1:
-        return
-    half = np.diff(diag, axis=1) / 2.0
-    flat = half == 0.0
-    sinch = np.exp(diag[:, :-1] + half) * np.where(
-        flat, 1.0, np.sinh(half) / np.where(flat, 1.0, half)
-    )
-    off = np.where(
-        up[:, None],
-        np.diagonal(a, 1, axis1=1, axis2=2),
-        np.diagonal(a, -1, axis1=1, axis2=2),
-    )
-    val = sinch * off * scale[:, None]
-    upper = np.flatnonzero(up)[:, None]
-    lower = np.flatnonzero(~up)[:, None]
-    r[upper, ii[:-1], ii[1:]] = val[up]
-    r[lower, ii[1:], ii[:-1]] = val[~up]
-
-
-def _pin(r, a, up, tri, scale):
-    # Applies _pin_triangular to the triangular slices of r in place.
-    if tri.all():
-        _pin_triangular(r, a, up, scale)
-    elif tri.any():
-        pinned = r[tri]
-        _pin_triangular(pinned, a[tri], up[tri], scale[tri])
-        r[tri] = pinned
-
-
-def mat_exp_stack(a) -> np.ndarray:
-    """``e^{A_i}`` for every slice ``A_i`` of a real ``(k, m, m)`` stack.
-
-    Each slice is scaled by ``2^-s_i`` until its 1-norm is at most
-    ``theta_13``, one degree-13 Pade solve runs over the whole stack, and
-    every slice is squared back ``s_i`` times.  Triangular slices are
-    exact on the diagonal and keep their zero triangle, as with
-    ``scipy.linalg.expm``.  A slice that overflows comes back non-finite,
-    as with :func:`mat_exp`.
-    """
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionError(f"A must be a (k, m, m) stack, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("A has non-finite entries")
-    k, m, _ = arr.shape
-    # s = max(0, ceil(log2(||A||_1 / theta_13))), exactly, from frexp.
-    frac, s = np.frexp(np.abs(arr).sum(axis=1).max(axis=1, initial=0.0) / _THETA13)
-    s = np.maximum(s - (frac == 0.5), 0)
-    scale = np.ldexp(1.0, -s)
-    nonzero = arr != 0.0
-    below = np.tri(m, k=-1, dtype=bool)
-    upper = ~nonzero[:, below].any(axis=1)
-    lower = ~nonzero[:, below.T].any(axis=1)
-    tri = upper | lower
-
-    x = arr * scale[:, None, None]
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    mix = (_PADE13_MIX @ np.stack([x2, x4, x6]).reshape(3, -1)).reshape(4, k, m, m)
-    diag = np.arange(m)
-    mix[1, :, diag, diag] += _PADE13_B1
-    mix[3, :, diag, diag] += _PADE13_B0
-    u = x @ (x6 @ mix[0] + mix[1])
-    v = x6 @ mix[2] + mix[3]
-    r = np.linalg.solve(v - u, v + u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Overflow is reported to the caller as non-finite entries.
-        _pin(r, arr, upper, tri, scale)
-        for j in range(int(s.max(initial=0))):
-            act = s > j
-            r = np.where(act[:, None, None], r @ r, r)
-            _pin(r, arr, upper, tri & act, np.ldexp(1.0, j + 1 - s))
-    if tri.any():
-        r[upper] = np.triu(r[upper])
-        r[lower] = np.tril(r[lower])
-    return r
 
 
 def mat_powers(step, points: int) -> np.ndarray:
@@ -235,6 +131,59 @@ def mat_powers(step, points: int) -> np.ndarray:
                 (powers, powers[: points + 1 - len(powers)] @ (powers[-1] @ arr))
             )
     return powers
+
+
+def taylor_terms(gen, tau: float) -> np.ndarray:
+    """Terms ``(G tau)^k / k!``, ``k = 0..K``, of the series of ``e^{G tau}``.
+
+    For ``rho = ||G tau||_1 <= 1``, ``K`` is the smallest order whose first
+    dropped term ``rho^(K+1) / (K+1)!`` is at most ``2^-53`` (the truncation
+    bound of Al-Mohy & Higham 2009), so ``sum_k v^k terms[k]`` is
+    ``e^{G v tau}`` to that bound for every ``0 <= v <= 1``.  Returns a
+    ``(K + 1, m, m)`` stack whose first slice is exactly ``I``.
+    """
+    rho = float(np.abs(gen).sum(axis=0).max()) * tau
+    order, term = 0, rho
+    while term > 2.0 ** -53:
+        order += 1
+        term *= rho / (order + 1)
+    terms = np.empty((order + 1,) + np.shape(gen))
+    terms[0] = np.eye(len(gen))
+    for k in range(1, order + 1):
+        np.multiply(terms[k - 1] @ gen, tau / k, out=terms[k])
+    return terms
+
+
+def grid_exponentials(gen, period: float, t) -> np.ndarray:
+    """``e^{G t_j}`` for every time of the 1-D array ``t`` in ``[0, period]``.
+
+    The period is cut into ``P = max(1, ceil(||G||_1 period))`` steps ``h``,
+    so ``||G h||_1 <= 1``.  With ``t_j = (q_j + v_j) h`` and
+    ``0 <= v_j <= 1``, slice ``j`` is the power ``q_j`` of one step
+    exponential (:func:`mat_powers`) times ``sum_k v_j^k terms[k]``
+    (:func:`taylor_terms` of ``G h``); ``t_j = 0`` gives exactly ``I``.
+    Work and memory grow with ``||G||_1 period``, not with its logarithm as
+    in scaling and squaring: a few steps per period for a converter stage,
+    ``10^4`` powers for ``||G||_1 period = 10^4``.  Overflow comes back
+    non-finite, with no ``RuntimeWarning``.
+    """
+    arr = as_square_matrix(gen, "G").astype(float, copy=False)
+    check_positive("period", period)
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise DimensionError(f"t must be a 1-D array, got shape {t.shape}")
+    if not np.all((t >= 0.0) & (t <= period)):
+        raise DomainError(f"times must lie in [0, {period}]")
+    steps = max(1, math.ceil(float(np.abs(arr).sum(axis=0).max()) * period))
+    h = period / steps
+    terms = taylor_terms(arr, h)
+    v = t / h
+    q = np.floor(v).astype(int)  # at most steps, as t <= period
+    vander = (v - q)[:, None] ** np.arange(len(terms))
+    rest = (vander @ terms.reshape(len(terms), -1)).reshape(t.shape + arr.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Overflow is reported to the caller as non-finite entries.
+        return mat_powers(mat_exp(arr, h), steps)[q] @ rest
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -347,8 +296,7 @@ def _check_bracket(lo: float, hi: float, tol: float) -> None:
     # The arguments both root finders refuse.
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    check_positive("tol", tol)
 
 
 def _checked(x: float, fx) -> float:

@@ -8,10 +8,9 @@ exponentials, one step exponential ``e^{G_i h}`` per stage
 (``numerics.mat_exp``, i.e. ``scipy.linalg.expm``), and a cycle takes
 none.  Each stage's exponentials on the scan grid ``t_j = j h`` are the
 powers of its step exponential.  Inside a scan step each stage is the
-truncated Taylor series ``sum_k (G tau)^k / k! z``, with the step split
-into ``2^s`` sub-steps so that ``||G tau||_1 <= 1`` and ``K`` terms chosen
-so the first dropped term is below ``2^-53`` (the truncation bound of
-Al-Mohy & Higham 2009).  A cycle scans the event function on the grid
+truncated Taylor series ``sum_k (G tau)^k / k! z`` of
+``numerics.taylor_terms``, with the step split into ``2^s`` sub-steps so
+that ``||G tau||_1 <= 1``.  A cycle scans the event function on the grid
 from stage S1's powers, then refines the first hit inside its scan step:
 the step's sub-steps are walked to the first one whose end the event
 reaches, and over that sub-step the event is ``h(t) - y(t)`` with ``y`` a
@@ -25,18 +24,20 @@ own series, then to the clock edge by one of its powers.  Event times
 agree with per-evaluation exponentials to ~1e-13 of a period.
 
 The oracle shares the model's augmented generator layout
-(``model.stage_generators``), ``numerics.mat_exp``, the power kernel
-``numerics.mat_powers`` and the bracketed Newton ``numerics.newton_root``
-with the orbit solver, and none of the orbit code: the solver's Newton
-runs on its orbit residual, the oracle's on the stage-1 series.  The
-oracle's independence therefore rests on the test that replays every
-cycle against a reference cycle taking one ``scipy.linalg.expm`` per
-evaluation and refining by Brent (``numerics.find_root``), not Newton
-(``TestReferenceCycle``); on the tests of every power against one
-``scipy.linalg.expm`` per point (``TestMatPowers``, ``TestScanGrid``); on
-scipy's ``expm`` for the two step exponentials; and on the ``2^-53``
-truncation bound of the series.  On that footing the simulation validates
-the closed-form machinery to the 1e-6 level.
+(``model.stage_generators``) and four kernels with the orbit code:
+``numerics.mat_exp``, ``numerics.mat_powers``, ``numerics.taylor_terms``
+(which ``orbit_grid`` sums) and ``numerics.newton_root``.  It shares none
+of the orbit construction: the solver's Newton runs on its orbit
+residual, the oracle's on the stage-1 series.  The oracle's independence
+therefore rests on the test that replays every cycle against a reference
+cycle taking one ``scipy.linalg.expm`` per evaluation and refining by
+Brent (``numerics.find_root``), not Newton (``TestReferenceCycle``); on
+the tests of every power and grid exponential against one
+``scipy.linalg.expm`` per point (``TestMatPowers``,
+``TestGridExponentials``, ``TestScanGrid``); on scipy's ``expm`` for the
+two step exponentials; and on the ``2^-53`` truncation bound of the
+series.  On that footing the simulation validates the closed-form
+machinery to the 1e-6 level.
 
 Comparator semantics: stage S1 starts at every clock edge; the first
 up-crossing of ``h - y`` inside the cycle latches stage S2 until the next
@@ -89,9 +90,9 @@ class _Stage:
     ``grid[j] = e^{G j h}`` for ``j = 0..points`` are the powers of
     ``e^{G h}`` (``numerics.mat_powers``).  ``powers[k] =
     (G tau)^k / k!`` for ``k = 0..K`` are the Taylor terms of one sub-step
-    ``tau = h / substeps``: ``substeps = 2^s`` with ``s`` the smallest
-    integer giving ``||G tau||_1 <= 1``, and ``K`` the smallest order whose
-    first dropped term ``||G tau||^(K+1) / (K+1)!`` is below ``2^-53``.
+    ``tau = h / substeps`` (``numerics.taylor_terms``): ``substeps = 2^s``
+    with ``s`` the smallest integer giving ``||G tau||_1 <= 1``, and ``K``
+    the smallest order whose first dropped term is below ``2^-53``.
     ``step = e^{G tau}`` is their sum, to the same bound.
     """
 
@@ -100,21 +101,12 @@ class _Stage:
         # it raises DivergenceError.
         self.grid = numerics.mat_powers(numerics.mat_exp(gen, h), points)
 
-        norm = float(np.abs(gen).sum(axis=0).max())
-        frac, s = math.frexp(norm * h)
+        frac, s = math.frexp(float(np.abs(gen).sum(axis=0).max()) * h)
         s = max(s - (frac == 0.5), 0)
         self.substeps = 2 ** s
         self.tau = h / self.substeps
-        rho = norm * self.tau
-        order, term = 0, rho
-        while term > 2.0 ** -53:
-            order += 1
-            term *= rho / (order + 1)
-        powers = [np.eye(len(gen))]
-        for k in range(1, order + 1):
-            powers.append(powers[-1] @ gen * (self.tau / k))
-        self.powers = np.stack(powers)
-        self.orders = np.arange(order + 1)
+        self.powers = numerics.taylor_terms(gen, self.tau)
+        self.orders = np.arange(len(self.powers))
         self.step = self.powers.sum(axis=0)
 
     def series(self, z: np.ndarray, v: float) -> np.ndarray:
@@ -277,11 +269,6 @@ def simulate(
     return Trajectory(cycles=tuple(records))
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value}")
-
-
 def fd_jacobian(
     model: SwitchedLinearModel,
     ramp: RampSignal,
@@ -298,7 +285,7 @@ def fd_jacobian(
     ``x_fixed`` is not actually fixed to 1e-9, or ``eps`` is not positive
     and finite.
     """
-    _check_positive("eps", eps)
+    numerics.check_positive("eps", eps)
     sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
     x = np.asarray(x_fixed, dtype=float)
     fx = sim.map(x)
@@ -328,7 +315,7 @@ def detect_period(states, tol: float = 1e-6) -> int | None:
     ``states`` must hold at least 64 samples.  Returns ``None`` when no
     period up to 8 fits within ``tol`` (relative to the state magnitude).
     """
-    _check_positive("tol", tol)
+    numerics.check_positive("tol", tol)
     arr = np.asarray(states, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 64:
         raise DomainError(
@@ -355,7 +342,7 @@ def steady_period(
     """Simulate past the transient and classify the attractor's period."""
     numerics.check_count("tail", tail, 64)
     numerics.check_count("transient", transient, 0)
-    _check_positive("tol", tol)
+    numerics.check_positive("tol", tol)
     sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
     x = np.asarray(x0, dtype=float)
     for _ in range(transient):

@@ -185,8 +185,7 @@ def classify(jd: JacobianDecomposition, class_tol: float = 1e-4) -> StabilityRep
     The critical eigenvalue is the one of largest modulus (ties broken by
     real then imaginary part, so reports are deterministic).
     """
-    if not 0.0 < class_tol < math.inf:
-        raise DomainError(f"class_tol must be positive and finite, got {class_tol}")
+    numerics.check_positive("class_tol", class_tol)
     eigs = numerics.eigenvalues(jd.Phi)
     crit = max(eigs, key=lambda z: (abs(z), z.real, z.imag))
     rho = abs(crit)
@@ -272,9 +271,9 @@ def s_plot(
     At every grid duty the orbit boundary-value problem is re-solved with
     the switching instant imposed (the ramp-crossing condition is *not*
     enforced), so the curve shows where the boundary condition would be
-    met.  The whole grid is evaluated in one pass over stacked stage
-    exponentials.  Degenerate or pole points are marked singular, never
-    dropped.
+    met.  The whole grid is evaluated in one pass from :func:`orbit_grid`,
+    at one step exponential per stage.  Degenerate or pole points are
+    marked singular, never dropped.
     """
     duties = np.asarray(duty_grid, dtype=float).reshape(-1)
     outside = ~((duties > 0.0) & (duties < 1.0))

@@ -9,8 +9,8 @@ exponentials; the third is a scalar root-finding problem in ``d``, solved
 by Newton steps on the exact slope of its residual.  The roots are
 bracketed by a scan on a uniform grid of ``d``, whose stage exponentials
 are the powers of one step exponential per stage
-(``numerics.mat_powers``); :func:`orbit_grid` takes one Pade exponential
-per point instead, for arbitrary switching times.
+(``numerics.mat_powers``); :func:`orbit_grid`, at arbitrary switching
+times, multiplies such powers by a Taylor sum over the rest of each time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from . import numerics
 from .errors import (
     DegenerateOrbitError,
-    DimensionError,
     DomainError,
     NoSwitchingError,
     SingularMatrixError,
@@ -152,23 +151,17 @@ def orbit_grid(
 ) -> tuple[SteadyState, np.ndarray]:
     """:func:`orbit_at` at every switching time of the 1-D array ``d``.
 
-    Both stages are exponentiated for the whole grid in one stacked pass.
-    Returns the orbit points, their fields stacked along a leading axis,
-    and an ``ok`` mask; where ``ok`` is false the open-loop cycle map has
-    a multiplier at +1 and the states are NaN.
+    Each stage takes one step exponential for the whole grid; its powers
+    and Taylor terms give every point's stage exponential
+    (:func:`numerics.grid_exponentials`).  Returns the orbit points, their
+    fields stacked along a leading axis, and an ``ok`` mask; where ``ok``
+    is false the open-loop cycle map has a multiplier at +1 and the states
+    are NaN.
     """
     d = np.asarray(d, dtype=float)
-    if d.ndim != 1:
-        raise DimensionError(f"d must be a 1-D array, got shape {d.shape}")
-    if not np.all((d >= 0.0) & (d <= ramp.T)):
-        raise DomainError(f"switching times must lie in [0, {ramp.T}]")
     g1, g2 = stage_generators(model, u)
-    # One stacked pass for both stages: the kernel's cost barely grows with
-    # the stack, and every slice is exponentiated on its own.
-    e = numerics.mat_exp_stack(
-        np.concatenate([g1 * d[:, None, None], g2 * (ramp.T - d)[:, None, None]])
-    )
-    e1, e2 = e[: d.size], e[d.size:]
+    e1 = numerics.grid_exponentials(g1, ramp.T, d)
+    e2 = numerics.grid_exponentials(g2, ramp.T, ramp.T - d)
     x0_start, ok = numerics.solve_linear_stack(*_cycle_system(e1, e2))
     return _orbit_point(model, ramp, u, d, e1, e2, x0_start), ok
 
@@ -243,8 +236,7 @@ def solve_periodic_orbit(
     numerics.check_count("grid_points", grid_points, 2)
     if d_tol is None:
         d_tol = 1e-12 * T
-    if not 0.0 < d_tol < np.inf:
-        raise DomainError(f"d_tol must be positive and finite, got {d_tol}")
+    numerics.check_positive("d_tol", d_tol)
 
     # Degenerate grid points come back NaN and take part in no bracket.
     scan, ok = _power_scan(model, ramp, u, grid_points)

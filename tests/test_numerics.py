@@ -110,7 +110,7 @@ class TestMatExp:
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kernel", [
     lambda a: numerics.mat_exp(a, 1.0),
-    lambda a: numerics.mat_exp_stack(a[None])[0],
+    lambda a: numerics.grid_exponentials(a, 1.0, np.array([1.0]))[0],
     lambda a: numerics.mat_powers(numerics.mat_exp(a, 0.01), 100)[-1],
 ])
 def test_overflow_is_non_finite_without_warning(kernel):
@@ -130,107 +130,6 @@ def test_check_count_accepts_integers():
         numerics.check_count("n", value, 0)
     with pytest.raises(DomainError, match="n must be >= 1, got 0"):
         numerics.check_count("n", np.int64(0), 1)
-
-
-def _rel(got, want):
-    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
-
-
-def _assert_expm(got, a):
-    # Within 1e-14 of a 40-digit oracle, and of scipy.linalg.expm up to
-    # scipy's own error: its reduced scaling and its plain Pade value on
-    # triangular slices with s = 0 can cost it more than 1e-14.
-    import mpmath
-    with mpmath.workdps(40):
-        exact = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
-    ref = scipy.linalg.expm(a)
-    assert _rel(got, exact) <= 1e-14
-    assert _rel(got, ref) <= 1e-14 + _rel(ref, exact)
-
-
-class TestMatExpStack:
-    def test_structured_slices(self):
-        # Zero, t = 0, diagonal, upper and lower triangular and symmetric
-        # Hurwitz slices, with 1-norms from 0 to ~60 (up to s = 4 squarings).
-        rng = np.random.default_rng(21)
-        for m in range(1, 6):
-            sym = rng.normal(size=(m, m))
-            stack = [
-                np.zeros((m, m)),
-                0.0 * rng.normal(size=(m, m)),
-                np.diag(rng.uniform(-30.0, 2.0, size=m)),
-                np.triu(rng.normal(size=(m, m))) * 12.0,
-                np.tril(rng.normal(size=(m, m))) * 4.0,
-                # Nearly equal diagonal entries: a divided difference of exp
-                # taken as a plain difference quotient would cancel.
-                np.diag(np.full(m, -1.0) + 1e-9 * np.arange(m)) + np.eye(m, k=1) * 0.3,
-                -(sym @ sym.T) * rng.uniform(0.1, 3.0) - np.eye(m),
-            ]
-            got = numerics.mat_exp_stack(np.array(stack))
-            assert np.array_equal(got[0], np.eye(m))
-            assert np.array_equal(got[1], np.eye(m))
-            for a, e in zip(stack, got):
-                _assert_expm(e, a)
-
-    def test_triangular_slices_exact(self):
-        # Diagonal = exp of the diagonal, bit for bit, and the zero triangle
-        # stays exactly zero, with and without squarings.
-        rng = np.random.default_rng(22)
-        for m in range(1, 6):
-            up = np.triu(rng.normal(size=(6, m, m))) * rng.uniform(0.01, 40.0, (6, 1, 1))
-            low = np.transpose(up, (0, 2, 1))
-            got_up, got_low = numerics.mat_exp_stack(up), numerics.mat_exp_stack(low)
-            assert not np.tril(got_up, -1).any()
-            assert not np.triu(got_low, 1).any()
-            for stack, got in ((up, got_up), (low, got_low)):
-                want_diag = np.exp(np.diagonal(stack, axis1=1, axis2=2))
-                assert np.array_equal(np.diagonal(got, axis1=1, axis2=2), want_diag)
-                for a, e in zip(stack, got):
-                    _assert_expm(e, a)
-
-    def test_pure_integrator_exactly_identity(self):
-        # e^{0} must be exactly I: a 1 - ulp diagonal would let a degenerate
-        # cycle map I - M2 M1 pass the pivot test.
-        gen = np.zeros((3, 3))
-        gen[0, 2] = 0.7  # [[A, B u], [0, 0]] with A = 0
-        got = numerics.mat_exp_stack(np.array([np.zeros((3, 3)), gen * 0.4, gen * 50.0]))
-        assert np.array_equal(got[0], np.eye(3))
-        assert np.array_equal(got[1][:2, :2], np.eye(2))
-        assert np.array_equal(got[2][:2, :2], np.eye(2))
-        assert got[2][0, 2] == pytest.approx(35.0, rel=1e-15)
-
-    def test_random_hurwitz(self):
-        # Non-normal Hurwitz slices with 1-norms from ~0.3 to ~60.
-        rng = np.random.default_rng(23)
-        squarings = []
-        for m in (1, 2, 3, 4, 5):
-            a = rng.normal(size=(m, m))
-            a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.3, 1.5)) * np.eye(m)
-            stack = a[None] * np.array([0.3, 2.0, 12.0])[:, None, None]
-            got = numerics.mat_exp_stack(stack)
-            for a_t, e in zip(stack, got):
-                _assert_expm(e, a_t)
-                squarings.append(np.abs(a_t).sum(axis=0).max() / 5.371920351148152)
-        assert max(squarings) > 4.0  # some slices needed s >= 3
-
-    def test_augmented_generators_match_scipy(self, buck_tem, ramp):
-        # The stage generators the solver exponentiates, over one period.
-        gen = np.zeros((3, 3))
-        gen[:2, :2] = buck_tem.A1
-        gen[:2, 2] = buck_tem.B1 @ [11.3, 20.0]
-        ts = np.linspace(0.0, ramp.T, 33)
-        got = numerics.mat_exp_stack(gen * ts[:, None, None])
-        assert np.array_equal(got[0], np.eye(3))
-        for t, e in zip(ts[::4], got[::4]):
-            _assert_expm(e, gen * t)
-
-    def test_invalid_input(self):
-        with pytest.raises(DimensionError):
-            numerics.mat_exp_stack(np.zeros((2, 3)))
-        with pytest.raises(DimensionError):
-            numerics.mat_exp_stack(np.zeros((2, 3, 2)))
-        with pytest.raises(DomainError):
-            numerics.mat_exp_stack(np.full((1, 2, 2), np.nan))
 
 
 class TestMatPowers:
@@ -262,6 +161,90 @@ class TestMatPowers:
     def test_non_square_step(self):
         with pytest.raises(DimensionError):
             numerics.mat_powers(np.zeros((2, 3)), 4)
+
+
+class TestGridExponentials:
+    def _check(self, gen, period, ts):
+        # Every slice against one scipy expm per point.
+        got = numerics.grid_exponentials(gen, period, ts)
+        assert got.shape == ts.shape + gen.shape
+        for t, e in zip(ts, got):
+            want = scipy.linalg.expm(gen * t)
+            assert np.linalg.norm(e - want) <= 1e-13 * np.linalg.norm(want)
+        return got
+
+    def test_matches_per_point_expm(self, model_cases):
+        # Both augmented stage generators, from t = 0 (exactly I) to
+        # t = period, on a uniform grid and at random times.
+        rng = np.random.default_rng(24)
+        for model, rmp, u in model_cases:
+            ts = np.concatenate(
+                [np.linspace(0.0, rmp.T, 33), rng.uniform(0.0, rmp.T, 16)]
+            )
+            for gen in stage_generators(model, u):
+                got = self._check(gen, rmp.T, ts)
+                assert np.array_equal(got[0], np.eye(len(gen)))
+
+    def test_stiff_hurwitz(self):
+        # Non-normal Hurwitz stage with poles at -1, -30 and -300, scaled to
+        # ||G||_1 T = 1000: a thousand steps, read off their powers.
+        rng = np.random.default_rng(25)
+        q = rng.normal(size=(3, 3))
+        gen = np.zeros((4, 4))
+        gen[:3, :3] = q @ np.diag([-1.0, -30.0, -300.0]) @ np.linalg.inv(q)
+        gen[:3, 3] = rng.normal(size=3)
+        gen *= 1000.0 / np.abs(gen).sum(axis=0).max()
+        assert np.linalg.eigvals(gen[:3, :3]).real.max() < 0.0
+        self._check(gen, 1.0, np.linspace(0.0, 1.0, 17))
+
+    def test_pure_integrator_state_block_exactly_identity(self):
+        # e^{0} on the state block must be exactly I: a 1 - ulp diagonal would
+        # let a degenerate cycle map I - M2 M1 pass the pivot test.
+        gen = np.zeros((3, 3))
+        gen[0, 2] = 0.7  # [[A, B u], [0, 0]] with A = 0
+        got = numerics.grid_exponentials(gen, 50.0, np.array([0.0, 0.4, 33.3, 50.0]))
+        assert np.array_equal(got[:, :2, :2], np.broadcast_to(np.eye(2), (4, 2, 2)))
+        assert got[3][0, 2] == pytest.approx(35.0, rel=1e-15)
+
+    def test_fewest_steps_and_minimal_taylor_order(self, model_cases, monkeypatch):
+        # The period is cut into the fewest steps h with ||G h||_1 <= 1, and
+        # taylor_terms gives the smallest order K whose first dropped term
+        # rho^(K+1) / (K+1)! is at most 2^-53.
+        taylor_terms, calls = numerics.taylor_terms, []
+
+        def spy(gen, tau):
+            calls.append((tau, taylor_terms(gen, tau)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(numerics, "taylor_terms", spy)
+        gens = [(g, rmp.T) for model, rmp, u in model_cases
+                for g in stage_generators(model, u)]
+        gens += [(np.zeros((3, 3)), 1.0), (np.diag([-2000.0, -1.0]), 0.5)]
+        for gen, period in gens:
+            got = numerics.grid_exponentials(gen, period, np.array([0.0, period]))
+            assert np.array_equal(got[0], np.eye(len(gen)))
+            tau, terms = calls[-1]
+            norm = np.abs(gen).sum(axis=0).max()
+            steps = round(period / tau)
+            rho = norm * tau
+            assert rho <= 1.0 and (steps == 1 or norm * period / (steps - 1) > 1.0)
+            k = len(terms) - 1
+            assert rho ** (k + 1) / math.factorial(k + 1) <= 2.0 ** -53
+            assert k == 0 or rho ** k / math.factorial(k) > 2.0 ** -53
+            for j, term in enumerate(terms):
+                want = np.linalg.matrix_power(gen * tau, j) / math.factorial(j)
+                assert np.linalg.norm(term - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_invalid_input(self):
+        gen = np.eye(2)
+        with pytest.raises(DimensionError):
+            numerics.grid_exponentials(gen, 1.0, 0.5)
+        for bad in (-0.1, 1.1, np.nan):
+            with pytest.raises(DomainError, match="times must lie in"):
+                numerics.grid_exponentials(gen, 1.0, np.array([0.5, bad]))
+        for period in (0.0, -1.0, np.inf):
+            with pytest.raises(DomainError, match="period must be positive"):
+                numerics.grid_exponentials(gen, period, np.array([0.0]))
 
 
 class TestMatExpIntegral:
@@ -421,11 +404,11 @@ class TestSolveLinearStack:
 
     def test_flags_match_solve_linear(self):
         rng = np.random.default_rng(31)
-        integrator = numerics.mat_exp_stack(np.zeros((2, 2, 2)))
+        integrator = [numerics.mat_exp(np.zeros((2, 2)), t) for t in (0.4, 0.6)]
         # Stage with a zero eigenvalue on an upper-triangular A: the cycle
         # map I - e^{A T} has an exact zero pivot.
         a = np.array([[0.0, 1.0], [0.0, -1.0]])
-        cycle = np.eye(2) - numerics.mat_exp_stack(a[None] * 0.8)[0]
+        cycle = np.eye(2) - numerics.mat_exp(a, 0.8)
         stack = np.array([
             np.eye(2) - integrator[1] @ integrator[0],
             [[1.0, 2.0], [2.0, 4.0]],

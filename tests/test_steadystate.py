@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,28 +126,29 @@ class TestBatchedScan:
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
     @pytest.mark.parametrize("grid_points", [64, 256])
-    def test_power_scan_matches_pade_scan(self, model_cases, grid_points, monkeypatch):
+    def test_power_scan_matches_per_point_scan(self, model_cases, grid_points, monkeypatch):
         # The solver's scan (powers of two step exponentials) against
-        # orbit_grid (one Pade exponential per point) on the same abscissae,
-        # and the orbit each scan leads the solver to.
+        # orbit_at (one scipy expm per stage and point) on the same
+        # abscissae, and the orbit each scan leads the solver to.
         model, ramp, u, _ = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
         cases = model_cases + [(model, ramp, u)]
 
-        def pade_scan(model, rmp, u, grid_points):
+        def per_point_scan(model, rmp, u, grid_points):
             grid = np.linspace(0.0, rmp.T, grid_points + 2)[1:-1]
-            return steadystate.orbit_grid(model, rmp, u, grid)
+            y = [p.orbit_at(model, rmp, u, d).y_switch for d in grid]
+            return SimpleNamespace(d=grid, y_switch=np.array(y)), np.ones(grid.size, bool)
 
         solved = []
         for model, rmp, u in cases:
             points, ok = steadystate._power_scan(model, rmp, u, grid_points)
-            ref, ref_ok = pade_scan(model, rmp, u, grid_points)
+            ref, ref_ok = per_point_scan(model, rmp, u, grid_points)
             assert np.array_equal(points.d, ref.d)
             assert np.array_equal(ok, ref_ok)
             h = p.ramp_value(rmp, points.d)
             got, want = points.y_switch - h, ref.y_switch - h
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             solved.append(p.solve_periodic_orbit(model, rmp, u, grid_points=grid_points).d)
-        monkeypatch.setattr(steadystate, "_power_scan", pade_scan)
+        monkeypatch.setattr(steadystate, "_power_scan", per_point_scan)
         for (model, rmp, u), d in zip(cases, solved):
             ref = p.solve_periodic_orbit(model, rmp, u, grid_points=grid_points)
             assert abs(d - ref.d) <= 1e-12 * rmp.T
