@@ -12,7 +12,9 @@ when
 
 which specializes to the period-doubling (lambda = -1), saddle-node
 (lambda = +1) and Neimark-Sacker (lambda = e^{j theta}) boundary residuals,
-and to the swept S-plot / F-plot / discrete-time Nyquist curves.
+and to the swept S-plot / F-plot / discrete-time Nyquist curves.  Every
+quantity in it but ``hdot`` is a :class:`SteadyState` field of the orbit
+point (``phi0``, ``gamma``, ``cm1``, ``c_xdot_minus``), read, never rebuilt.
 """
 
 from __future__ import annotations
@@ -81,31 +83,13 @@ class BoundaryCurve:
     samples: tuple[CurveSample, ...]
 
 
-@dataclass(frozen=True)
-class _Linearization:
-    # Shared pieces of the critical condition at one orbit point, or at a
-    # stack of them along a leading axis.
-    phi0: np.ndarray
-    gamma: np.ndarray
-    cm1: np.ndarray  # row C e^{A1 d}
-    c_xdot_minus: float | np.ndarray
-
-
-def _linearization(model: SwitchedLinearModel, ss: SteadyState) -> _Linearization:
-    # From the stage transition matrices and the orbit derivatives at the
-    # switch; for one orbit point, or for the stacked points of orbit_grid.
-    if ss.m1 is None:
+def _check_linearized(ss: SteadyState) -> None:
+    # An orbit built from its states alone leaves the linearization None.
+    if ss.phi0 is None:
         raise DomainError(
             "the orbit carries no linearization: build it with "
             "solve_periodic_orbit or orbit_at"
         )
-    jump = ss.xdot_minus - ss.xdot_plus
-    return _Linearization(
-        phi0=ss.m2 @ ss.m1,
-        gamma=(ss.m2 @ jump[..., None])[..., 0],
-        cm1=model.C @ ss.m1,
-        c_xdot_minus=ss.xdot_minus @ model.C,
-    )
 
 
 def _finite(name: str, values):
@@ -116,41 +100,42 @@ def _finite(name: str, values):
     return values
 
 
-def _loop_denominator(lin: _Linearization, hdot: float) -> float:
+def _loop_denominator(ss: SteadyState, hdot: float) -> float:
     # C xdot(d-) - hdot; zero when the switching condition grazes the ramp.
-    denom = lin.c_xdot_minus - hdot
-    scale = abs(lin.c_xdot_minus) + abs(hdot)
+    _check_linearized(ss)
+    denom = ss.c_xdot_minus - hdot
+    scale = abs(ss.c_xdot_minus) + abs(hdot)
     if abs(denom) <= GRAZING_RTOL * scale or denom == 0.0:
         raise GrazingError(
             "switching condition tangent to the ramp: "
-            f"C xdot(d-) = {lin.c_xdot_minus:.6g}, hdot = {hdot:.6g}"
+            f"C xdot(d-) = {ss.c_xdot_minus:.6g}, hdot = {hdot:.6g}"
         )
     return denom
 
 
-def _resolvent_term(lin: _Linearization, lam) -> tuple[np.ndarray, np.ndarray]:
+def _resolvent_term(ss: SteadyState, lam) -> tuple[np.ndarray, np.ndarray]:
     # C e^{A1 d} (lam I - Phi0)^{-1} Gamma in one stacked solve: at every
-    # lam of an array for one orbit point, or at one lam for a stacked
-    # linearization.  The solve is real when lam is.  Returns the values
-    # and the ok mask, false where lam is an eigenvalue of Phi0.
-    n = lin.phi0.shape[-1]
+    # lam of an array for one orbit point, or at one lam for the stacked
+    # points of orbit_grid.  The solve is real when lam is.  Returns the
+    # values and the ok mask, false where lam is an eigenvalue of Phi0.
+    _check_linearized(ss)
+    n = ss.phi0.shape[-1]
     lam = _finite("lambda", np.asarray(lam))
-    systems = (lam[..., None, None] * np.eye(n) - lin.phi0).reshape(-1, n, n)
+    systems = (lam[..., None, None] * np.eye(n) - ss.phi0).reshape(-1, n, n)
     rg, ok = numerics.solve_linear_stack(
-        systems, np.broadcast_to(lin.gamma, systems.shape[:-1])
+        systems, np.broadcast_to(ss.gamma, systems.shape[:-1])
     )
-    return np.sum(lin.cm1 * rg, axis=-1), ok
+    return np.sum(ss.cm1 * rg, axis=-1), ok
 
 
-def _point_value(model: SwitchedLinearModel, ss: SteadyState, lam):
+def _point_value(ss: SteadyState, lam):
     # Left side of the critical condition at the orbit point and one lam.
-    lin = _linearization(model, ss)
-    term, ok = _resolvent_term(lin, lam)
+    term, ok = _resolvent_term(ss, lam)
     if not ok[0]:
         raise ResolventPoleError(
             f"lambda = {lam:.6g} is an eigenvalue of the open-loop cycle map"
         )
-    return lin.c_xdot_minus + term[0]
+    return ss.c_xdot_minus + term[0]
 
 
 def _curve(parameter: str, params, values, ok) -> BoundaryCurve:
@@ -172,10 +157,9 @@ def jacobian(
     Raises :class:`GrazingError` when the switching condition is tangent
     to the ramp (zero linearization denominator).
     """
-    lin = _linearization(model, ss)
-    psi = lin.cm1 / _loop_denominator(lin, ramp.slope)
+    psi = ss.cm1 / _loop_denominator(ss, ramp.slope)
     return JacobianDecomposition(
-        Phi=lin.phi0 - np.outer(lin.gamma, psi), Phi0=lin.phi0, Gamma=lin.gamma, Psi=psi
+        Phi=ss.phi0 - np.outer(ss.gamma, psi), Phi0=ss.phi0, Gamma=ss.gamma, Psi=psi
     )
 
 
@@ -220,21 +204,21 @@ def general_critical_value(
     closed-loop Jacobian.  ``lambda`` must not be an eigenvalue of the
     open-loop map ``Phi0`` (raises :class:`ResolventPoleError`).
     """
-    return complex(_point_value(model, ss, lam))
+    return complex(_point_value(ss, lam))
 
 
 def pdb_residual(
     model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, ss: SteadyState
 ) -> float:
     """Period-doubling boundary residual (zero on the boundary)."""
-    return float(_point_value(model, ss, -1.0) - ramp.slope)
+    return float(_point_value(ss, -1.0) - ramp.slope)
 
 
 def snb_residual(
     model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, ss: SteadyState
 ) -> float:
     """Saddle-node boundary residual (zero on the boundary)."""
-    return float(_point_value(model, ss, 1.0) - ramp.slope)
+    return float(_point_value(ss, 1.0) - ramp.slope)
 
 
 def nsb_residual(
@@ -256,7 +240,7 @@ def nsb_residual(
             f"theta = {theta:.6g} coincides with the lambda = +1 or -1 case"
         )
     lam = cmath.exp(1j * wrapped)
-    return complex(_point_value(model, ss, lam)) - ramp.slope
+    return complex(_point_value(ss, lam)) - ramp.slope
 
 
 def s_plot(
@@ -283,12 +267,11 @@ def s_plot(
         )
     d = switch_time_of_duty(model.edge, duties, ramp.T)
     points, orbit_ok = orbit_grid(model, ramp, u, d)
-    lin = _linearization(model, points)
     # Degenerate duties have NaN states; a finite stand-in Gamma keeps the
     # stacked resolvent solve well defined, and those samples stay singular.
-    gamma = np.where(orbit_ok[:, None], lin.gamma, 0.0)
-    term, pole_ok = _resolvent_term(replace(lin, gamma=gamma), lam)
-    return _curve("duty", duties, lin.c_xdot_minus + term, orbit_ok & pole_ok)
+    gamma = np.where(orbit_ok[:, None], points.gamma, 0.0)
+    term, pole_ok = _resolvent_term(replace(points, gamma=gamma), lam)
+    return _curve("duty", duties, points.c_xdot_minus + term, orbit_ok & pole_ok)
 
 
 def f_plot(
@@ -305,9 +288,8 @@ def f_plot(
     left sides.
     """
     thetas = _finite("theta", np.asarray(thetas, dtype=float))
-    lin = _linearization(model, ss)
-    term, ok = _resolvent_term(lin, np.exp(1j * thetas))
-    return _curve("theta", thetas, lin.c_xdot_minus + term, ok)
+    term, ok = _resolvent_term(ss, np.exp(1j * thetas))
+    return _curve("theta", thetas, ss.c_xdot_minus + term, ok)
 
 
 def nyquist(
@@ -326,7 +308,6 @@ def nyquist(
     :class:`GrazingError` where :func:`jacobian` does.
     """
     omegas = _finite("omega", np.asarray(omegas, dtype=float))
-    lin = _linearization(model, ss)
-    denom = _loop_denominator(lin, ramp.slope)
-    term, ok = _resolvent_term(lin, np.exp(1j * omegas * ramp.T))
+    denom = _loop_denominator(ss, ramp.slope)
+    term, ok = _resolvent_term(ss, np.exp(1j * omegas * ramp.T))
     return _curve("omega", omegas, term / denom, ok)

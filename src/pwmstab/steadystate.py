@@ -44,13 +44,15 @@ class SteadyState:
     fraction (``d/T`` for TEM, ``1 - d/T`` for LEM).  ``candidates`` is
     how many switching-condition sign changes the solver saw; values
     above 1 mean the first crossing was chosen by the latch convention.
-    The stage transition matrices ``m1 = e^{A1 d}``, ``m2 = e^{A2 (T-d)}``
-    and the orbit derivatives ``xdot_minus``/``xdot_plus`` around the
-    switch are what every :mod:`pwmstab.stability` consumer reads; an
+    The last four fields, the linearization, are the blocks of the (x0, d)
+    orbit Jacobian ``[[phi0 - I, gamma], [cm1, c_xdot_minus - hdot]]``:
+    ``phi0 = e^{A2 (T-d)} e^{A1 d}``, ``gamma = e^{A2 (T-d)} (xdot(d-) -
+    xdot(d+))``, the row ``cm1 = C e^{A1 d}`` and ``c_xdot_minus = C
+    xdot(d-)``.  Every :mod:`pwmstab.stability` consumer reads them; an
     orbit given only by its states leaves them ``None``.  The points of
     :func:`orbit_grid` share one instance whose fields carry a leading
-    grid axis (``y_switch`` is then an array); ``candidates`` is unused
-    there.
+    grid axis (``y_switch`` and ``c_xdot_minus`` are then arrays);
+    ``candidates`` is unused there.
     """
 
     d: float
@@ -59,47 +61,52 @@ class SteadyState:
     x0_switch: np.ndarray
     y_switch: float
     candidates: int = 1
-    m1: np.ndarray | None = None
-    m2: np.ndarray | None = None
-    xdot_minus: np.ndarray | None = None
-    xdot_plus: np.ndarray | None = None
+    phi0: np.ndarray | None = None
+    gamma: np.ndarray | None = None
+    cm1: np.ndarray | None = None
+    c_xdot_minus: float | np.ndarray | None = None
 
 
 def _cycle_system(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Periodicity x0 = e^{A2 (T-d)} (e^{A1 d} x0 + J1 B1 u) + J2 B2 u as
-    # lhs x0 = rhs, from the stage exponentials of the augmented generators
-    # (one pair, or stacks of them along a leading axis).  An overflowed
-    # exponential raises here, for the whole stack, with no RuntimeWarning.
+    # x0 = phi0 x0 + rhs, from the stage exponentials of the augmented
+    # generators (one pair, or stacks of them along a leading axis); the
+    # callers solve (I - phi0) x0 = rhs.  An overflowed exponential raises
+    # here, for the whole stack, with no RuntimeWarning.
     n = e1.shape[-1] - 1
     m2 = e2[..., :n, :n]
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = np.eye(n) - m2 @ e1[..., :n, :n]
+        phi0 = m2 @ e1[..., :n, :n]
         rhs = (m2 @ e1[..., :n, n:])[..., 0] + e2[..., :n, n]
-    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+    if not (np.isfinite(phi0).all() and np.isfinite(rhs).all()):
         raise DomainError("a stage exponential overflows: the cycle map is not finite")
-    return lhs, rhs
+    return phi0, rhs
 
 
 def _orbit_point(
-    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d, e1, e2, x0_start
+    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d, e1, e2, phi0,
+    x0_start,
 ) -> SteadyState:
     # Orbit point(s) at switching time(s) d from the augmented stage
-    # exponentials and start state(s); grid points lie along a leading axis.
+    # exponentials, the cycle map and start state(s); grid points lie
+    # along a leading axis.
     n = model.n
     uv = u.as_array()
     m1 = e1[..., :n, :n]
     x0_switch = (m1 @ x0_start[..., None])[..., 0] + e1[..., :n, n]
     y_switch = x0_switch @ model.C + model.D @ uv
+    xdot_minus = x0_switch @ model.A1.T + model.B1 @ uv
+    jump = xdot_minus - (x0_switch @ model.A2.T + model.B2 @ uv)
     return SteadyState(
         d=d,
         duty=duty_of_switch_time(model.edge, d, ramp.T),
         x0_start=x0_start,
         x0_switch=x0_switch,
         y_switch=float(y_switch) if x0_switch.ndim == 1 else y_switch,
-        m1=m1,
-        m2=e2[..., :n, :n],
-        xdot_minus=x0_switch @ model.A1.T + model.B1 @ uv,
-        xdot_plus=x0_switch @ model.A2.T + model.B2 @ uv,
+        phi0=phi0,
+        gamma=(e2[..., :n, :n] @ jump[..., None])[..., 0],
+        cm1=model.C @ m1,
+        c_xdot_minus=xdot_minus @ model.C,
     )
 
 
@@ -137,13 +144,14 @@ def orbit_at(
     g1, g2 = stage_generators(model, u)
     e1 = numerics.mat_exp(g1, d)
     e2 = numerics.mat_exp(g2, T - d)
+    phi0, rhs = _cycle_system(e1, e2)
     try:
-        x0_start = numerics.solve_linear(*_cycle_system(e1, e2))
+        x0_start = numerics.solve_linear(np.eye(model.n) - phi0, rhs)
     except SingularMatrixError as exc:
         raise DegenerateOrbitError(
             f"open-loop cycle map has a multiplier at +1 for d={d:.6g}"
         ) from exc
-    return _orbit_point(model, ramp, u, d, e1, e2, x0_start)
+    return _orbit_point(model, ramp, u, d, e1, e2, phi0, x0_start)
 
 
 def orbit_grid(
@@ -162,8 +170,9 @@ def orbit_grid(
     g1, g2 = stage_generators(model, u)
     e1 = numerics.grid_exponentials(g1, ramp.T, d)
     e2 = numerics.grid_exponentials(g2, ramp.T, ramp.T - d)
-    x0_start, ok = numerics.solve_linear_stack(*_cycle_system(e1, e2))
-    return _orbit_point(model, ramp, u, d, e1, e2, x0_start), ok
+    phi0, rhs = _cycle_system(e1, e2)
+    x0_start, ok = numerics.solve_linear_stack(np.eye(model.n) - phi0, rhs)
+    return _orbit_point(model, ramp, u, d, e1, e2, phi0, x0_start), ok
 
 
 def _power_scan(
@@ -178,21 +187,18 @@ def _power_scan(
     p1 = numerics.mat_powers(numerics.mat_exp(g1, h), grid_points)
     p2 = numerics.mat_powers(numerics.mat_exp(g2, h), grid_points)
     e1, e2 = p1[1:], p2[:0:-1]
-    x0_start, ok = numerics.solve_linear_stack(*_cycle_system(e1, e2))
-    return _orbit_point(model, ramp, u, d, e1, e2, x0_start), ok
+    phi0, rhs = _cycle_system(e1, e2)
+    x0_start, ok = numerics.solve_linear_stack(np.eye(model.n) - phi0, rhs)
+    return _orbit_point(model, ramp, u, d, e1, e2, phi0, x0_start), ok
 
 
-def _switching_slope(
-    model: SwitchedLinearModel, ramp: RampSignal, ss: SteadyState
-) -> float:
+def _switching_slope(ramp: RampSignal, ss: SteadyState) -> float:
     # d/dd of the switching residual y_switch(d) - h(d) at an orbit point:
-    # C xdot(d-) - hdot + C m1 (I - m2 m1)^{-1} m2 (xdot(d-) - xdot(d+)),
-    # the saddle-node residual of pwmstab.stability.  The matrix is the one
-    # orbit_at just factored, so the solve cannot find it singular.
-    dx0 = numerics.solve_linear(
-        np.eye(model.n) - ss.m2 @ ss.m1, ss.m2 @ (ss.xdot_minus - ss.xdot_plus)
-    )
-    return float(model.C @ (ss.xdot_minus + ss.m1 @ dx0)) - ramp.slope
+    # C xdot(d-) + C e^{A1 d} (I - Phi0)^{-1} Gamma - hdot, the saddle-node
+    # residual of pwmstab.stability.  The matrix is the one orbit_at just
+    # factored, so the solve cannot find it singular.
+    dx0 = numerics.solve_linear(np.eye(ss.phi0.shape[-1]) - ss.phi0, ss.gamma)
+    return float(ss.c_xdot_minus + ss.cm1 @ dx0) - ramp.slope
 
 
 def solve_periodic_orbit(
@@ -219,7 +225,10 @@ def solve_periodic_orbit(
     residual (the saddle-node left side minus the ramp slope) from the
     orbit point each step builds; the result is the point of the last
     step, whose Newton step, or bracket, is at most ``d_tol`` (default
-    ``1e-12 T``) long.
+    ``1e-12 T``) long.  A refined point whose residual is larger in
+    magnitude than the scan's values at both bracket ends is a pole of the
+    residual, where an open-loop multiplier crosses +1 inside the bracket;
+    it is skipped like a degenerate candidate.
 
     Raises
     ------
@@ -230,7 +239,7 @@ def solve_periodic_orbit(
         state (duty saturated at 0 or 1).
     DegenerateOrbitError
         Every scan point, or every candidate, sat at a degenerate orbit
-        (open-loop multiplier at +1).
+        or a pole of the residual (open-loop multiplier at +1).
     """
     T = ramp.T
     numerics.check_count("grid_points", grid_points, 2)
@@ -261,15 +270,18 @@ def solve_periodic_orbit(
             "the converter never switches in steady state"
         )
 
-    # Every orbit point the refinement builds is kept; newton_root returns
-    # one of the points it evaluated, so the root's point is among them.
+    # Every orbit point the refinement builds is kept with its residual;
+    # newton_root returns one of the points it evaluated, so the root's
+    # point is among them.
     points = {}
 
     def residual(t):
-        ss = points[t] = orbit_at(model, ramp, u, t)
+        ss = orbit_at(model, ramp, u, t)
         r = ss.y_switch - float(ramp_value(ramp, t))
-        return r, _switching_slope(model, ramp, ss)
+        points[t] = ss, r
+        return r, _switching_slope(ramp, ss)
 
+    poles = 0
     for lo, hi in zip(los, his):
         if lo == hi:
             return replace(orbit_at(model, ramp, u, grid[lo]), candidates=len(los))
@@ -279,7 +291,12 @@ def solve_periodic_orbit(
             )
         except DegenerateOrbitError:
             continue
-        return replace(points[d], candidates=len(los))
+        ss, r = points[d]
+        if abs(r) > max(abs(values[lo]), abs(values[hi])):
+            poles += 1
+            continue
+        return replace(ss, candidates=len(los))
     raise DegenerateOrbitError(
-        f"all {len(los)} switching candidates hit degenerate orbits"
+        f"all {len(los)} switching candidates hit degenerate orbits "
+        f"({poles} of them poles of the switching residual)"
     )

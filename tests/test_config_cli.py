@@ -503,6 +503,14 @@ class TestReadmeConfig:
         assert cli.main(["steady", _write(tmp_path, text), "--quiet"]) == 0
         assert capsys.readouterr().out.startswith("d_seconds,")
 
+    def test_readme_library_example_runs(self, capsys):
+        # The python block of the README runs as written and prints its
+        # two lines.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
     @pytest.mark.parametrize("edge", ["TEM", "LEM"])
     @pytest.mark.parametrize("command", [
         "steady", "eigs", "sweep-vs", "splot", "fplot", "nyquist", "simulate",

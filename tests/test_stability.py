@@ -49,7 +49,7 @@ def _close(got, want, rtol=1e-12):
 
 
 class TestOrbitPoint:
-    """Every consumer reads e^{A1 d}, e^{A2 (T-d)} and xdot(d-/+) from the
+    """Every consumer reads Phi0, Gamma, C e^{A1 d} and C xdot(d-) from the
     solved SteadyState; each must match fresh numerics.mat_exp factors."""
 
     def test_consumers_match_fresh_exponentials(self, model_cases):
@@ -87,9 +87,14 @@ class TestOrbitPoint:
         for model, rmp, u in model_cases:
             ss = p.solve_periodic_orbit(model, rmp, u)
             again = p.orbit_at(model, rmp, u, ss.d)
-            for name in ("x0_start", "x0_switch", "m1", "m2", "xdot_minus", "xdot_plus"):
+            for name in ("x0_start", "x0_switch", "phi0", "gamma", "cm1", "c_xdot_minus"):
                 assert np.array_equal(getattr(again, name), getattr(ss, name))
             assert (again.duty, again.y_switch) == (ss.duty, ss.y_switch)
+
+    def test_jacobian_reads_the_orbit_fields(self, buck_tem, ramp, u_tem, ss_tem):
+        # Phi0 and Gamma are the orbit point's own arrays, not recomputed.
+        jd = p.jacobian(buck_tem, ramp, u_tem, ss_tem)
+        assert jd.Phi0 is ss_tem.phi0 and jd.Gamma is ss_tem.gamma
 
     def test_orbit_without_linearization_rejected(self, buck_tem, ramp, u_tem, ss_tem):
         bare = p.SteadyState(
@@ -112,7 +117,7 @@ class TestOrbitPoint:
         )
         u = p.InputVector(0.3, 1.0)
         ss = p.orbit_at(m, UNIT_RAMP, u, 0.4)
-        thetas = np.angle(np.linalg.eigvals(ss.m2 @ ss.m1))
+        thetas = np.angle(np.linalg.eigvals(ss.phi0))
         thetas = np.concatenate([thetas, [0.5, -2.0]])
         flags = []
         for t in thetas:
@@ -229,7 +234,7 @@ class TestGeneralCriticalValue:
         m = _smooth_model()
         u = p.InputVector(0.2, 0.5)
         ss = p.solve_periodic_orbit(m, UNIT_RAMP, u)
-        want = float(np.asarray(m.C) @ ss.xdot_minus)
+        want = float(ss.c_xdot_minus)
         for lam in (2.0, -3.0 + 1j, 0.9j):
             got = p.general_critical_value(m, UNIT_RAMP, u, ss, lam)
             assert got == pytest.approx(want, rel=1e-12)
@@ -290,7 +295,7 @@ class TestScalarResiduals:
         m = _smooth_model()
         u = p.InputVector(0.2, 0.5)
         ss = p.solve_periodic_orbit(m, UNIT_RAMP, u)
-        base = float(np.asarray(m.C) @ ss.xdot_minus) - 1.0
+        base = float(ss.c_xdot_minus) - 1.0
         assert p.pdb_residual(m, UNIT_RAMP, u, ss) == pytest.approx(base, rel=1e-12)
         assert p.snb_residual(m, UNIT_RAMP, u, ss) == pytest.approx(base, rel=1e-12)
         got = p.nsb_residual(m, UNIT_RAMP, u, ss, 1.0)
@@ -474,7 +479,7 @@ class TestCurves:
         # F(theta) - hdot == (C xdot(d-) - hdot) * (1 + N(e^{j theta})):
         # the two plots restate the same condition.
         hdot = ramp.slope
-        denom = float(buck_tem.C @ ss_tem.xdot_minus) - hdot
+        denom = float(ss_tem.c_xdot_minus) - hdot
         thetas = [0.7, 1.9, 2.9]
         fcurve = p.f_plot(buck_tem, ramp, u_tem, ss_tem, thetas)
         ncurve = p.nyquist(

@@ -121,7 +121,7 @@ class TestBatchedScan:
                 assert abs(points.duty[i] - ref.duty) <= 1e-12
                 scale = max(abs(ref.y_switch), rmp.Vm)
                 assert abs(points.y_switch[i] - ref.y_switch) <= 1e-12 * scale
-                for name in ("m1", "m2", "xdot_minus", "xdot_plus"):
+                for name in ("phi0", "gamma", "cm1", "c_xdot_minus"):
                     got, want = getattr(points, name)[i], getattr(ref, name)
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
@@ -241,7 +241,7 @@ class TestOrderedCandidates:
         def point(d):
             ss = steadystate.orbit_at(model, ramp, u, d)
             return (switching_residual(model, ramp, u, d),
-                    steadystate._switching_slope(model, ramp, ss))
+                    steadystate._switching_slope(ramp, ss))
 
         roots = [
             numerics.newton_root(
@@ -490,7 +490,7 @@ class TestNewtonRefinement:
         # residual F(+1) - hdot at the solved orbit.
         for model, rmp, u in model_cases:
             ss = p.solve_periodic_orbit(model, rmp, u)
-            slope = steadystate._switching_slope(model, rmp, ss)
+            slope = steadystate._switching_slope(rmp, ss)
             assert slope == pytest.approx(p.snb_residual(model, rmp, u, ss), rel=1e-12)
 
     def test_zero_slope_bisects_to_the_root(self, buck_tem, ramp, u_tem, monkeypatch):
@@ -546,6 +546,80 @@ class TestIntegratingState:
             p.solve_periodic_orbit(model, ramp, u)
 
 
+# Two general-model pool items of the orbit-analysis benchmark (seed 3,
+# item 2 and seed 9, item 23): an open-loop multiplier of each crosses +1
+# between two scan points, so the scan sees a sign change of the switching
+# residual at a pole, and Newton, started there, converged onto it.
+POLE_ONLY_TEXT = """\
+[model]
+edge = TEM
+A1 = 0.386893,0.599562; -2.09728,-1.96907
+A2 = 0.00603775,-2.11943; 1.18073,-1.77484
+B1 = 0.00683252,0.494471; -0.446208,0.683309
+B2 = -0.334891,0.510181; -1.88258,-0.221244
+C = 2.03462,-0.422604
+D = 1.1071,0.443027
+
+[ramp]
+Vl = 0
+Vh = 1
+T = 1
+
+[input]
+vr = 0.596593
+vs = 0.663304
+
+[solver]
+grid_points = 64
+scan_points = 512
+"""
+
+POLE_THEN_ROOT_TEXT = """\
+[model]
+edge = TEM
+A1 = -1.96267,1.20431,-0.674699,-1.18595,0.771028; 0.732996,-5.30802,1.42765,-0.475014,0.0211798; -0.307678,-1.47226,-4.50187,-2.52577,-2.16931; 2.28168,-1.17488,-1.75915,-0.283835,0.730394; 0.495809,0.462764,-1.3514,0.467757,-5.38745
+A2 = -4.57462,-1.52755,-1.16476,0.597245,1.23725; 1.05047,-2.82373,0.877049,-0.816286,0.518884; -3.32947,1.70327,-1.867,0.289072,-1.22761; -1.5472,-1.81984,-1.83486,-4.62005,2.15419; -3.68395,0.923267,-0.980908,-0.052557,-1.39056
+B1 = 1.6969,-0.0197058; 0.854449,-1.00798; -0.96039,0.555888; 0.325319,-1.1729; -0.918195,0.917555
+B2 = 0.10256,-1.15858; -0.175417,-0.00299483; -0.45507,-2.95778; 0.685564,-0.331402; -1.06004,0.0930171
+C = 0.574037,0.181131,-1.10422,0.226158,-0.56307
+D = 0.651155,0.0589294
+
+[ramp]
+Vl = 0
+Vh = 1
+T = 1
+
+[input]
+vr = 0.229939
+vs = 1.02219
+
+[solver]
+grid_points = 64
+scan_points = 512
+"""
+
+
+class TestResidualPoles:
+    def test_pole_only_is_refused(self):
+        model, ramp, u, solver = p.build(p.parse_config(POLE_ONLY_TEXT))
+        with pytest.raises(DegenerateOrbitError, match="poles of the switching residual"):
+            p.solve_periodic_orbit(model, ramp, u, solver.grid_points)
+
+    def test_pole_is_skipped_for_the_next_bracket(self):
+        # The orbit after the pole is the one the latching comparator makes.
+        model, ramp, u, solver = p.build(p.parse_config(POLE_THEN_ROOT_TEXT))
+        ss = p.solve_periodic_orbit(model, ramp, u, solver.grid_points)
+        rec = p.CycleSimulator(model, ramp, u, scan_points=solver.scan_points).cycle(
+            ss.x0_start
+        )
+        assert rec.d_event is not None and abs(rec.d_event - ss.d) <= 1e-8 * ramp.T
+        x0 = ss.x0_start
+        assert np.linalg.norm(rec.x_end - x0) <= 1e-9 * (1.0 + np.linalg.norm(x0))
+        phi = p.jacobian(model, ramp, u, ss).Phi
+        fd = p.fd_jacobian(model, ramp, u, x0, eps=1e-5, scan_points=solver.scan_points)
+        assert np.max(np.abs(fd - phi)) <= 1e-6 * np.max(np.abs(phi))
+
+
 class TestOrbitDerivatives:
     def test_no_jump_when_stages_match(self):
         a = [[-1.0, 0.2], [0.0, -2.0]]
@@ -553,12 +627,12 @@ class TestOrbitDerivatives:
         m = p.SwitchedLinearModel(A1=a, A2=a, B1=b, B2=b, C=[1.0, 0.0],
                                   D=[1.0, 0.0], edge=p.ModulationEdge.TEM)
         ss = p.solve_periodic_orbit(m, UNIT_RAMP, p.InputVector(0.05, 0.8))
-        assert np.allclose(ss.xdot_minus, ss.xdot_plus)
+        assert np.allclose(ss.gamma, 0.0)
 
     def test_tem_jump_is_source_column(self, buck_tem, ramp, u_tem, ss_tem):
-        jump = ss_tem.xdot_minus - ss_tem.xdot_plus
-        expected = buck_tem.B1[:, 1] * u_tem.vs
-        assert np.allclose(jump, expected, rtol=1e-12)
+        m2 = numerics.mat_exp(buck_tem.A2, ramp.T - ss_tem.d)
+        expected = m2 @ buck_tem.B1[:, 1] * u_tem.vs
+        assert np.allclose(ss_tem.gamma, expected, rtol=1e-12)
 
     def test_against_ode_slope(self, buck_tem, ramp, u_tem, ss_tem):
         # One-sided finite-difference slopes of the integrated orbit at d,
@@ -583,8 +657,10 @@ class TestOrbitDerivatives:
                     slopes.append((xa - ss_tem.x0_switch) / h)
             return 2.0 * slopes[1] - slopes[0]
 
-        assert np.allclose(one_sided(1, -1), ss_tem.xdot_minus, rtol=1e-6)
-        assert np.allclose(one_sided(2, +1), ss_tem.xdot_plus, rtol=1e-6)
+        xdot_minus, xdot_plus = one_sided(1, -1), one_sided(2, +1)
+        m2 = numerics.mat_exp(buck_tem.A2, ramp.T - ss_tem.d)
+        assert np.allclose(buck_tem.C @ xdot_minus, ss_tem.c_xdot_minus, rtol=1e-6)
+        assert np.allclose(m2 @ (xdot_minus - xdot_plus), ss_tem.gamma, rtol=1e-6)
 
 
 @pytest.mark.filterwarnings("error")
