@@ -183,7 +183,8 @@ def harmonic_gains(plant: BuckPlant, K: int) -> HarmonicGains:
     """Sample ``G`` at the integer and half-integer switching harmonics.
 
     These depend on the plant only, not on the switching instant, so one
-    set of gains serves a whole duty sweep.
+    set of gains serves a whole duty sweep.  One stacked solve takes all
+    ``2K`` resolvents; a singular one raises :class:`ResolventPoleError`.
     """
     numerics.check_count("K", K, 1)
     ws = plant.ramp.ws
@@ -191,15 +192,10 @@ def harmonic_gains(plant: BuckPlant, K: int) -> HarmonicGains:
     freqs = np.concatenate([k * ws, (k - 0.5) * ws])
     n = plant.A.shape[0]
     systems = 1j * freqs[:, None, None] * np.eye(n) - plant.A
-    try:
-        sols = np.linalg.solve(systems, np.broadcast_to(
-            plant.B.astype(complex), (freqs.size, n)
-        )[..., None])
-    except np.linalg.LinAlgError as exc:
-        raise ResolventPoleError("a series frequency is a pole of the plant") from exc
-    gains = (plant.C @ sols[..., 0].T).astype(complex)
-    if not np.all(np.isfinite(gains)):
+    x, ok = numerics.solve_linear_stack(systems, np.broadcast_to(plant.B, (2 * K, n)))
+    if not ok.all():
         raise ResolventPoleError("a series frequency is a pole of the plant")
+    gains = x @ plant.C
     return HarmonicGains(integer=gains[:K], half=gains[K:])
 
 

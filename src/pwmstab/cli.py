@@ -271,8 +271,13 @@ def cmd_taylor_compare(args) -> None:
     plant = buck_mod.make_buck_plant(model, ramp)
     rows = []
     for duty in _duty_grid(args):
-        exact = buck_mod.vs_critical_tem(plant, duty)
-        approx = buck_mod.taylor_critical_vs(plant, duty, order=args.order)
+        # The Taylor form is TEM's; LEM mirrors it: vs_LEM(D) = -vs_TEM(1 - D).
+        if model.edge is ModulationEdge.LEM:
+            exact = buck_mod.vs_critical_lem(plant, duty)
+            approx = -buck_mod.taylor_critical_vs(plant, 1.0 - duty, order=args.order)
+        else:
+            exact = buck_mod.vs_critical_tem(plant, duty)
+            approx = buck_mod.taylor_critical_vs(plant, duty, order=args.order)
         rel = (
             abs(approx - exact) / abs(exact)
             if math.isfinite(exact) and exact != 0.0 and math.isfinite(approx)

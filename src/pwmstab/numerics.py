@@ -21,12 +21,12 @@ dense matrices:
   :class:`DomainError`.
 * ``eigenvalues`` runs the dense QR algorithm (``numpy.linalg.eigvals``)
   on the matrix as given, so a real matrix keeps exact conjugate pairs.
-* ``solve_linear`` is an LU solve, real or complex, by LAPACK
-  ``getrf``/``getrs`` called directly, with an explicit pivot threshold so
-  near-singular systems raise instead of returning garbage; upstream code
-  relies on that signal (e.g. "lambda is an eigenvalue of the open-loop
-  map").  ``solve_linear_stack`` applies the same threshold to every
-  slice of a stack and reports it in a mask instead of raising.
+* ``solve_linear`` (LAPACK ``getrf``/``getrs``) and ``solve_linear_stack``
+  are the package's only linear solves, real or complex: one for a single
+  system (``orbit_at``, ``steadystate.critical_value``, ``BuckPlant``), one
+  for a stack (the orbit scan, ``orbit_grid``, the swept curves,
+  ``harmonic_gains``).  Both apply one pivot threshold, so a near-singular
+  system raises, or its slice is masked, instead of solving into garbage.
 * ``newton_root`` refines a bracket whose end values are already known by
   Newton steps on a caller-supplied slope, bisecting where a step would
   leave the bracket; the orbit solver refines its switching time with it,

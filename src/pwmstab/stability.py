@@ -5,8 +5,7 @@ open-loop part ``Phi0`` (the two stage exponentials), a rank-one switching
 correction built from the vector-field jump ``Gamma`` and the sensitivity
 row ``Psi``, with ``Phi = Phi0 - Gamma Psi``; :func:`jacobian` computes
 ``Phi`` by exactly that formula.  The same pieces yield the general
-critical condition: ``lambda`` is an eigenvalue of ``Phi`` exactly
-when
+critical condition: ``lambda`` is an eigenvalue of ``Phi`` exactly when
 
     C xdot(d-) + C e^{A1 d} (lambda I - Phi0)^{-1} Gamma  ==  hdot
 
@@ -15,6 +14,8 @@ which specializes to the period-doubling (lambda = -1), saddle-node
 and to the swept S-plot / F-plot / discrete-time Nyquist curves.  Every
 quantity in it but ``hdot`` is a :class:`SteadyState` field of the orbit
 point (``phi0``, ``gamma``, ``cm1``, ``c_xdot_minus``), read, never rebuilt.
+One lambda is :func:`steadystate.critical_value`, the orbit solver's own
+slope, at one LAPACK solve; a sweep takes one stacked solve.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .errors import DomainError, GrazingError, ResolventPoleError
+from .errors import DomainError, GrazingError
 from .model import InputVector, RampSignal, SwitchedLinearModel, switch_time_of_duty
-from .steadystate import SteadyState, orbit_grid
+from .steadystate import SteadyState, critical_value, orbit_grid
 # x0_of_d stays bound here: perfbench's tracer wraps it on this module.
 from .steadystate import x0_of_d  # noqa: F401
 
@@ -83,13 +84,14 @@ class BoundaryCurve:
     samples: tuple[CurveSample, ...]
 
 
-def _check_linearized(ss: SteadyState) -> None:
+def _linearized(ss: SteadyState) -> SteadyState:
     # An orbit built from its states alone leaves the linearization None.
     if ss.phi0 is None:
         raise DomainError(
             "the orbit carries no linearization: build it with "
             "solve_periodic_orbit or orbit_at"
         )
+    return ss
 
 
 def _finite(name: str, values):
@@ -102,8 +104,7 @@ def _finite(name: str, values):
 
 def _loop_denominator(ss: SteadyState, hdot: float) -> float:
     # C xdot(d-) - hdot; zero when the switching condition grazes the ramp.
-    _check_linearized(ss)
-    denom = ss.c_xdot_minus - hdot
+    denom = _linearized(ss).c_xdot_minus - hdot
     scale = abs(ss.c_xdot_minus) + abs(hdot)
     if abs(denom) <= GRAZING_RTOL * scale or denom == 0.0:
         raise GrazingError(
@@ -114,28 +115,17 @@ def _loop_denominator(ss: SteadyState, hdot: float) -> float:
 
 
 def _resolvent_term(ss: SteadyState, lam) -> tuple[np.ndarray, np.ndarray]:
-    # C e^{A1 d} (lam I - Phi0)^{-1} Gamma in one stacked solve: at every
-    # lam of an array for one orbit point, or at one lam for the stacked
-    # points of orbit_grid.  The solve is real when lam is.  Returns the
-    # values and the ok mask, false where lam is an eigenvalue of Phi0.
-    _check_linearized(ss)
-    n = ss.phi0.shape[-1]
+    # The sweeps' C e^{A1 d} (lam I - Phi0)^{-1} Gamma in one stacked solve:
+    # at every lam of an array for one orbit point, or at one lam for the
+    # stacked points of orbit_grid.  The solve is real when lam is.  Returns
+    # the values and the ok mask, false where lam is an eigenvalue of Phi0.
+    n = _linearized(ss).phi0.shape[-1]
     lam = _finite("lambda", np.asarray(lam))
     systems = (lam[..., None, None] * np.eye(n) - ss.phi0).reshape(-1, n, n)
     rg, ok = numerics.solve_linear_stack(
         systems, np.broadcast_to(ss.gamma, systems.shape[:-1])
     )
     return np.sum(ss.cm1 * rg, axis=-1), ok
-
-
-def _point_value(ss: SteadyState, lam):
-    # Left side of the critical condition at the orbit point and one lam.
-    term, ok = _resolvent_term(ss, lam)
-    if not ok[0]:
-        raise ResolventPoleError(
-            f"lambda = {lam:.6g} is an eigenvalue of the open-loop cycle map"
-        )
-    return ss.c_xdot_minus + term[0]
 
 
 def _curve(parameter: str, params, values, ok) -> BoundaryCurve:
@@ -204,21 +194,21 @@ def general_critical_value(
     closed-loop Jacobian.  ``lambda`` must not be an eigenvalue of the
     open-loop map ``Phi0`` (raises :class:`ResolventPoleError`).
     """
-    return complex(_point_value(ss, lam))
+    return complex(critical_value(_linearized(ss), _finite("lambda", lam)))
 
 
 def pdb_residual(
     model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, ss: SteadyState
 ) -> float:
     """Period-doubling boundary residual (zero on the boundary)."""
-    return float(_point_value(ss, -1.0) - ramp.slope)
+    return float(critical_value(_linearized(ss), -1.0) - ramp.slope)
 
 
 def snb_residual(
     model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, ss: SteadyState
 ) -> float:
     """Saddle-node boundary residual (zero on the boundary)."""
-    return float(_point_value(ss, 1.0) - ramp.slope)
+    return float(critical_value(_linearized(ss), 1.0) - ramp.slope)
 
 
 def nsb_residual(
@@ -240,7 +230,7 @@ def nsb_residual(
             f"theta = {theta:.6g} coincides with the lambda = +1 or -1 case"
         )
     lam = cmath.exp(1j * wrapped)
-    return complex(_point_value(ss, lam)) - ramp.slope
+    return complex(critical_value(_linearized(ss), lam)) - ramp.slope
 
 
 def s_plot(

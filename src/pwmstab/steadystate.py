@@ -6,11 +6,12 @@ returning to the starting state, and the compensator output meeting the
 ramp at the switching instant.  For a candidate ``d`` the first two are a
 linear boundary-value problem solved in closed form with matrix
 exponentials; the third is a scalar root-finding problem in ``d``, solved
-by Newton steps on the exact slope of its residual.  The roots are
-bracketed by a scan on a uniform grid of ``d``, whose stage exponentials
-are the powers of one step exponential per stage
-(``numerics.mat_powers``); :func:`orbit_grid`, at arbitrary switching
-times, multiplies such powers by a Taylor sum over the rest of each time.
+by Newton steps on the exact slope of its residual, ``F(+1) - hdot`` of
+:func:`critical_value`.  The roots are bracketed by a scan on a uniform
+grid of ``d``, whose stage exponentials are the powers of one step
+exponential per stage (``numerics.mat_powers``); :func:`orbit_grid`, at
+arbitrary switching times, multiplies such powers by a Taylor sum over the
+rest of each time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     DegenerateOrbitError,
     DomainError,
     NoSwitchingError,
+    ResolventPoleError,
     SingularMatrixError,
 )
 from .model import (
@@ -65,6 +67,22 @@ class SteadyState:
     gamma: np.ndarray | None = None
     cm1: np.ndarray | None = None
     c_xdot_minus: float | np.ndarray | None = None
+
+
+def critical_value(ss: SteadyState, lam):
+    """``C xdot(d-) + C e^{A1 d} (lam I - Phi0)^{-1} Gamma`` at one orbit point.
+
+    The critical condition's left side ``F(lam)`` at one real or complex
+    ``lam``, by one :func:`numerics.solve_linear`.  Raises
+    :class:`ResolventPoleError` where ``lam I - Phi0`` is singular.
+    """
+    try:
+        rg = numerics.solve_linear(lam * np.eye(len(ss.phi0)) - ss.phi0, ss.gamma)
+    except SingularMatrixError as exc:
+        raise ResolventPoleError(
+            f"lambda = {lam:.6g} is an eigenvalue of the open-loop cycle map"
+        ) from exc
+    return ss.c_xdot_minus + ss.cm1 @ rg
 
 
 def _cycle_system(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,15 +210,6 @@ def _power_scan(
     return _orbit_point(model, ramp, u, d, e1, e2, phi0, x0_start), ok
 
 
-def _switching_slope(ramp: RampSignal, ss: SteadyState) -> float:
-    # d/dd of the switching residual y_switch(d) - h(d) at an orbit point:
-    # C xdot(d-) + C e^{A1 d} (I - Phi0)^{-1} Gamma - hdot, the saddle-node
-    # residual of pwmstab.stability.  The matrix is the one orbit_at just
-    # factored, so the solve cannot find it singular.
-    dx0 = numerics.solve_linear(np.eye(ss.phi0.shape[-1]) - ss.phi0, ss.gamma)
-    return float(ss.c_xdot_minus + ss.cm1 @ dx0) - ramp.slope
-
-
 def solve_periodic_orbit(
     model: SwitchedLinearModel,
     ramp: RampSignal,
@@ -221,11 +230,10 @@ def solve_periodic_orbit(
     wins (first crossing in the cycle, matching comparator latch
     behavior).  ``candidates`` on the result reports how many candidates
     the scan saw.  A bracket is refined by :func:`numerics.newton_root`
-    from the scan's values at its ends, with the exact slope of the
-    residual (the saddle-node left side minus the ramp slope) from the
-    orbit point each step builds; the result is the point of the last
-    step, whose Newton step, or bracket, is at most ``d_tol`` (default
-    ``1e-12 T``) long.  A refined point whose residual is larger in
+    from the scan's values at its ends, with the exact slope
+    ``F(+1) - hdot`` at the orbit point each step builds; the result is
+    the point of the last step, whose Newton step, or bracket, is at most
+    ``d_tol`` (default ``1e-12 T``) long.  A refined point whose residual is larger in
     magnitude than the scan's values at both bracket ends is a pole of the
     residual, where an open-loop multiplier crosses +1 inside the bracket;
     it is skipped like a degenerate candidate.
@@ -279,7 +287,8 @@ def solve_periodic_orbit(
         ss = orbit_at(model, ramp, u, t)
         r = ss.y_switch - float(ramp_value(ramp, t))
         points[t] = ss, r
-        return r, _switching_slope(ramp, ss)
+        # d/dd of r is F(+1) - hdot; orbit_at just factored I - Phi0.
+        return r, float(critical_value(ss, 1.0)) - ramp.slope
 
     poles = 0
     for lo, hi in zip(los, his):

@@ -103,6 +103,22 @@ def transfer_eval(plant, s):
     return complex(plant.C @ x)
 
 
+def spy_solve_kernels(monkeypatch):
+    """Count the calls of numerics' two guarded solve kernels from now on.
+
+    Returns ``{"solve_linear": 0, "solve_linear_stack": 0}``, kept up to
+    date by wrappers set on :mod:`pwmstab.numerics` for the test's span.
+    """
+    counts = dict.fromkeys(("solve_linear", "solve_linear_stack"), 0)
+    for name in counts:
+        def spy(*args, _name=name, _kernel=getattr(numerics, name)):
+            counts[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(numerics, name, spy)
+    return counts
+
+
 def taylor_pdb_residual(plant, D, vs, order=2):
     """Truncated TEM boundary residual of the Taylor expansion: the
     coefficient behind ``taylor_critical_vs`` times ``vs``, minus the ramp

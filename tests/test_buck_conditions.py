@@ -11,6 +11,7 @@ from pwmstab.model import switch_time_of_duty
 from conftest import (
     UNIT_RAMP,
     slaved_reference_orbit,
+    spy_solve_kernels,
     taylor_pdb_residual,
     transfer_eval,
 )
@@ -250,6 +251,32 @@ class TestTransferFunction:
         pole = np.linalg.eigvals(plant.A)[0]
         with pytest.raises(ResolventPoleError):
             transfer_eval(plant, complex(pole))
+
+
+class TestHarmonicGains:
+    def test_gains_are_the_transfer_function(self, plant, ramp, monkeypatch):
+        # All 2K samples come from one stacked solve.
+        calls = spy_solve_kernels(monkeypatch)
+        gains = p.harmonic_gains(plant, 6)
+        assert calls == {"solve_linear": 0, "solve_linear_stack": 1}
+        k = np.arange(1, 7)
+        for got, w in zip(np.concatenate([gains.integer, gains.half]),
+                          np.concatenate([k, k - 0.5]) * ramp.ws):
+            assert got == pytest.approx(transfer_eval(plant, 1j * w), rel=1e-12)
+
+    @pytest.mark.parametrize("detune", [0.0, 2.0 ** -50], ids=["exact", "detuned"])
+    def test_pole_at_a_series_frequency_raises(self, detune):
+        # An undamped plant resonant at ws, exactly or to within 2^-50: the
+        # second is singular by the package's pivot rule, as solve_linear
+        # finds j ws I - A, though a plain LU solve returns |G| ~ 8e9.
+        ramp = p.RampSignal(0.0, 1.0, 1e-4)
+        w = ramp.ws * (1.0 + detune)
+        plant = p.BuckPlant(A=[[0.0, w], [-w, 0.0]], B=[1.0, 0.0], C=[1.0, 0.0],
+                            ramp=ramp)
+        with pytest.raises(SingularMatrixError):
+            numerics.solve_linear(1j * ramp.ws * np.eye(2) - plant.A, plant.B)
+        with pytest.raises(ResolventPoleError, match="pole of the plant"):
+            p.harmonic_gains(plant, 4)
 
 
 class TestHarmonicBalance:

@@ -511,21 +511,43 @@ class TestReadmeConfig:
         exec(compile(code, "README.md", "exec"), {})
         assert len(capsys.readouterr().out.splitlines()) == 2
 
-    @pytest.mark.parametrize("edge", ["TEM", "LEM"])
-    @pytest.mark.parametrize("command", [
-        "steady", "eigs", "sweep-vs", "splot", "fplot", "nyquist", "simulate",
-        "check-equivalence", "taylor-compare",
-    ])
-    def test_every_command_on_readme_config(self, tmp_path, capsys, command, edge):
-        # The README config and its LEM mirror (vr and vs negated).
+    @staticmethod
+    def _config(edge):
+        # The README config, or its LEM mirror (vr and vs negated).
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         if edge == "LEM":
             text = text.replace("edge = TEM", "edge = LEM").replace(
                 "vr = 11.3", "vr = -11.3").replace("vs = 20.0", "vs = -20.0")
             assert "edge = LEM" in text and "vs = -20.0" in text
-        assert cli.main([command, _write(tmp_path, text), "--quiet"]) == 0
+        return text
+
+    @pytest.mark.parametrize("edge", ["TEM", "LEM"])
+    @pytest.mark.parametrize("command", [
+        "steady", "eigs", "sweep-vs", "splot", "fplot", "nyquist", "simulate",
+        "check-equivalence", "taylor-compare",
+    ])
+    def test_every_command_on_readme_config(self, tmp_path, capsys, command, edge):
+        cfg = _write(tmp_path, self._config(edge))
+        assert cli.main([command, cfg, "--quiet"]) == 0
         assert capsys.readouterr().out.count("\n") >= 2
+
+    @pytest.mark.parametrize("edge", ["TEM", "LEM"])
+    def test_taylor_compare_exact_column_is_sweep_vs(self, tmp_path, capsys, edge):
+        # taylor-compare's exact voltage is the config edge's boundary, the
+        # one sweep-vs prints, field for field (for LEM that is
+        # -vs_TEM(1 - D), not the TEM boundary at D), and its Taylor
+        # voltage stays within 1 % of it on the README plant.
+        cfg = _write(tmp_path, self._config(edge))
+        tables = []
+        for command in ("taylor-compare", "sweep-vs"):
+            assert cli.main([command, cfg, "--quiet", "--points", "9"]) == 0
+            rows = capsys.readouterr().out.strip().splitlines()[1:]
+            tables.append([row.split(",") for row in rows])
+        taylor, sweep = tables
+        assert len(taylor) == 9
+        assert [row[:2] for row in taylor] == [row[:2] for row in sweep]
+        assert max(float(row[3]) for row in taylor) <= 0.01
 
 
 class TestRuntimeImports:

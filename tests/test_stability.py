@@ -14,7 +14,12 @@ from pwmstab.errors import (
     SingularMatrixError,
 )
 from pwmstab.model import switch_time_of_duty
-from conftest import UNIT_RAMP, slaved_reference_orbit, switching_residual
+from conftest import (
+    UNIT_RAMP,
+    slaved_reference_orbit,
+    spy_solve_kernels,
+    switching_residual,
+)
 
 
 def _smooth_model():
@@ -489,3 +494,53 @@ class TestCurves:
             lhs = fs_.value - hdot
             rhs = denom * (1.0 + ns_.value)
             assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+class TestSolveKernels:
+    # One orbit point at one lambda is one system, solved by LAPACK
+    # (numerics.solve_linear); a sweep is a stack (solve_linear_stack).
+
+    @pytest.mark.parametrize("residual", [
+        lambda m, r, u, ss: p.pdb_residual(m, r, u, ss),
+        lambda m, r, u, ss: p.snb_residual(m, r, u, ss),
+        lambda m, r, u, ss: p.nsb_residual(m, r, u, ss, 1.1),
+        lambda m, r, u, ss: p.general_critical_value(m, r, u, ss, 0.5),
+        lambda m, r, u, ss: p.general_critical_value(m, r, u, ss, 0.3 - 0.6j),
+    ], ids=["pdb", "snb", "nsb", "real-lambda", "complex-lambda"])
+    def test_single_lambda_takes_one_lapack_solve(
+        self, buck_tem, ramp, u_tem, ss_tem, monkeypatch, residual
+    ):
+        calls = spy_solve_kernels(monkeypatch)
+        residual(buck_tem, ramp, u_tem, ss_tem)
+        assert calls == {"solve_linear": 1, "solve_linear_stack": 0}
+
+    def test_solver_slope_is_the_single_lambda_value(
+        self, buck_tem, ramp, u_tem, ss_tem, monkeypatch
+    ):
+        # The Newton slope and the residuals share steadystate.critical_value.
+        seen = []
+        value = steadystate.critical_value
+
+        def spy(ss, lam):
+            seen.append(lam)
+            return value(ss, lam)
+
+        monkeypatch.setattr(steadystate, "critical_value", spy)
+        monkeypatch.setattr(stability, "critical_value", spy)
+        assert p.solve_periodic_orbit(buck_tem, ramp, u_tem).d == ss_tem.d
+        assert seen and set(seen) == {1.0}
+        p.pdb_residual(buck_tem, ramp, u_tem, ss_tem)
+        assert seen[-1] == -1.0
+
+    @pytest.mark.parametrize("sweep, stacks", [
+        (lambda m, r, u, ss: p.f_plot(m, r, u, ss, [0.5, 1.5, 3.0]), 1),
+        (lambda m, r, u, ss: p.nyquist(m, r, u, ss, [0.0, r.ws / 3]), 1),
+        # One stack for the orbit grid, one for the resolvent.
+        (lambda m, r, u, ss: p.s_plot(m, r, u, -1.0, [0.3, 0.5, 0.7]), 2),
+    ], ids=["f_plot", "nyquist", "s_plot"])
+    def test_sweeps_take_stacked_solves(
+        self, buck_tem, ramp, u_tem, ss_tem, monkeypatch, sweep, stacks
+    ):
+        calls = spy_solve_kernels(monkeypatch)
+        sweep(buck_tem, ramp, u_tem, ss_tem)
+        assert calls == {"solve_linear": 0, "solve_linear_stack": stacks}

@@ -241,7 +241,7 @@ class TestOrderedCandidates:
         def point(d):
             ss = steadystate.orbit_at(model, ramp, u, d)
             return (switching_residual(model, ramp, u, d),
-                    steadystate._switching_slope(ramp, ss))
+                    float(steadystate.critical_value(ss, 1.0)) - ramp.slope)
 
         roots = [
             numerics.newton_root(
@@ -490,12 +490,13 @@ class TestNewtonRefinement:
         # residual F(+1) - hdot at the solved orbit.
         for model, rmp, u in model_cases:
             ss = p.solve_periodic_orbit(model, rmp, u)
-            slope = steadystate._switching_slope(rmp, ss)
+            slope = float(steadystate.critical_value(ss, 1.0)) - rmp.slope
             assert slope == pytest.approx(p.snb_residual(model, rmp, u, ss), rel=1e-12)
 
     def test_zero_slope_bisects_to_the_root(self, buck_tem, ramp, u_tem, monkeypatch):
         newton = p.solve_periodic_orbit(buck_tem, ramp, u_tem)
-        monkeypatch.setattr(steadystate, "_switching_slope", lambda *args: 0.0)
+        # F(+1) = hdot: the residual's slope is zero at every point.
+        monkeypatch.setattr(steadystate, "critical_value", lambda *args: ramp.slope)
         bisected = p.solve_periodic_orbit(buck_tem, ramp, u_tem)
         assert abs(bisected.d - newton.d) <= 2e-12 * ramp.T
 
