@@ -7,10 +7,10 @@ dense matrices:
   (``scipy.linalg.expm``), accurate to ~1e-13 relative for the norms that
   occur in one switching period; every other exponential is built from it.
 * ``mat_powers`` stacks the powers ``step^j``, ``j = 0..points``, of one
-  matrix by doubling.  Of a step exponential ``e^{G h}`` they are the
-  exponentials ``e^{G j h}`` on a uniform grid: the orbit solver's scan and
-  the simulator's scan grids both come from it, at one ``mat_exp`` per
-  stage.
+  matrix, or of a stack of them together, by doubling.  Of a step
+  exponential ``e^{G h}`` they are the exponentials ``e^{G j h}`` on a
+  uniform grid: the orbit solver's scan (both stages in one pass) and the
+  simulator's scan grids come from it, at one ``mat_exp`` per stage.
 * ``taylor_terms`` gives the terms ``(G tau)^k / k!`` of ``e^{G tau}`` for
   ``||G tau||_1 <= 1`` down to ``2^-53``: the simulator's in-step series,
   and ``grid_exponentials``, which takes ``e^{G t}`` at arbitrary times of a
@@ -21,12 +21,19 @@ dense matrices:
   :class:`DomainError`.
 * ``eigenvalues`` runs the dense QR algorithm (``numpy.linalg.eigvals``)
   on the matrix as given, so a real matrix keeps exact conjugate pairs.
-* ``solve_linear`` (LAPACK ``getrf``/``getrs``) and ``solve_linear_stack``
-  are the package's only linear solves, real or complex: one for a single
-  system (``orbit_at``, ``steadystate.critical_value``, ``BuckPlant``), one
-  for a stack (the orbit scan, ``orbit_grid``, the swept curves,
-  ``harmonic_gains``).  Both apply one pivot threshold, so a near-singular
-  system raises, or its slice is masked, instead of solving into garbage.
+* A single system, real or complex, is solved in two steps:
+  ``factor_linear`` (LAPACK ``getrf``) factors ``M`` and applies the
+  pivot threshold, and ``solve_factored`` (``getrs``) solves for one
+  right-hand side from that factor; ``solve_linear`` is the two in a row.
+  The orbit evaluation behind ``orbit_at`` and each Newton step of the
+  orbit solver factors ``I - Phi0`` once and solves both ``x0`` and the
+  slope's ``(I - Phi0)^{-1} Gamma`` from it (``steadystate.critical_value``
+  given the factor); ``critical_value`` at any other ``lambda`` and
+  ``BuckPlant`` call ``solve_linear``.  ``solve_linear_stack`` solves a
+  stack (the orbit scan, ``orbit_grid``, the swept curves,
+  ``harmonic_gains``).  These are the package's only linear solves, and
+  both paths apply one pivot threshold, so a near-singular system raises,
+  or its slice is masked, instead of solving into garbage.
 * ``newton_root`` refines a bracket whose end values are already known by
   Newton steps on a caller-supplied slope, bisecting where a step would
   leave the bracket; the orbit solver refines its switching time with it,
@@ -111,25 +118,29 @@ def mat_exp(a, t: float) -> np.ndarray:
 
 
 def mat_powers(step, points: int) -> np.ndarray:
-    """``step^j`` for ``j = 0..points``, as a ``(points + 1, m, m)`` stack.
+    """``step^j`` for ``j = 0..points``, as a ``(points + 1, ..., m, m)`` stack.
 
-    Built by doubling: each pass multiplies every power so far by the
-    highest one times ``step``, so ``step^0`` is exactly ``I`` and about
-    ``log2(points)`` passes build the stack.  With ``step = e^{G h}``
+    ``step`` is one ``(m, m)`` matrix or a stack ``(..., m, m)`` of them,
+    whose powers are taken together.  Built by doubling: each pass
+    multiplies every power so far by the highest one times ``step`` and
+    writes the products into the stack, so ``step^0`` is exactly ``I`` and
+    about ``log2(points)`` passes build the stack.  With ``step = e^{G h}``
     the slices are ``e^{G j h}`` on a uniform grid.  A non-finite ``step``,
     or a power past the float range, comes back as non-finite entries,
     with no ``RuntimeWarning``, as with :func:`mat_exp`.
     """
     arr = np.asarray(step, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DimensionError(f"step must be square, got shape {arr.shape}")
     check_count("points", points, 1)
-    powers = np.eye(len(arr))[None]
+    powers = np.empty((points + 1,) + arr.shape)
+    powers[0] = np.eye(arr.shape[-1])
+    done = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(powers) <= points:
-            powers = np.concatenate(
-                (powers, powers[: points + 1 - len(powers)] @ (powers[-1] @ arr))
-            )
+        while done <= points:
+            need = min(done, points + 1 - done)
+            np.matmul(powers[:need], powers[done - 1] @ arr, out=powers[done:done + need])
+            done += need
     return powers
 
 
@@ -197,45 +208,67 @@ def eigenvalues(m) -> np.ndarray:
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
-def solve_linear(m, b) -> np.ndarray:
-    """Solve ``M x = b`` by LU with partial pivoting, real or complex.
+def factor_linear(m) -> tuple[np.ndarray, np.ndarray]:
+    """LU factor of a square ``M`` with partial pivoting, real or complex.
 
-    Raises :class:`SingularMatrixError` when any pivot magnitude falls
-    below ``SINGULAR_PIVOT_RTOL * ||M||_inf``; that threshold is the
-    package-wide definition of "numerically singular".
+    LAPACK ``getrf``.  Raises :class:`SingularMatrixError` when any pivot
+    magnitude falls below ``SINGULAR_PIVOT_RTOL * ||M||_inf``; that
+    threshold is the package-wide definition of "numerically singular".
+    Returns the ``(lu, piv)`` pair that :func:`solve_factored` takes, so
+    one factor serves every right-hand side of ``M``.
     """
     arr = as_square_matrix(m, "M")
-    vec = np.asarray(b)
-    if vec.shape[0] != arr.shape[0]:
-        raise DimensionError(
-            f"b has length {vec.shape[0]}, expected {arr.shape[0]}"
-        )
-    if not np.isfinite(vec).all():
-        raise DomainError("b has non-finite entries")
     # ||M||_inf, as np.linalg.norm(M, np.inf) computes it.
     scale = np.abs(arr).sum(axis=1).max()
     if scale == 0.0:
         raise SingularMatrixError("matrix is identically zero")
-    getrf, getrs = _lu_routines(arr.dtype, vec.dtype)
-    lu, piv, _ = getrf(arr)
+    lu, piv, _ = _getrf(arr.dtype)(arr)
     pivot = np.abs(lu.diagonal()).min()
     if pivot <= SINGULAR_PIVOT_RTOL * scale:
         raise SingularMatrixError(
             f"pivot {pivot:.3e} below threshold "
             f"{SINGULAR_PIVOT_RTOL * scale:.3e}"
         )
-    return getrs(lu, piv, vec)[0]
+    return lu, piv
+
+
+def solve_factored(factor: tuple[np.ndarray, np.ndarray], b) -> np.ndarray:
+    """Solve ``M x = b`` from the :func:`factor_linear` factor of ``M``.
+
+    LAPACK ``getrs``; ``b`` may be complex where ``M`` is real.
+    """
+    lu, piv = factor
+    vec = np.asarray(b)
+    if vec.shape[0] != lu.shape[0]:
+        raise DimensionError(
+            f"b has length {vec.shape[0]}, expected {lu.shape[0]}"
+        )
+    if not np.isfinite(vec).all():
+        raise DomainError("b has non-finite entries")
+    return _getrs(lu.dtype, vec.dtype)(lu, piv, vec)[0]
+
+
+def solve_linear(m, b) -> np.ndarray:
+    """Solve ``M x = b`` by LU with partial pivoting, real or complex.
+
+    :func:`factor_linear` then :func:`solve_factored`: a near-singular
+    ``M`` raises :class:`SingularMatrixError`.
+    """
+    return solve_factored(factor_linear(m), b)
+
+
+# The routines scipy's lu_factor/lu_solve pick for these dtypes: getrf
+# from M alone, getrs from the LU factor and b together.
+@functools.cache
+def _getrf(m_dtype):
+    return scipy.linalg.get_lapack_funcs(("getrf",), (np.empty(0, m_dtype),))[0]
 
 
 @functools.cache
-def _lu_routines(m_dtype, b_dtype):
-    # The routines scipy's lu_factor/lu_solve pick for these dtypes: getrf
-    # from M alone, getrs from the LU factor and b together.
-    getrf, = scipy.linalg.get_lapack_funcs(("getrf",), (np.empty(0, m_dtype),))
-    getrs, = scipy.linalg.get_lapack_funcs(
-        ("getrs",), (np.empty(0, getrf.dtype), np.empty(0, b_dtype))
-    )
-    return getrf, getrs
+def _getrs(lu_dtype, b_dtype):
+    return scipy.linalg.get_lapack_funcs(
+        ("getrs",), (np.empty(0, lu_dtype), np.empty(0, b_dtype))
+    )[0]
 
 
 def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
@@ -262,12 +295,13 @@ def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
         np.result_type(arr, vec, float), copy=False
     )
     real = not np.iscomplexobj(lu)
-    scale = np.abs(arr).sum(axis=2).max(axis=1, initial=0.0)
+    scale = _inf_norms(arr)
     slices = np.arange(k)
     pivot_min = np.full(k, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Singular slices divide by a zero pivot; their rows become NaN.
-        for j in range(n):
+        # The last column has one candidate pivot and nothing below it.
+        for j in range(n - 1):
             col = lu[:, j:, j]
             # LAPACK's pivot order: |re| + |im| for complex entries.
             mag = np.abs(col) if real else np.abs(col.real) + np.abs(col.imag)
@@ -282,6 +316,8 @@ def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
             np.minimum(pivot_min, np.abs(pivot), out=pivot_min)
             f = lu[:, j + 1:, j] / pivot[:, None]
             lu[:, j + 1:, j + 1:] -= f[:, :, None] * lu[:, None, j, j + 1:]
+        if n:
+            np.minimum(pivot_min, np.abs(lu[:, n - 1, n - 1]), out=pivot_min)
         x = lu[:, :, n]
         for j in range(n - 1, -1, -1):
             x[:, j] = (
@@ -290,6 +326,25 @@ def solve_linear_stack(m, b) -> tuple[np.ndarray, np.ndarray]:
     ok = (scale > 0.0) & (pivot_min > SINGULAR_PIVOT_RTOL * scale)
     x[~ok] = np.nan
     return x, ok
+
+
+def _inf_norms(arr: np.ndarray) -> np.ndarray:
+    # ||M_i||_inf of every slice of a (k, n, n) stack, the floats of
+    # np.abs(arr).sum(axis=2).max(axis=1, initial=0.0) without its two
+    # reductions over short axes: numpy adds fewer than 8 terms left to
+    # right, as the column slices are added here.
+    mag = np.abs(arr)
+    k, n, _ = mag.shape
+    if n < 8:
+        rows = np.zeros((k, n))
+        for j in range(n):
+            rows += mag[:, :, j]
+    else:
+        rows = mag.sum(axis=2)
+    scale = np.zeros(k)
+    for i in range(n):
+        np.maximum(scale, rows[:, i], out=scale)
+    return scale
 
 
 def _check_bracket(lo: float, hi: float, tol: float) -> None:

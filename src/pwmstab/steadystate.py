@@ -9,9 +9,18 @@ exponentials; the third is a scalar root-finding problem in ``d``, solved
 by Newton steps on the exact slope of its residual, ``F(+1) - hdot`` of
 :func:`critical_value`.  The roots are bracketed by a scan on a uniform
 grid of ``d``, whose stage exponentials are the powers of one step
-exponential per stage (``numerics.mat_powers``); :func:`orbit_grid`, at
-arbitrary switching times, multiplies such powers by a Taylor sum over the
-rest of each time.
+exponential per stage, both stages powered in one doubling pass
+(``numerics.mat_powers``); :func:`orbit_grid`, at arbitrary switching
+times, multiplies such powers by a Taylor sum over the rest of each time.
+
+Every orbit point of one ``(model, ramp, u)`` comes from one private
+evaluator that holds what the points share: the augmented stage
+generators, ``B_i u``, ``D u`` and ``I``.  :func:`orbit_at` builds one for
+its point; :func:`solve_periodic_orbit` builds one for its scan and one
+for all of its Newton steps.  A single point takes two stage
+exponentials and one guarded LU factor of ``I - Phi0``
+(``numerics.factor_linear``); the solver's Newton slope solves
+``(I - Phi0)^{-1} Gamma`` from that same factor.
 """
 
 from __future__ import annotations
@@ -69,19 +78,26 @@ class SteadyState:
     c_xdot_minus: float | np.ndarray | None = None
 
 
-def critical_value(ss: SteadyState, lam):
+def critical_value(ss: SteadyState, lam, factor=None):
     """``C xdot(d-) + C e^{A1 d} (lam I - Phi0)^{-1} Gamma`` at one orbit point.
 
     The critical condition's left side ``F(lam)`` at one real or complex
     ``lam``, by one :func:`numerics.solve_linear`.  Raises
-    :class:`ResolventPoleError` where ``lam I - Phi0`` is singular.
+    :class:`ResolventPoleError` where ``lam I - Phi0`` is singular.  A
+    caller that holds the :func:`numerics.factor_linear` factor of
+    ``lam I - Phi0`` passes it as ``factor``, and only its solve step
+    runs: the orbit solver's Newton slope reuses the factor of ``I - Phi0``
+    that solved ``x0``.
     """
-    try:
-        rg = numerics.solve_linear(lam * np.eye(len(ss.phi0)) - ss.phi0, ss.gamma)
-    except SingularMatrixError as exc:
-        raise ResolventPoleError(
-            f"lambda = {lam:.6g} is an eigenvalue of the open-loop cycle map"
-        ) from exc
+    if factor is not None:
+        rg = numerics.solve_factored(factor, ss.gamma)
+    else:
+        try:
+            rg = numerics.solve_linear(lam * np.eye(len(ss.phi0)) - ss.phi0, ss.gamma)
+        except SingularMatrixError as exc:
+            raise ResolventPoleError(
+                f"lambda = {lam:.6g} is an eigenvalue of the open-loop cycle map"
+            ) from exc
     return ss.c_xdot_minus + ss.cm1 @ rg
 
 
@@ -101,31 +117,67 @@ def _cycle_system(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return phi0, rhs
 
 
-def _orbit_point(
-    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, d, e1, e2, phi0,
-    x0_start,
-) -> SteadyState:
-    # Orbit point(s) at switching time(s) d from the augmented stage
-    # exponentials, the cycle map and start state(s); grid points lie
-    # along a leading axis.
-    n = model.n
-    uv = u.as_array()
-    m1 = e1[..., :n, :n]
-    x0_switch = (m1 @ x0_start[..., None])[..., 0] + e1[..., :n, n]
-    y_switch = x0_switch @ model.C + model.D @ uv
-    xdot_minus = x0_switch @ model.A1.T + model.B1 @ uv
-    jump = xdot_minus - (x0_switch @ model.A2.T + model.B2 @ uv)
-    return SteadyState(
-        d=d,
-        duty=duty_of_switch_time(model.edge, d, ramp.T),
-        x0_start=x0_start,
-        x0_switch=x0_switch,
-        y_switch=float(y_switch) if x0_switch.ndim == 1 else y_switch,
-        phi0=phi0,
-        gamma=(e2[..., :n, :n] @ jump[..., None])[..., 0],
-        cm1=model.C @ m1,
-        c_xdot_minus=xdot_minus @ model.C,
-    )
+class _OrbitEvaluator:
+    # Orbit points of one (model, ramp, u): the augmented stage generators,
+    # B_i u, D u and I are built once, here, and shared by every point
+    # (orbit_at, orbit_grid, the solver's scan and each of its Newton steps).
+
+    def __init__(self, model: SwitchedLinearModel, ramp: RampSignal, u: InputVector):
+        n = model.n
+        self.model, self.ramp = model, ramp
+        self.g1, self.g2 = stage_generators(model, u)
+        # B_i u is the generators' last column.
+        self.b1u, self.b2u = self.g1[:n, n], self.g2[:n, n]
+        self.du = model.D @ u.as_array()
+        self.eye = np.eye(n)
+
+    def point(self, d: float):
+        # orbit_at's point, and the numerics.factor_linear factor of
+        # I - Phi0 that solved x0 (the resolvent's at lambda = 1).
+        T = self.ramp.T
+        if not 0.0 <= d <= T:
+            raise DomainError(f"d must lie in [0, {T}], got {d}")
+        e1 = numerics.mat_exp(self.g1, d)
+        e2 = numerics.mat_exp(self.g2, T - d)
+        phi0, rhs = _cycle_system(e1, e2)
+        try:
+            factor = numerics.factor_linear(self.eye - phi0)
+        except SingularMatrixError as exc:
+            raise DegenerateOrbitError(
+                f"open-loop cycle map has a multiplier at +1 for d={d:.6g}"
+            ) from exc
+        x0_start = numerics.solve_factored(factor, rhs)
+        return self.build(d, e1, e2, phi0, x0_start), factor
+
+    def grid(self, d, e1, e2) -> tuple[SteadyState, np.ndarray]:
+        # The points of a grid of switching times from stacks of stage
+        # exponentials, and the mask of the non-degenerate ones.
+        phi0, rhs = _cycle_system(e1, e2)
+        x0_start, ok = numerics.solve_linear_stack(self.eye - phi0, rhs)
+        return self.build(d, e1, e2, phi0, x0_start), ok
+
+    def build(self, d, e1, e2, phi0, x0_start) -> SteadyState:
+        # Orbit point(s) at switching time(s) d from the augmented stage
+        # exponentials, the cycle map and start state(s); grid points lie
+        # along a leading axis.
+        model = self.model
+        n = model.n
+        m1 = e1[..., :n, :n]
+        x0_switch = (m1 @ x0_start[..., None])[..., 0] + e1[..., :n, n]
+        y_switch = x0_switch @ model.C + self.du
+        xdot_minus = x0_switch @ model.A1.T + self.b1u
+        jump = xdot_minus - (x0_switch @ model.A2.T + self.b2u)
+        return SteadyState(
+            d=d,
+            duty=duty_of_switch_time(model.edge, d, self.ramp.T),
+            x0_start=x0_start,
+            x0_switch=x0_switch,
+            y_switch=float(y_switch) if x0_switch.ndim == 1 else y_switch,
+            phi0=phi0,
+            gamma=(e2[..., :n, :n] @ jump[..., None])[..., 0],
+            cm1=model.C @ m1,
+            c_xdot_minus=xdot_minus @ model.C,
+        )
 
 
 def x0_of_d(
@@ -156,20 +208,7 @@ def orbit_at(
     :class:`DegenerateOrbitError` when the open-loop cycle map has a
     multiplier at +1 (no isolated orbit).
     """
-    T = ramp.T
-    if not 0.0 <= d <= T:
-        raise DomainError(f"d must lie in [0, {T}], got {d}")
-    g1, g2 = stage_generators(model, u)
-    e1 = numerics.mat_exp(g1, d)
-    e2 = numerics.mat_exp(g2, T - d)
-    phi0, rhs = _cycle_system(e1, e2)
-    try:
-        x0_start = numerics.solve_linear(np.eye(model.n) - phi0, rhs)
-    except SingularMatrixError as exc:
-        raise DegenerateOrbitError(
-            f"open-loop cycle map has a multiplier at +1 for d={d:.6g}"
-        ) from exc
-    return _orbit_point(model, ramp, u, d, e1, e2, phi0, x0_start)
+    return _OrbitEvaluator(model, ramp, u).point(d)[0]
 
 
 def orbit_grid(
@@ -185,29 +224,25 @@ def orbit_grid(
     are NaN.
     """
     d = np.asarray(d, dtype=float)
-    g1, g2 = stage_generators(model, u)
-    e1 = numerics.grid_exponentials(g1, ramp.T, d)
-    e2 = numerics.grid_exponentials(g2, ramp.T, ramp.T - d)
-    phi0, rhs = _cycle_system(e1, e2)
-    x0_start, ok = numerics.solve_linear_stack(np.eye(model.n) - phi0, rhs)
-    return _orbit_point(model, ramp, u, d, e1, e2, phi0, x0_start), ok
+    ev = _OrbitEvaluator(model, ramp, u)
+    e1 = numerics.grid_exponentials(ev.g1, ramp.T, d)
+    e2 = numerics.grid_exponentials(ev.g2, ramp.T, ramp.T - d)
+    return ev.grid(d, e1, e2)
 
 
 def _power_scan(
     model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, grid_points: int
 ) -> tuple[SteadyState, np.ndarray]:
     # orbit_grid on the interior grid d_j = j h, j = 1..K, h = T / (K + 1),
-    # from two step exponentials: e^{A1 d_j} is the j-th power of e^{G1 h}
-    # and e^{A2 (T - d_j)} the (K + 1 - j)-th of e^{G2 h}.
+    # from two step exponentials, powered in one doubling pass: e^{A1 d_j}
+    # is the j-th power of e^{G1 h} and e^{A2 (T - d_j)} the (K + 1 - j)-th
+    # of e^{G2 h}.
     d = np.linspace(0.0, ramp.T, grid_points + 2)[1:-1]
     h = ramp.T / (grid_points + 1)
-    g1, g2 = stage_generators(model, u)
-    p1 = numerics.mat_powers(numerics.mat_exp(g1, h), grid_points)
-    p2 = numerics.mat_powers(numerics.mat_exp(g2, h), grid_points)
-    e1, e2 = p1[1:], p2[:0:-1]
-    phi0, rhs = _cycle_system(e1, e2)
-    x0_start, ok = numerics.solve_linear_stack(np.eye(model.n) - phi0, rhs)
-    return _orbit_point(model, ramp, u, d, e1, e2, phi0, x0_start), ok
+    ev = _OrbitEvaluator(model, ramp, u)
+    steps = np.stack((numerics.mat_exp(ev.g1, h), numerics.mat_exp(ev.g2, h)))
+    powers = numerics.mat_powers(steps, grid_points)
+    return ev.grid(d, powers[1:, 0], powers[:0:-1, 1])
 
 
 def solve_periodic_orbit(
@@ -233,10 +268,13 @@ def solve_periodic_orbit(
     from the scan's values at its ends, with the exact slope
     ``F(+1) - hdot`` at the orbit point each step builds; the result is
     the point of the last step, whose Newton step, or bracket, is at most
-    ``d_tol`` (default ``1e-12 T``) long.  A refined point whose residual is larger in
-    magnitude than the scan's values at both bracket ends is a pole of the
-    residual, where an open-loop multiplier crosses +1 inside the bracket;
-    it is skipped like a degenerate candidate.
+    ``d_tol`` (default ``1e-12 T``) long.  Each step is one point of
+    :func:`orbit_at` from an evaluator built once per solve: two stage
+    exponentials and one LU factor of ``I - Phi0``, which solves ``x0``
+    and, in :func:`critical_value`, the slope.  A refined point whose
+    residual is larger in magnitude than the scan's values at both bracket
+    ends is a pole of the residual, where an open-loop multiplier crosses
+    +1 inside the bracket; it is skipped like a degenerate candidate.
 
     Raises
     ------
@@ -282,13 +320,15 @@ def solve_periodic_orbit(
     # newton_root returns one of the points it evaluated, so the root's
     # point is among them.
     points = {}
+    evaluator = _OrbitEvaluator(model, ramp, u)
 
     def residual(t):
-        ss = orbit_at(model, ramp, u, t)
+        ss, factor = evaluator.point(t)
         r = ss.y_switch - float(ramp_value(ramp, t))
         points[t] = ss, r
-        # d/dd of r is F(+1) - hdot; orbit_at just factored I - Phi0.
-        return r, float(critical_value(ss, 1.0)) - ramp.slope
+        # d/dd of r is F(+1) - hdot, from the factor of I - Phi0 that
+        # solved x0.
+        return r, float(critical_value(ss, 1.0, factor)) - ramp.slope
 
     poles = 0
     for lo, hi in zip(los, his):

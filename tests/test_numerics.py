@@ -162,6 +162,17 @@ class TestMatPowers:
         with pytest.raises(DimensionError):
             numerics.mat_powers(np.zeros((2, 3)), 4)
 
+    def test_stacked_steps_match_one_step_at_a_time(self, model_cases):
+        # Both stage steps powered in one doubling pass: each is the stack
+        # its own pass builds, bit for bit.
+        for model, rmp, u in model_cases:
+            steps = np.stack([numerics.mat_exp(g, rmp.T / 65) for g in stage_generators(model, u)])
+            for points in (1, 7, 64, 256):
+                got = numerics.mat_powers(steps, points)
+                assert got.shape == (points + 1,) + steps.shape
+                for i, step in enumerate(steps):
+                    assert np.array_equal(got[:, i], numerics.mat_powers(step, points))
+
 
 class TestGridExponentials:
     def _check(self, gen, period, ts):
@@ -391,6 +402,36 @@ class TestSolveMatchesLuSolve:
                     numerics.solve_linear(a, np.ones(2))
 
 
+class TestFactorSolve:
+    def test_one_factor_serves_every_right_hand_side(self):
+        # One factor, then real and complex right-hand sides: each answer
+        # is scipy's lu_factor/lu_solve for that system, bit for bit.
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 5):
+            m = rng.normal(size=(n, n)) + n * np.eye(n)
+            factor = numerics.factor_linear(m)
+            for b in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+                x = numerics.solve_factored(factor, b)
+                ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(m), b)
+                assert x.dtype == ref.dtype
+                assert np.array_equal(x, ref)
+
+    def test_factor_is_guarded(self):
+        with pytest.raises(SingularMatrixError):
+            numerics.factor_linear([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(SingularMatrixError, match="identically zero"):
+            numerics.factor_linear(np.zeros((2, 2)))
+        with pytest.raises(DomainError):
+            numerics.factor_linear([[1.0, np.nan], [0.0, 1.0]])
+
+    def test_solve_checks_the_right_hand_side(self):
+        factor = numerics.factor_linear(np.eye(2))
+        with pytest.raises(DimensionError):
+            numerics.solve_factored(factor, np.ones(3))
+        with pytest.raises(DomainError):
+            numerics.solve_factored(factor, [np.inf, 0.0])
+
+
 class TestSolveLinearStack:
     def _flags(self, stack, rhs, solve):
         flags = []
@@ -457,6 +498,23 @@ class TestSolveLinearStack:
         for xi, m, b in zip(x[ok], stack[ok], rhs[ok]):
             ref = numerics.solve_linear(m, b)
             assert np.linalg.norm(xi - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_scale_is_the_reduction_bit_for_bit(self, complex_):
+        # The per-slice infinity norm behind the pivot test equals the
+        # two-reduction form, so no slice's ok flag can move.
+        rng = np.random.default_rng(44)
+        for n in range(1, 9):
+            for k in (0, 1, 3, 64, 257):
+                shape = (k, n, n)
+                arr = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+                if complex_:
+                    arr = arr + 1j * rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+                arr[: k // 3] = 0.0  # all-zero slices
+                want = np.abs(arr).sum(axis=2).max(axis=1, initial=0.0)
+                got = numerics._inf_norms(arr)
+                assert got.shape == want.shape == (k,)
+                assert np.array_equal(got, want)
 
     def test_invalid_input(self):
         with pytest.raises(DimensionError):

@@ -517,13 +517,14 @@ class TestSolveKernels:
     def test_solver_slope_is_the_single_lambda_value(
         self, buck_tem, ramp, u_tem, ss_tem, monkeypatch
     ):
-        # The Newton slope and the residuals share steadystate.critical_value.
+        # The Newton slope and the residuals share steadystate.critical_value;
+        # the slope passes the factor that solved x0.
         seen = []
         value = steadystate.critical_value
 
-        def spy(ss, lam):
+        def spy(ss, lam, *factor):
             seen.append(lam)
-            return value(ss, lam)
+            return value(ss, lam, *factor)
 
         monkeypatch.setattr(steadystate, "critical_value", spy)
         monkeypatch.setattr(stability, "critical_value", spy)

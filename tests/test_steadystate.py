@@ -190,13 +190,13 @@ class TestBatchedScan:
         m = _const_y_model()
         grid = np.linspace(0.0, 1.0, 66)[1:-1]
         vr = float(np.nextafter(grid[20], 1.0))
-        orbit_at = steadystate.orbit_at
+        point = steadystate._OrbitEvaluator.point
 
-        def lowered(*args):
-            ss = orbit_at(*args)
-            return replace(ss, y_switch=ss.y_switch - 4e-16)
+        def lowered(self, d):
+            ss, factor = point(self, d)
+            return replace(ss, y_switch=ss.y_switch - 4e-16), factor
 
-        monkeypatch.setattr(steadystate, "orbit_at", lowered)
+        monkeypatch.setattr(steadystate._OrbitEvaluator, "point", lowered)
         ss = p.solve_periodic_orbit(m, UNIT_RAMP, p.InputVector(vr, 0.0), grid_points=64)
         assert ss.d == grid[20]
         assert ss.candidates == 1
@@ -328,6 +328,49 @@ class TestOnePointPerEvaluation:
                 p.solve_periodic_orbit(model, ramp, u, grid_points=grid_points)
                 assert 0 < counts["evals"] <= 3
                 assert counts["exp"] == 2 * counts["evals"] + 2
+
+    def test_one_factorization_per_evaluation(self, model_cases, monkeypatch):
+        # The factor of I - Phi0 that solves x0 also gives the Newton
+        # slope's (I - Phi0)^{-1} Gamma: one guarded factorization and two
+        # exponentials per evaluation; the scan factors nothing one by one.
+        counts = self._count(monkeypatch)
+        factor_linear = numerics.factor_linear
+
+        def counted_factor(m):
+            counts["factor"] += 1
+            return factor_linear(m)
+
+        monkeypatch.setattr(numerics, "factor_linear", counted_factor)
+        for grid_points in (64, 256):
+            for model, ramp, u in model_cases:
+                counts.update(exp=0, evals=0, factor=0)
+                p.solve_periodic_orbit(model, ramp, u, grid_points=grid_points)
+                assert counts["evals"] > 0
+                assert counts["factor"] == counts["evals"]
+                assert counts["exp"] == 2 * counts["evals"] + 2
+
+    def test_slope_is_critical_value_at_plus_one(self, model_cases, monkeypatch):
+        # Each Newton slope equals F(+1) - hdot of a fresh orbit_at point,
+        # bit for bit.
+        seen = []
+        newton_root = numerics.newton_root
+
+        def recorded(f, *rest):
+            def g(t):
+                r, slope = f(t)
+                seen.append((t, slope))
+                return r, slope
+            return newton_root(g, *rest)
+
+        monkeypatch.setattr(numerics, "newton_root", recorded)
+        for grid_points in (64, 256):
+            for model, ramp, u in model_cases:
+                seen.clear()
+                p.solve_periodic_orbit(model, ramp, u, grid_points=grid_points)
+                assert seen
+                for t, slope in seen:
+                    ss = steadystate.orbit_at(model, ramp, u, t)
+                    assert slope == float(steadystate.critical_value(ss, 1.0)) - ramp.slope
 
     def test_grid_zero_builds_one_point(self, monkeypatch):
         grid = np.linspace(0.0, 1.0, 66)[1:-1]
@@ -501,11 +544,13 @@ class TestNewtonRefinement:
         assert abs(bisected.d - newton.d) <= 2e-12 * ramp.T
 
     def test_nan_residual_raises_divergence(self, buck_tem, ramp, u_tem, monkeypatch):
-        orbit_at = steadystate.orbit_at
-        monkeypatch.setattr(
-            steadystate, "orbit_at",
-            lambda *args: replace(orbit_at(*args), y_switch=math.nan),
-        )
+        point = steadystate._OrbitEvaluator.point
+
+        def nan_point(self, d):
+            ss, factor = point(self, d)
+            return replace(ss, y_switch=math.nan), factor
+
+        monkeypatch.setattr(steadystate._OrbitEvaluator, "point", nan_point)
         with pytest.raises(DivergenceError):
             p.solve_periodic_orbit(buck_tem, ramp, u_tem)
 
