@@ -38,11 +38,11 @@ dense matrices:
   Newton steps on a caller-supplied slope, bisecting where a step would
   leave the bracket; the orbit solver refines its switching time with it,
   and the simulator its comparator event.
-* ``find_root`` refines a bracket by Brent-Dekker, ported from scipy's
-  ``brentq``, or returns its end nearest zero.  The package itself does
-  not call it: it is the root finder of the test-side reference cycle
-  the simulator is checked against, and ``perfbench/spans.py`` wraps it by
-  name.
+* ``find_root`` refines a bracket by scipy's ``brentq``, or returns its
+  end nearest zero where ``brentq`` would refuse it.  The package never
+  calls it: the tests' reference cycle, which checks the simulator, does,
+  and ``perfbench/spans.py`` wraps it by name.  It imports
+  ``scipy.optimize`` when called, so importing the package does not.
 
 All functions are pure; they can be called concurrently from sweep workers.
 """
@@ -67,8 +67,7 @@ from .errors import (
 #: Relative pivot threshold below which a linear system is declared singular.
 SINGULAR_PIVOT_RTOL = 1e-14
 
-#: Brent's relative step tolerance (the smallest scipy accepts) and its
-#: iteration budget, scipy's defaults.
+#: ``brentq``'s relative step tolerance and iteration budget, scipy's defaults.
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
@@ -412,52 +411,29 @@ def find_root(f, lo: float, hi: float, tol: float) -> float:
     NaN raises :class:`DivergenceError`, an exhausted Brent budget
     :class:`NoConvergenceError`.  The result never leaves ``[lo, hi]``.
 
-    The iteration is scipy's ``brentq`` (``brentq.c``) step for step, with
-    ``xtol = tol`` and ``rtol = 4 eps``: the same points are evaluated and
-    the same float is returned.
+    The iteration is scipy's ``brentq`` with ``xtol = tol``,
+    ``rtol = 4 eps`` and 100 iterations.
     """
+    # Only the tests call find_root: scipy.optimize stays off start-up.
+    import scipy.optimize
+
     _check_bracket(lo, hi, tol)
+    seen = []
 
     def value(x):
-        return _checked(x, f(x))
+        seen.append(_checked(x, f(x)))
+        return seen[-1]
 
-    fpre, fcur = value(lo), value(hi)
-    if not (fpre < 0.0 < fcur or fcur < 0.0 < fpre):
-        return lo if abs(fpre) <= abs(fcur) else hi
-    # xcur is the best estimate, xblk the far end of the bracket around the
-    # root, xpre the previous estimate; scur and spre are the last two steps.
-    xpre, xcur, xtol = float(lo), float(hi), float(tol)
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless a short interpolation step is found
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # Secant.
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # Inverse quadratic extrapolation.
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # An underflowed denominator gives C an infinite or NaN
-                # step, which fails the test below: bisect.
-                if den:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise NoConvergenceError(f"Brent did not converge in [{lo:.6g}, {hi:.6g}]")
+    try:
+        root, info = scipy.optimize.brentq(
+            value, lo, hi, xtol=tol, rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER,
+            full_output=True, disp=False,
+        )
+    except ValueError:
+        # brentq refuses ends of one sign; f's own ValueError propagates.
+        if len(seen) < 2 or seen[0] < 0.0 < seen[1] or seen[1] < 0.0 < seen[0]:
+            raise
+        return lo if abs(seen[0]) <= abs(seen[1]) else hi
+    if not info.converged:
+        raise NoConvergenceError(f"Brent did not converge in [{lo:.6g}, {hi:.6g}]")
+    return root

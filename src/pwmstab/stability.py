@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .errors import DomainError, GrazingError
+from .errors import DimensionError, DomainError, GrazingError
 from .model import InputVector, RampSignal, SwitchedLinearModel, switch_time_of_duty
 from .steadystate import SteadyState, critical_value, orbit_grid
 # x0_of_d stays bound here: perfbench's tracer wraps it on this module.
@@ -94,12 +94,17 @@ def _linearized(ss: SteadyState) -> SteadyState:
     return ss
 
 
-def _finite(name: str, values):
-    # Sweep parameters and lambda, checked before they are exponentiated or
-    # multiplied, so inf/NaN raises without a RuntimeWarning first.
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{name} must be finite, got {values}")
-    return values
+def _parameter(name: str, value, ndim: int = 0):
+    # lambda and theta (ndim 0) and sweep samples (1-D) as arrays, checked
+    # before they are exponentiated or multiplied, so a wrong shape or
+    # inf/NaN raises without a RuntimeWarning first.
+    arr = np.asarray(value)
+    if arr.ndim != ndim:
+        shape = "a 1-D array" if ndim else "a scalar"
+        raise DimensionError(f"{name} must be {shape}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite, got {value}")
+    return arr
 
 
 def _loop_denominator(ss: SteadyState, hdot: float) -> float:
@@ -116,11 +121,11 @@ def _loop_denominator(ss: SteadyState, hdot: float) -> float:
 
 def _resolvent_term(ss: SteadyState, lam) -> tuple[np.ndarray, np.ndarray]:
     # The sweeps' C e^{A1 d} (lam I - Phi0)^{-1} Gamma in one stacked solve:
-    # at every lam of an array for one orbit point, or at one lam for the
-    # stacked points of orbit_grid.  The solve is real when lam is.  Returns
-    # the values and the ok mask, false where lam is an eigenvalue of Phi0.
+    # at every lam of an array for one orbit point, or at one lam (a 0-d
+    # array) for the stacked points of orbit_grid.  The solve is real when
+    # lam is.  Returns the values and the ok mask, false where lam is an
+    # eigenvalue of Phi0.
     n = _linearized(ss).phi0.shape[-1]
-    lam = _finite("lambda", np.asarray(lam))
     systems = (lam[..., None, None] * np.eye(n) - ss.phi0).reshape(-1, n, n)
     rg, ok = numerics.solve_linear_stack(
         systems, np.broadcast_to(ss.gamma, systems.shape[:-1])
@@ -194,7 +199,7 @@ def general_critical_value(
     closed-loop Jacobian.  ``lambda`` must not be an eigenvalue of the
     open-loop map ``Phi0`` (raises :class:`ResolventPoleError`).
     """
-    return complex(critical_value(_linearized(ss), _finite("lambda", lam)))
+    return complex(critical_value(_linearized(ss), _parameter("lambda", lam)))
 
 
 def pdb_residual(
@@ -224,7 +229,7 @@ def nsb_residual(
     must stay away from 0 and pi, where the saddle-node and
     period-doubling residuals apply instead.
     """
-    wrapped = math.remainder(_finite("theta", theta), 2.0 * math.pi)
+    wrapped = math.remainder(_parameter("theta", theta), 2.0 * math.pi)
     if abs(wrapped) <= 1e-9 or abs(abs(wrapped) - math.pi) <= 1e-9:
         raise DomainError(
             f"theta = {theta:.6g} coincides with the lambda = +1 or -1 case"
@@ -249,7 +254,8 @@ def s_plot(
     at one step exponential per stage.  Degenerate or pole points are
     marked singular, never dropped.
     """
-    duties = np.asarray(duty_grid, dtype=float).reshape(-1)
+    lam = _parameter("lambda", lam)
+    duties = _parameter("duty grid", np.asarray(duty_grid, dtype=float), 1)
     outside = ~((duties > 0.0) & (duties < 1.0))
     if outside.any():
         raise DomainError(
@@ -277,7 +283,7 @@ def f_plot(
     endpoints 0 and pi reproduce the saddle-node and period-doubling
     left sides.
     """
-    thetas = _finite("theta", np.asarray(thetas, dtype=float))
+    thetas = _parameter("theta", np.asarray(thetas, dtype=float), 1)
     term, ok = _resolvent_term(ss, np.exp(1j * thetas))
     return _curve("theta", thetas, ss.c_xdot_minus + term, ok)
 
@@ -297,7 +303,7 @@ def nyquist(
     ``(F - C xdot(d-)) / (C xdot(d-) - hdot)`` and raises
     :class:`GrazingError` where :func:`jacobian` does.
     """
-    omegas = _finite("omega", np.asarray(omegas, dtype=float))
+    omegas = _parameter("omega", np.asarray(omegas, dtype=float), 1)
     denom = _loop_denominator(ss, ramp.slope)
     term, ok = _resolvent_term(ss, np.exp(1j * omegas * ramp.T))
     return _curve("omega", omegas, term / denom, ok)

@@ -16,9 +16,8 @@ times, multiplies such powers by a Taylor sum over the rest of each time.
 Every orbit point of one ``(model, ramp, u)`` comes from one private
 evaluator that holds what the points share: the augmented stage
 generators, ``B_i u``, ``D u`` and ``I``.  :func:`orbit_at` builds one for
-its point; :func:`solve_periodic_orbit` builds one for its scan and one
-for all of its Newton steps.  A single point takes two stage
-exponentials and one guarded LU factor of ``I - Phi0``
+its point; :func:`solve_periodic_orbit` builds one per solve.  A single
+point takes two stage exponentials and one guarded LU factor of ``I - Phi0``
 (``numerics.factor_linear``); the solver's Newton slope solves
 ``(I - Phi0)^{-1} Gamma`` from that same factor.
 """
@@ -53,8 +52,8 @@ class SteadyState:
 
     ``d`` is the switching instant within the cycle; ``duty`` is the ON
     fraction (``d/T`` for TEM, ``1 - d/T`` for LEM).  ``candidates`` is
-    how many switching-condition sign changes the solver saw; values
-    above 1 mean the first crossing was chosen by the latch convention.
+    how many sign changes and exact zeros of the switching residual the
+    solver's scan saw; above 1, the latch convention chose the first.
     The last four fields, the linearization, are the blocks of the (x0, d)
     orbit Jacobian ``[[phi0 - I, gamma], [cm1, c_xdot_minus - hdot]]``:
     ``phi0 = e^{A2 (T-d)} e^{A1 d}``, ``gamma = e^{A2 (T-d)} (xdot(d-) -
@@ -120,7 +119,7 @@ def _cycle_system(e1: np.ndarray, e2: np.ndarray) -> tuple[np.ndarray, np.ndarra
 class _OrbitEvaluator:
     # Orbit points of one (model, ramp, u): the augmented stage generators,
     # B_i u, D u and I are built once, here, and shared by every point
-    # (orbit_at, orbit_grid, the solver's scan and each of its Newton steps).
+    # (orbit_at, orbit_grid, and all of one solve_periodic_orbit call).
 
     def __init__(self, model: SwitchedLinearModel, ramp: RampSignal, u: InputVector):
         n = model.n
@@ -148,6 +147,17 @@ class _OrbitEvaluator:
             ) from exc
         x0_start = numerics.solve_factored(factor, rhs)
         return self.build(d, e1, e2, phi0, x0_start), factor
+
+    def scan(self, grid_points: int) -> tuple[SteadyState, np.ndarray]:
+        # grid() on d_j = j h, j = 1..K, h = T / (K + 1), from two step
+        # exponentials, powered in one doubling pass: e^{A1 d_j} is the
+        # j-th power of e^{G1 h} and e^{A2 (T - d_j)} the (K + 1 - j)-th.
+        T = self.ramp.T
+        d = np.linspace(0.0, T, grid_points + 2)[1:-1]
+        h = T / (grid_points + 1)
+        steps = np.stack((numerics.mat_exp(self.g1, h), numerics.mat_exp(self.g2, h)))
+        powers = numerics.mat_powers(steps, grid_points)
+        return self.grid(d, powers[1:, 0], powers[:0:-1, 1])
 
     def grid(self, d, e1, e2) -> tuple[SteadyState, np.ndarray]:
         # The points of a grid of switching times from stacks of stage
@@ -230,21 +240,6 @@ def orbit_grid(
     return ev.grid(d, e1, e2)
 
 
-def _power_scan(
-    model: SwitchedLinearModel, ramp: RampSignal, u: InputVector, grid_points: int
-) -> tuple[SteadyState, np.ndarray]:
-    # orbit_grid on the interior grid d_j = j h, j = 1..K, h = T / (K + 1),
-    # from two step exponentials, powered in one doubling pass: e^{A1 d_j}
-    # is the j-th power of e^{G1 h} and e^{A2 (T - d_j)} the (K + 1 - j)-th
-    # of e^{G2 h}.
-    d = np.linspace(0.0, ramp.T, grid_points + 2)[1:-1]
-    h = ramp.T / (grid_points + 1)
-    ev = _OrbitEvaluator(model, ramp, u)
-    steps = np.stack((numerics.mat_exp(ev.g1, h), numerics.mat_exp(ev.g2, h)))
-    powers = numerics.mat_powers(steps, grid_points)
-    return ev.grid(d, powers[1:, 0], powers[:0:-1, 1])
-
-
 def solve_periodic_orbit(
     model: SwitchedLinearModel,
     ramp: RampSignal,
@@ -261,20 +256,22 @@ def solve_periodic_orbit(
     (:func:`numerics.mat_powers`); it then solves every point as
     :func:`orbit_grid` does.  Grid points where the residual is exactly
     zero and sign-change brackets are the candidates; they are walked in
-    cycle order and the first one that refines to a non-degenerate orbit
-    wins (first crossing in the cycle, matching comparator latch
-    behavior).  ``candidates`` on the result reports how many candidates
-    the scan saw.  A bracket is refined by :func:`numerics.newton_root`
-    from the scan's values at its ends, with the exact slope
-    ``F(+1) - hdot`` at the orbit point each step builds; the result is
-    the point of the last step, whose Newton step, or bracket, is at most
-    ``d_tol`` (default ``1e-12 T``) long.  Each step is one point of
-    :func:`orbit_at` from an evaluator built once per solve: two stage
-    exponentials and one LU factor of ``I - Phi0``, which solves ``x0``
-    and, in :func:`critical_value`, the slope.  A refined point whose
-    residual is larger in magnitude than the scan's values at both bracket
-    ends is a pole of the residual, where an open-loop multiplier crosses
-    +1 inside the bracket; it is skipped like a degenerate candidate.
+    cycle order (first crossing in the cycle, matching comparator latch
+    behavior).  The first bracket that refines to a non-degenerate orbit
+    wins, unless an exact zero comes first: that zero's orbit point is
+    the answer, and a degenerate one ends the walk.  ``candidates`` on
+    the result reports how many candidates the scan saw.  A bracket is
+    refined by :func:`numerics.newton_root` from the scan's values at its
+    ends, with the exact slope ``F(+1) - hdot`` at the orbit point each
+    step builds; the result is the point of the last step, whose Newton
+    step, or bracket, is at most ``d_tol`` (default ``1e-12 T``) long.
+    The scan, each step and a zero's point come from one evaluator per
+    solve; a point takes two stage exponentials and one LU factor of
+    ``I - Phi0``, which solves ``x0`` and, in :func:`critical_value`, the
+    slope.  A refined point whose residual is larger in magnitude than the
+    scan's values at both bracket ends is a pole of the residual, where an
+    open-loop multiplier crosses +1 inside the bracket; it is skipped like
+    a degenerate candidate.
 
     Raises
     ------
@@ -285,16 +282,17 @@ def solve_periodic_orbit(
         state (duty saturated at 0 or 1).
     DegenerateOrbitError
         Every scan point, or every candidate, sat at a degenerate orbit
-        or a pole of the residual (open-loop multiplier at +1).
+        or a pole of the residual (open-loop multiplier at +1), or the
+        first exact zero did.
     """
-    T = ramp.T
     numerics.check_count("grid_points", grid_points, 2)
     if d_tol is None:
-        d_tol = 1e-12 * T
+        d_tol = 1e-12 * ramp.T
     numerics.check_positive("d_tol", d_tol)
 
     # Degenerate grid points come back NaN and take part in no bracket.
-    scan, ok = _power_scan(model, ramp, u, grid_points)
+    evaluator = _OrbitEvaluator(model, ramp, u)
+    scan, ok = evaluator.scan(grid_points)
     grid = scan.d
     if not ok.any():
         raise DegenerateOrbitError(
@@ -320,7 +318,6 @@ def solve_periodic_orbit(
     # newton_root returns one of the points it evaluated, so the root's
     # point is among them.
     points = {}
-    evaluator = _OrbitEvaluator(model, ramp, u)
 
     def residual(t):
         ss, factor = evaluator.point(t)
@@ -333,7 +330,7 @@ def solve_periodic_orbit(
     poles = 0
     for lo, hi in zip(los, his):
         if lo == hi:
-            return replace(orbit_at(model, ramp, u, grid[lo]), candidates=len(los))
+            return replace(evaluator.point(grid[lo])[0], candidates=len(los))
         try:
             d = numerics.newton_root(
                 residual, grid[lo], grid[hi], values[lo], values[hi], d_tol

@@ -561,6 +561,21 @@ class TestFindRoot:
         with pytest.raises(NoConvergenceError):
             numerics.find_root(lambda x: (x - 0.3) ** 3, -1.0, 2.0, 1e-12)
 
+    @pytest.mark.parametrize("bad_call", [1, 2, 3])
+    def test_value_error_of_f_propagates(self, bad_call):
+        # Only brentq's refusal of a one-sign bracket becomes the end rule;
+        # a ValueError that f raises, at an end or inside, is f's.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) == bad_call:
+                raise ValueError("from f")
+            return x - 0.5
+
+        with pytest.raises(ValueError, match="from f"):
+            numerics.find_root(f, 0.0, 2.0, 1e-12)
+
     def test_endpoint_root(self):
         assert numerics.find_root(lambda x: x, 0.0, 1.0, 1e-10) == 0.0
 
@@ -651,8 +666,9 @@ class TestNewtonRoot:
 
 
 class TestFindRootMatchesBrentq:
-    # find_root is a port of scipy's brentq (xtol = tol, rtol = 4 eps, 100
-    # iterations): same root, bit for bit, from the same evaluations.
+    # find_root runs scipy's brentq (xtol = tol, rtol = 4 eps, 100
+    # iterations) on a sign-changing bracket: same root, bit for bit, from
+    # the same evaluations.
     FAMILIES = (
         lambda r, s: lambda x: math.tanh(s * (x - r)),
         lambda r, s: lambda x: (x - r) ** 3 + s * (x - r),

@@ -8,6 +8,7 @@ import pytest
 import pwmstab as p
 from pwmstab import numerics, stability, steadystate
 from pwmstab.errors import (
+    DimensionError,
     DomainError,
     GrazingError,
     ResolventPoleError,
@@ -362,6 +363,33 @@ class TestNonFiniteParameters:
         for call in calls:
             with pytest.raises(DomainError, match="must be finite"):
                 call()
+
+
+class TestParameterShapes:
+    # lambda and theta are scalars and sweep samples 1-D; any other shape
+    # raises DimensionError, never a silently paired or untyped answer.
+    PAIR = np.array([0.5, 0.3])
+
+    @pytest.mark.parametrize("call", [
+        lambda m, r, u, ss: p.general_critical_value(m, r, u, ss, TestParameterShapes.PAIR),
+        lambda m, r, u, ss: p.s_plot(m, r, u, [-1.0, 1.0], [0.3, 0.5]),
+        lambda m, r, u, ss: p.s_plot(m, r, u, [-1.0, 1.0], [0.3, 0.5, 0.7]),
+        lambda m, r, u, ss: p.s_plot(m, r, u, -1.0, 0.5),
+        lambda m, r, u, ss: p.s_plot(m, r, u, -1.0, [[0.3, 0.5]]),
+        lambda m, r, u, ss: p.nsb_residual(m, r, u, ss, TestParameterShapes.PAIR),
+        lambda m, r, u, ss: p.f_plot(m, r, u, ss, 0.5),
+        lambda m, r, u, ss: p.f_plot(m, r, u, ss, [[0.5, 1.0]]),
+        lambda m, r, u, ss: p.nyquist(m, r, u, ss, 0.5),
+        lambda m, r, u, ss: p.nyquist(m, r, u, ss, [[0.5, 1.0]]),
+    ], ids=[
+        "critical_value_lambda_array", "s_plot_lambda_per_duty",
+        "s_plot_lambda_length_mismatch", "s_plot_scalar_duty", "s_plot_2d_duty",
+        "nsb_theta_array", "f_plot_scalar", "f_plot_2d", "nyquist_scalar",
+        "nyquist_2d",
+    ])
+    def test_wrong_shape_raises_dimension_error(self, buck_tem, ramp, u_tem, ss_tem, call):
+        with pytest.raises(DimensionError):
+            call(buck_tem, ramp, u_tem, ss_tem)
 
 
 class TestCurves:

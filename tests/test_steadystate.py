@@ -128,27 +128,28 @@ class TestBatchedScan:
     @pytest.mark.parametrize("grid_points", [64, 256])
     def test_power_scan_matches_per_point_scan(self, model_cases, grid_points, monkeypatch):
         # The solver's scan (powers of two step exponentials) against
-        # orbit_at (one scipy expm per stage and point) on the same
+        # orbit_at's point (one scipy expm per stage and point) on the same
         # abscissae, and the orbit each scan leads the solver to.
         model, ramp, u, _ = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
         cases = model_cases + [(model, ramp, u)]
 
-        def per_point_scan(model, rmp, u, grid_points):
-            grid = np.linspace(0.0, rmp.T, grid_points + 2)[1:-1]
-            y = [p.orbit_at(model, rmp, u, d).y_switch for d in grid]
+        def per_point_scan(evaluator, grid_points):
+            grid = np.linspace(0.0, evaluator.ramp.T, grid_points + 2)[1:-1]
+            y = [evaluator.point(d)[0].y_switch for d in grid]
             return SimpleNamespace(d=grid, y_switch=np.array(y)), np.ones(grid.size, bool)
 
         solved = []
         for model, rmp, u in cases:
-            points, ok = steadystate._power_scan(model, rmp, u, grid_points)
-            ref, ref_ok = per_point_scan(model, rmp, u, grid_points)
+            evaluator = steadystate._OrbitEvaluator(model, rmp, u)
+            points, ok = evaluator.scan(grid_points)
+            ref, ref_ok = per_point_scan(evaluator, grid_points)
             assert np.array_equal(points.d, ref.d)
             assert np.array_equal(ok, ref_ok)
             h = p.ramp_value(rmp, points.d)
             got, want = points.y_switch - h, ref.y_switch - h
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             solved.append(p.solve_periodic_orbit(model, rmp, u, grid_points=grid_points).d)
-        monkeypatch.setattr(steadystate, "_power_scan", per_point_scan)
+        monkeypatch.setattr(steadystate._OrbitEvaluator, "scan", per_point_scan)
         for (model, rmp, u), d in zip(cases, solved):
             ref = p.solve_periodic_orbit(model, rmp, u, grid_points=grid_points)
             assert abs(d - ref.d) <= 1e-12 * rmp.T
@@ -233,7 +234,7 @@ class TestOrderedCandidates:
     def case(self):
         model, ramp, u, solver = p.build(p.parse_config(TWO_CANDIDATE_TEXT))
         # Reference: every bracket of the solver's scan refined on its own.
-        points, _ = steadystate._power_scan(model, ramp, u, solver.grid_points)
+        points, _ = steadystate._OrbitEvaluator(model, ramp, u).scan(solver.grid_points)
         grid = points.d
         values = points.y_switch - p.ramp_value(ramp, grid)
         brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
@@ -382,6 +383,30 @@ class TestOnePointPerEvaluation:
         assert ss.d == grid[20]
         assert counts == {"exp": 4, "evals": 0}
 
+    def test_one_evaluator_per_solve(self, model_cases, monkeypatch):
+        # The scan, every Newton step and a grid zero's point share one
+        # evaluator, so the stage generators are built once per solve.
+        calls = []
+        stage_generators = steadystate.stage_generators
+
+        def counted(*args):
+            calls.append(args)
+            return stage_generators(*args)
+
+        monkeypatch.setattr(steadystate, "stage_generators", counted)
+        grid = np.linspace(0.0, 1.0, 66)[1:-1]
+        solves = [
+            (model, ramp, u, grid_points)
+            for grid_points in (64, 256) for model, ramp, u in model_cases
+        ]
+        solves.append(
+            (_const_y_model(), UNIT_RAMP, p.InputVector(float(grid[20]), 0.0), 64)
+        )
+        for model, ramp, u, grid_points in solves:
+            calls.clear()
+            ss = p.solve_periodic_orbit(model, ramp, u, grid_points=grid_points)
+            assert len(calls) == 1, (model.n, grid_points, ss.d)
+
 
 def _loop_candidates(values):
     # The scan loop the candidate masks replaced, kept as their reference.
@@ -409,20 +434,20 @@ def test_candidate_masks_match_loop(monkeypatch):
         seen.append((lo, hi))
         raise DegenerateOrbitError("forced")
 
-    def orbit(model, ramp, u, d):
+    def orbit(evaluator, d):
         seen.append((d, d))
         raise DegenerateOrbitError("forced")
 
-    power_scan = steadystate._power_scan
+    real_scan = steadystate._OrbitEvaluator.scan
 
-    def scan(model, ramp, u, grid_points):
+    def scan(evaluator, grid_points):
         # The real scan, its switching residual replaced by ``values``.
-        points, ok = power_scan(model, ramp, u, grid_points)
-        return replace(points, y_switch=values + p.ramp_value(ramp, points.d)), ok
+        points, ok = real_scan(evaluator, grid_points)
+        return replace(points, y_switch=values + p.ramp_value(evaluator.ramp, points.d)), ok
 
     monkeypatch.setattr(numerics, "newton_root", refine)
-    monkeypatch.setattr(steadystate, "orbit_at", orbit)
-    monkeypatch.setattr(steadystate, "_power_scan", scan)
+    monkeypatch.setattr(steadystate._OrbitEvaluator, "point", orbit)
+    monkeypatch.setattr(steadystate._OrbitEvaluator, "scan", scan)
     grid = np.linspace(0.0, 1.0, 10)[1:-1]
     rng = np.random.default_rng(7)
     for _ in range(300):
