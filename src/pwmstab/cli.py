@@ -1,7 +1,11 @@
 """Command-line front end: config in, CSV out.
 
-Every command reads a converter config file, runs one analysis, and emits
-a CSV table (stdout by default, ``--out FILE`` otherwise) with a header
+``main`` parses the flags, loads the converter config file once, and
+hands the built ``(model, ramp, u, solver)`` to the chosen command.  Each
+``cmd_*`` is a pure function ``(args, model, ramp, u, solver) -> (header,
+rows)``: it runs one analysis, reads and writes no file, and checks its
+own flags after the config has loaded.  ``main`` then emits the table
+once as CSV (stdout by default, ``--out FILE`` otherwise) with a header
 row naming each column.  Numbers carry 17 significant digits so doubles
 round-trip; identical inputs produce byte-identical output.
 
@@ -96,12 +100,12 @@ def _emit(header, rows, args) -> None:
         print(f"{len(rows)} rows -> {dest}", file=sys.stderr)
 
 
-def _load(args):
+def _load(path):
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise errors.ConfigError(f"cannot read {args.config}: {exc.strerror}")
+        raise errors.ConfigError(f"cannot read {path}: {exc.strerror}")
     return build(parse_config(text))
 
 
@@ -119,130 +123,109 @@ def _duty_grid(args):
     return np.linspace(args.dmin, args.dmax, args.points)
 
 
-def cmd_steady(args) -> None:
-    model, ramp, u, solver = _load(args)
+def _indexed(n, *names):
+    return [f"{name}_{i}" for name in names for i in range(n)]
+
+
+def _buck_boundary(model, ramp):
+    # The buck plant with the config edge's exact critical voltage and its
+    # Taylor form.  The Taylor form is TEM's; LEM mirrors it:
+    # vs_LEM(D) = -vs_TEM(1 - D).
+    plant = buck_mod.make_buck_plant(model, ramp)
+    if model.edge is ModulationEdge.TEM:
+        return plant, buck_mod.vs_critical_tem, buck_mod.taylor_critical_vs
+
+    def taylor_lem(plant, duty, order):
+        return -buck_mod.taylor_critical_vs(plant, 1.0 - duty, order=order)
+
+    return plant, buck_mod.vs_critical_lem, taylor_lem
+
+
+def _curve_table(curve, parameter, value, **constants):
+    # One row per sample: the parameter, the value's real and imaginary
+    # parts (NaN where singular), the singular flag, then the constants.
+    # ``value`` names the two value columns through ``value.format(part)``.
+    tail = list(constants.values())
+    header = [parameter, value.format("real"), value.format("imag"), "singular"]
+    return header + list(constants), [
+        [s.parameter, math.nan, math.nan, 1, *tail] if s.singular
+        else [s.parameter, s.value.real, s.value.imag, 0, *tail]
+        for s in curve.samples
+    ]
+
+
+def cmd_steady(args, model, ramp, u, solver):
     ss = _orbit(model, ramp, u, solver)
     header = ["d_seconds", "duty", "y_switch_volts", "candidates"]
-    header += [f"x0_start_{i}" for i in range(model.n)]
-    header += [f"x0_switch_{i}" for i in range(model.n)]
-    row = [ss.d, ss.duty, ss.y_switch, ss.candidates]
-    row += list(ss.x0_start) + list(ss.x0_switch)
-    _emit(header, [row], args)
+    return header + _indexed(model.n, "x0_start", "x0_switch"), [
+        [ss.d, ss.duty, ss.y_switch, ss.candidates, *ss.x0_start, *ss.x0_switch]
+    ]
 
 
-def cmd_eigs(args) -> None:
-    model, ramp, u, solver = _load(args)
-    ss = _orbit(model, ramp, u, solver)
-    jd = stability.jacobian(model, ramp, u, ss)
+def cmd_eigs(args, model, ramp, u, solver):
+    jd = stability.jacobian(model, ramp, u, _orbit(model, ramp, u, solver))
     report = stability.classify(jd, class_tol=solver.class_tol)
     header = ["index", "re", "im", "modulus", "spectral_radius", "classification"]
-    rows = [
+    return header, [
         [i, lam.real, lam.imag, abs(lam), report.spectral_radius,
          report.classification.value]
         for i, lam in enumerate(report.eigenvalues)
     ]
-    _emit(header, rows, args)
 
 
-def cmd_sweep_vs(args) -> None:
-    model, ramp, u, solver = _load(args)
-    plant = buck_mod.make_buck_plant(model, ramp)
-    critical = (
-        buck_mod.vs_critical_tem
-        if model.edge is ModulationEdge.TEM
-        else buck_mod.vs_critical_lem
-    )
-    hdot = ramp.slope
+def cmd_sweep_vs(args, model, ramp, u, solver):
+    plant, critical, _ = _buck_boundary(model, ramp)
     rows = []
     for duty in _duty_grid(args):
         vs = critical(plant, duty)
         check = (
-            abs(buck_mod.buck_pdb_residual(plant, duty, vs, model.edge)) / hdot
+            abs(buck_mod.buck_pdb_residual(plant, duty, vs, model.edge)) / ramp.slope
             if math.isfinite(vs) else math.nan
         )
         rows.append([duty, vs, check])
-    _emit(["duty", "vs_critical_volts", "residual_check"], rows, args)
+    return ["duty", "vs_critical_volts", "residual_check"], rows
 
 
-def _curve_rows(curve):
-    rows = []
-    for sample in curve.samples:
-        if sample.singular:
-            rows.append([sample.parameter, math.nan, math.nan, 1])
-        else:
-            rows.append(
-                [sample.parameter, sample.value.real, sample.value.imag, 0]
-            )
-    return rows
-
-
-def cmd_splot(args) -> None:
-    model, ramp, u, solver = _load(args)
+def cmd_splot(args, model, ramp, u, solver):
     curve = stability.s_plot(model, ramp, u, args.lam, _duty_grid(args))
-    rows = _curve_rows(curve)
-    hdot = ramp.slope
-    header = [
-        "duty",
-        "s_real_volts_per_second",
-        "s_imag_volts_per_second",
-        "singular",
-        "ramp_slope_volts_per_second",
-    ]
-    _emit(header, [r + [hdot] for r in rows], args)
+    return _curve_table(
+        curve, "duty", "s_{}_volts_per_second",
+        ramp_slope_volts_per_second=ramp.slope,
+    )
 
 
-def cmd_fplot(args) -> None:
-    model, ramp, u, solver = _load(args)
-    ss = _orbit(model, ramp, u, solver)
+def cmd_fplot(args, model, ramp, u, solver):
     thetas = np.linspace(-math.pi, math.pi, args.points + 1)[1:]
-    curve = stability.f_plot(model, ramp, u, ss, thetas)
-    rows = _curve_rows(curve)
-    header = [
-        "theta_radians",
-        "f_real_volts_per_second",
-        "f_imag_volts_per_second",
-        "singular",
-        "ramp_slope_volts_per_second",
-    ]
-    _emit(header, [r + [ramp.slope] for r in rows], args)
+    curve = stability.f_plot(model, ramp, u, _orbit(model, ramp, u, solver), thetas)
+    return _curve_table(
+        curve, "theta_radians", "f_{}_volts_per_second",
+        ramp_slope_volts_per_second=ramp.slope,
+    )
 
 
-def cmd_nyquist(args) -> None:
-    model, ramp, u, solver = _load(args)
-    ss = _orbit(model, ramp, u, solver)
+def cmd_nyquist(args, model, ramp, u, solver):
     omegas = np.linspace(0.0, ramp.ws, args.points)
-    curve = stability.nyquist(model, ramp, u, ss, omegas)
-    rows = _curve_rows(curve)
-    header = [
-        "omega_radians_per_second",
-        "loop_gain_real",
-        "loop_gain_imag",
-        "singular",
-    ]
-    _emit(header, rows, args)
+    curve = stability.nyquist(model, ramp, u, _orbit(model, ramp, u, solver), omegas)
+    return _curve_table(curve, "omega_radians_per_second", "loop_gain_{}")
 
 
-def cmd_simulate(args) -> None:
-    model, ramp, u, solver = _load(args)
+def cmd_simulate(args, model, ramp, u, solver):
     x0 = np.zeros(model.n) if args.x0 is None else np.array(args.x0)
     if x0.shape != (model.n,):
         raise UsageError(f"--x0 needs {model.n} entries, got {len(x0)}")
     traj = sim_mod.simulate(
         model, ramp, u, x0, args.cycles, scan_points=solver.scan_points
     )
+    nan = [math.nan] * model.n
     header = ["cycle", "d_event_seconds", "saturated"]
-    header += [f"x_switch_{i}" for i in range(model.n)]
-    header += [f"x_end_{i}" for i in range(model.n)]
-    rows = []
-    for i, rec in enumerate(traj.cycles):
-        d = math.nan if rec.d_event is None else rec.d_event
-        xs = [math.nan] * model.n if rec.x_switch is None else list(rec.x_switch)
-        rows.append([i, d, int(rec.saturated)] + xs + list(rec.x_end))
-    _emit(header, rows, args)
+    return header + _indexed(model.n, "x_switch", "x_end"), [
+        [i, math.nan if rec.d_event is None else rec.d_event, int(rec.saturated),
+         *(nan if rec.x_switch is None else rec.x_switch), *rec.x_end]
+        for i, rec in enumerate(traj.cycles)
+    ]
 
 
-def cmd_check_equivalence(args) -> None:
-    model, ramp, u, solver = _load(args)
+def cmd_check_equivalence(args, model, ramp, u, solver):
     plant = buck_mod.make_buck_plant(model, ramp)
     gains = buck_mod.harmonic_gains(plant, solver.harmonics)
     rows = []
@@ -255,37 +238,23 @@ def cmd_check_equivalence(args) -> None:
         rhs = buck_mod.lem_boundary_coefficient(plant, d)
         rel = abs(lhs - rhs) / abs(rhs) if rhs != 0.0 else math.nan
         rows.append([duty, d, lhs, rhs, abs(lhs - rhs), rel])
-    header = [
-        "duty",
-        "d_seconds",
-        "series_lhs_per_second",
-        "matrix_rhs_per_second",
-        "abs_residual",
-        "rel_residual",
-    ]
-    _emit(header, rows, args)
+    header = ["duty", "d_seconds", "series_lhs_per_second", "matrix_rhs_per_second"]
+    return header + ["abs_residual", "rel_residual"], rows
 
 
-def cmd_taylor_compare(args) -> None:
-    model, ramp, u, solver = _load(args)
-    plant = buck_mod.make_buck_plant(model, ramp)
+def cmd_taylor_compare(args, model, ramp, u, solver):
+    plant, critical, taylor = _buck_boundary(model, ramp)
     rows = []
     for duty in _duty_grid(args):
-        # The Taylor form is TEM's; LEM mirrors it: vs_LEM(D) = -vs_TEM(1 - D).
-        if model.edge is ModulationEdge.LEM:
-            exact = buck_mod.vs_critical_lem(plant, duty)
-            approx = -buck_mod.taylor_critical_vs(plant, 1.0 - duty, order=args.order)
-        else:
-            exact = buck_mod.vs_critical_tem(plant, duty)
-            approx = buck_mod.taylor_critical_vs(plant, duty, order=args.order)
+        exact = critical(plant, duty)
+        approx = taylor(plant, duty, order=args.order)
         rel = (
             abs(approx - exact) / abs(exact)
             if math.isfinite(exact) and exact != 0.0 and math.isfinite(approx)
             else math.nan
         )
         rows.append([duty, exact, approx, rel])
-    header = ["duty", "vs_exact_volts", "vs_taylor_volts", "rel_difference"]
-    _emit(header, rows, args)
+    return ["duty", "vs_exact_volts", "vs_taylor_volts", "rel_difference"], rows
 
 
 def _int_at_least(low: int):
@@ -386,7 +355,7 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        args.func(args)
+        _emit(*args.func(args, *_load(args.config)), args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except errors.PwmStabError as exc:

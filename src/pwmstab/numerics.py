@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -95,8 +96,11 @@ def check_count(name: str, value, low: int) -> None:
 
 
 def check_positive(name: str, value) -> None:
-    """Raise :class:`DomainError` unless ``value`` is positive and finite."""
-    if not 0.0 < value < math.inf:
+    """Raise :class:`DomainError` unless ``value`` is a positive finite real."""
+    # float first: the ABC check costs ~0.4 us, and newton_root runs this
+    # once per simulated switching event.
+    real = isinstance(value, float) or isinstance(value, numbers.Real)
+    if not (real and 0.0 < value < math.inf):
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
 

@@ -94,17 +94,21 @@ def _linearized(ss: SteadyState) -> SteadyState:
     return ss
 
 
-def _parameter(name: str, value, ndim: int = 0):
-    # lambda and theta (ndim 0) and sweep samples (1-D) as arrays, checked
-    # before they are exponentiated or multiplied, so a wrong shape or
-    # inf/NaN raises without a RuntimeWarning first.
+def _parameter(name: str, value, ndim: int = 0, real: bool = True):
+    # lambda (numeric), theta (real; both ndim 0) and real sweep samples
+    # (1-D) as arrays, checked before they are exponentiated or multiplied,
+    # so a wrong shape, a wrong number type or inf/NaN raises without a
+    # RuntimeWarning or an untyped TypeError first.
     arr = np.asarray(value)
     if arr.ndim != ndim:
         shape = "a 1-D array" if ndim else "a scalar"
         raise DimensionError(f"{name} must be {shape}, got shape {arr.shape}")
+    if arr.dtype.kind not in ("biuf" if real else "biufc"):
+        kind = "real" if real else "a number"
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite, got {value}")
-    return arr
+    return arr.astype(float, copy=False) if real else arr
 
 
 def _loop_denominator(ss: SteadyState, hdot: float) -> float:
@@ -199,7 +203,7 @@ def general_critical_value(
     closed-loop Jacobian.  ``lambda`` must not be an eigenvalue of the
     open-loop map ``Phi0`` (raises :class:`ResolventPoleError`).
     """
-    return complex(critical_value(_linearized(ss), _parameter("lambda", lam)))
+    return complex(critical_value(_linearized(ss), _parameter("lambda", lam, real=False)))
 
 
 def pdb_residual(
@@ -254,8 +258,8 @@ def s_plot(
     at one step exponential per stage.  Degenerate or pole points are
     marked singular, never dropped.
     """
-    lam = _parameter("lambda", lam)
-    duties = _parameter("duty grid", np.asarray(duty_grid, dtype=float), 1)
+    lam = _parameter("lambda", lam, real=False)
+    duties = _parameter("duty grid", duty_grid, 1)
     outside = ~((duties > 0.0) & (duties < 1.0))
     if outside.any():
         raise DomainError(
@@ -283,7 +287,7 @@ def f_plot(
     endpoints 0 and pi reproduce the saddle-node and period-doubling
     left sides.
     """
-    thetas = _parameter("theta", np.asarray(thetas, dtype=float), 1)
+    thetas = _parameter("theta", thetas, 1)
     term, ok = _resolvent_term(ss, np.exp(1j * thetas))
     return _curve("theta", thetas, ss.c_xdot_minus + term, ok)
 
@@ -303,7 +307,7 @@ def nyquist(
     ``(F - C xdot(d-)) / (C xdot(d-) - hdot)`` and raises
     :class:`GrazingError` where :func:`jacobian` does.
     """
-    omegas = _parameter("omega", np.asarray(omegas, dtype=float), 1)
+    omegas = _parameter("omega", omegas, 1)
     denom = _loop_denominator(ss, ramp.slope)
     term, ok = _resolvent_term(ss, np.exp(1j * omegas * ramp.T))
     return _curve("omega", omegas, term / denom, ok)

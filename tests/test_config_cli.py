@@ -1,5 +1,6 @@
 """Config format round-trips and the CLI's CSV/exit-code contract."""
 
+import math
 import os
 import subprocess
 import sys
@@ -548,6 +549,145 @@ class TestReadmeConfig:
         assert len(taylor) == 9
         assert [row[:2] for row in taylor] == [row[:2] for row in sweep]
         assert max(float(row[3]) for row in taylor) <= 0.01
+
+
+def _orbit(model, ramp, u, solver):
+    return p.solve_periodic_orbit(
+        model, ramp, u, grid_points=solver.grid_points, d_tol=solver.d_tol
+    )
+
+
+def _curve_rows(curve, *tail):
+    return [
+        [s.parameter, *((math.nan, math.nan) if s.singular
+                        else (s.value.real, s.value.imag)), int(s.singular), *tail]
+        for s in curve.samples
+    ]
+
+
+def _steady_rows(model, ramp, u, solver):
+    ss = _orbit(model, ramp, u, solver)
+    return [[ss.d, ss.duty, ss.y_switch, ss.candidates, *ss.x0_start, *ss.x0_switch]]
+
+
+def _eigs_rows(model, ramp, u, solver):
+    jd = p.jacobian(model, ramp, u, _orbit(model, ramp, u, solver))
+    report = p.classify(jd, class_tol=solver.class_tol)
+    return [
+        [i, lam.real, lam.imag, abs(lam), report.spectral_radius,
+         report.classification.value]
+        for i, lam in enumerate(report.eigenvalues)
+    ]
+
+
+def _sweep_vs_rows(model, ramp, u, solver):
+    plant = p.make_buck_plant(model, ramp)
+    tem = model.edge is p.ModulationEdge.TEM
+    critical = p.vs_critical_tem if tem else p.vs_critical_lem
+    rows = []
+    for duty in np.linspace(0.1, 0.9, 9):
+        vs = critical(plant, duty)
+        check = abs(p.buck_pdb_residual(plant, duty, vs, model.edge)) / ramp.slope
+        rows.append([duty, vs, check])
+    return rows
+
+
+def _splot_rows(model, ramp, u, solver):
+    # --lam defaults to "-1,0", a complex lambda.
+    curve = p.s_plot(model, ramp, u, complex(-1.0, 0.0), np.linspace(0.1, 0.9, 9))
+    return _curve_rows(curve, ramp.slope)
+
+
+def _fplot_rows(model, ramp, u, solver):
+    thetas = np.linspace(-math.pi, math.pi, 17)[1:]
+    curve = p.f_plot(model, ramp, u, _orbit(model, ramp, u, solver), thetas)
+    return _curve_rows(curve, ramp.slope)
+
+
+def _nyquist_rows(model, ramp, u, solver):
+    omegas = np.linspace(0.0, ramp.ws, 16)
+    return _curve_rows(
+        p.nyquist(model, ramp, u, _orbit(model, ramp, u, solver), omegas)
+    )
+
+
+def _simulate_rows(model, ramp, u, solver):
+    traj = p.simulate(model, ramp, u, np.zeros(model.n), 8,
+                      scan_points=solver.scan_points)
+    rows = []
+    for i, rec in enumerate(traj.cycles):
+        # A cycle with no trigger has no event time and no switch state;
+        # the transient from x0 = 0 has such cycles, so both forms are read.
+        d, xs = (math.nan, [math.nan] * model.n) if rec.d_event is None else (
+            rec.d_event, rec.x_switch)
+        rows.append([i, d, int(rec.saturated), *xs, *rec.x_end])
+    assert any(rec.d_event is None for rec in traj.cycles)
+    return rows
+
+
+def _check_equivalence_rows(model, ramp, u, solver):
+    plant = p.make_buck_plant(model, ramp)
+    rows = []
+    for duty in np.linspace(0.1, 0.9, 9):
+        d = (1.0 - duty) * ramp.T
+        series = p.harmonic_balance(plant, d, solver.harmonics, p.ModulationEdge.LEM)
+        lhs = 2.0 * ramp.fs * series.series_sum.real
+        rhs = p.lem_boundary_coefficient(plant, d)
+        rows.append([duty, d, lhs, rhs, abs(lhs - rhs), abs(lhs - rhs) / abs(rhs)])
+    return rows
+
+
+def _taylor_compare_rows(model, ramp, u, solver):
+    plant = p.make_buck_plant(model, ramp)
+    rows = []
+    for duty in np.linspace(0.1, 0.9, 9):
+        if model.edge is p.ModulationEdge.TEM:
+            exact = p.vs_critical_tem(plant, duty)
+            approx = p.taylor_critical_vs(plant, duty, order=2)
+        else:
+            exact = p.vs_critical_lem(plant, duty)
+            approx = -p.taylor_critical_vs(plant, 1.0 - duty, order=2)
+        rows.append([duty, exact, approx, abs(approx - exact) / abs(exact)])
+    return rows
+
+
+class TestCliMatchesLibrary:
+    # Every field each command prints is the library call it wraps, at 17
+    # significant digits, on the README config and its LEM mirror.
+    COMMANDS = {
+        "steady": ([], _steady_rows),
+        "eigs": ([], _eigs_rows),
+        "sweep-vs": (["--points", "9"], _sweep_vs_rows),
+        "splot": (["--points", "9"], _splot_rows),
+        "fplot": (["--points", "16"], _fplot_rows),
+        "nyquist": (["--points", "16"], _nyquist_rows),
+        "simulate": (["--cycles", "8"], _simulate_rows),
+        "check-equivalence": (["--points", "9"], _check_equivalence_rows),
+        "taylor-compare": (["--points", "9"], _taylor_compare_rows),
+    }
+
+    @staticmethod
+    def _field(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.17g}"
+
+    @pytest.mark.parametrize("edge", ["TEM", "LEM"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_fields_equal_library(self, tmp_path, capsys, command, edge):
+        text = TestReadmeConfig._config(edge)
+        flags, rows_of = self.COMMANDS[command]
+        assert cli.main([command, _write(tmp_path, text), "--quiet"] + flags) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        table = [line.split(",") for line in lines]
+        expected = [
+            [self._field(v) for v in row]
+            for row in rows_of(*build(parse_config(text)))
+        ]
+        assert table == expected
+        assert {len(row) for row in table} == {len(header.split(","))}
 
 
 class TestRuntimeImports:

@@ -579,7 +579,7 @@ class TestFindRoot:
     def test_endpoint_root(self):
         assert numerics.find_root(lambda x: x, 0.0, 1.0, 1e-10) == 0.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         # An infinite tolerance would return a bracket end as the root.
         with pytest.raises(DomainError, match="tol must be positive and finite"):
@@ -651,7 +651,7 @@ class TestNewtonRoot:
             )
         assert len(calls) == 100
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(DomainError, match="tol must be positive and finite"):
             numerics.newton_root(lambda x: (x - 0.3, 1.0), 0.0, 1.0, -0.3, 0.7, tol)
