@@ -187,7 +187,9 @@ def cmd_sweep_vs(args, model, ramp, u, solver):
 
 
 def cmd_splot(args, model, ramp, u, solver):
-    curve = stability.s_plot(model, ramp, u, args.lam, _duty_grid(args))
+    # A real lambda (the default -1) takes s_plot's real stacked solve.
+    lam = args.lam.real if args.lam.imag == 0.0 else args.lam
+    curve = stability.s_plot(model, ramp, u, lam, _duty_grid(args))
     return _curve_table(
         curve, "duty", "s_{}_volts_per_second",
         ramp_slope_volts_per_second=ramp.slope,

@@ -35,9 +35,12 @@ a key to the parser and the emitter of its value, and both
 :func:`parse_config` and :func:`emit_config` walk them.  The ``[solver]``
 parsers also check each value's range (``grid_points >= 2``,
 ``scan_points >= 8``, ``harmonics >= 1``, positive finite tolerances).
-Unknown sections or keys are rejected, and every parsed config is
-guaranteed to build a valid model/ramp/input triple and solver settings
-every command accepts; matrix shapes are checked by the model itself.
+``scan_points`` is the least number of simulator event-scan steps: a stiff
+stage takes more, and one past ``numerics.MAX_GRID_STEPS`` is refused by
+the command that builds it.  Unknown sections or keys are rejected, and
+every parsed config is guaranteed to build a valid model/ramp/input triple
+and solver settings every command accepts; matrix shapes are checked by
+the model itself.
 """
 
 from __future__ import annotations

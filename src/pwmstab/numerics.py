@@ -14,7 +14,10 @@ dense matrices:
 * ``taylor_terms`` gives the terms ``(G tau)^k / k!`` of ``e^{G tau}`` for
   ``||G tau||_1 <= 1`` down to ``2^-53``: the simulator's in-step series,
   and ``grid_exponentials``, which takes ``e^{G t}`` at arbitrary times of a
-  period as a power of one step exponential times a Taylor sum.
+  period as a power of one step exponential times a Taylor sum.  Both cut
+  the period by ``step_count``, into the fewest steps with
+  ``||G h||_1 <= rho`` (1/4 and 1), and a stage that needs more than
+  ``MAX_GRID_STEPS = 2^17`` raises :class:`DomainError`, not MemoryError.
 * The exponential, power and grid kernels report a value past the float
   range only as non-finite entries, with no ``RuntimeWarning``; callers
   that can meet divergent dynamics check for them and raise
@@ -74,6 +77,9 @@ _BRENT_MAXITER = 100
 
 #: Evaluation budget of ``newton_root``, Brent's.
 _NEWTON_MAXITER = _BRENT_MAXITER
+
+#: Most steps :func:`step_count` cuts a span into; a stiffer span is refused.
+MAX_GRID_STEPS = 2 ** 17
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -168,18 +174,34 @@ def taylor_terms(gen, tau: float) -> np.ndarray:
     return terms
 
 
+def step_count(gens, span: float, rho: float) -> int:
+    """Fewest steps ``h = span / P`` with ``||G h||_1 <= rho`` for every ``G``
+    in ``gens``, ``P = max(1, ceil(max ||G||_1 span / rho))``; past
+    ``MAX_GRID_STEPS`` a :class:`DomainError` names ``||G||_1 span`` and ``P``.
+    """
+    stiff = max(float(np.abs(g).sum(axis=0).max()) for g in gens) * span
+    need = stiff / rho
+    if need > MAX_GRID_STEPS:
+        raise DomainError(
+            f"stage too stiff: ||G||_1 T = {stiff:.6g} needs {need:.6g} steps "
+            f"of ||G h||_1 <= {rho}, more than MAX_GRID_STEPS = {MAX_GRID_STEPS}"
+        )
+    return max(1, math.ceil(need))
+
+
 def grid_exponentials(gen, period: float, t) -> np.ndarray:
     """``e^{G t_j}`` for every time of the 1-D array ``t`` in ``[0, period]``.
 
-    The period is cut into ``P = max(1, ceil(||G||_1 period))`` steps ``h``,
-    so ``||G h||_1 <= 1``.  With ``t_j = (q_j + v_j) h`` and
+    The period is cut into the fewest steps ``h`` with ``||G h||_1 <= 1``
+    (:func:`step_count`).  With ``t_j = (q_j + v_j) h`` and
     ``0 <= v_j <= 1``, slice ``j`` is the power ``q_j`` of one step
     exponential (:func:`mat_powers`) times ``sum_k v_j^k terms[k]``
     (:func:`taylor_terms` of ``G h``); ``t_j = 0`` gives exactly ``I``.
     Work and memory grow with ``||G||_1 period``, not with its logarithm as
     in scaling and squaring: a few steps per period for a converter stage,
-    ``10^4`` powers for ``||G||_1 period = 10^4``.  Overflow comes back
-    non-finite, with no ``RuntimeWarning``.
+    ``10^4`` powers for ``||G||_1 period = 10^4``, a :class:`DomainError`
+    past ``MAX_GRID_STEPS``.  Overflow comes back non-finite, with no
+    ``RuntimeWarning``.
     """
     arr = as_square_matrix(gen, "G").astype(float, copy=False)
     check_positive("period", period)
@@ -188,7 +210,7 @@ def grid_exponentials(gen, period: float, t) -> np.ndarray:
         raise DimensionError(f"t must be a 1-D array, got shape {t.shape}")
     if not np.all((t >= 0.0) & (t <= period)):
         raise DomainError(f"times must lie in [0, {period}]")
-    steps = max(1, math.ceil(float(np.abs(arr).sum(axis=0).max()) * period))
+    steps = step_count((arr,), period, 1.0)
     h = period / steps
     terms = taylor_terms(arr, h)
     v = t / h

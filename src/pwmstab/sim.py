@@ -7,21 +7,22 @@ comparator event ``h(t) = y(t)``.  A simulator takes two matrix
 exponentials, one step exponential ``e^{G_i h}`` per stage
 (``numerics.mat_exp``, i.e. ``scipy.linalg.expm``), and a cycle takes
 none.  Each stage's exponentials on the scan grid ``t_j = j h`` are the
-powers of its step exponential.  Inside a scan step each stage is the
-truncated Taylor series ``sum_k (G tau)^k / k! z`` of
-``numerics.taylor_terms``, with the step split into ``2^s`` sub-steps so
-that ``||G tau||_1 <= 1``.  A cycle scans the event function on the grid
-from stage S1's powers, then refines the first hit inside its scan step:
-the step's sub-steps are walked to the first one whose end the event
-reaches, and over that sub-step the event is ``h(t) - y(t)`` with ``y`` a
-degree-``K`` polynomial in ``v = (t - lo) / tau`` whose coefficients are
-the ``C`` rows of the Taylor terms.  ``numerics.newton_root`` refines it
-from the event values the scan already has at the bracket ends, with the
-slope from the same Horner pass as the value; an event exactly zero at a
-sub-step end is the event itself.  The switch state comes from the same
-Taylor terms.  Stage S2 runs from the event to the next grid point by its
-own series, then to the clock edge by one of its powers.  Event times
-agree with per-evaluation exponentials to ~1e-13 of a period.
+powers of its step exponential.  The grid has at least ``scan_points``
+steps, and more where a stage is stiff: enough that ``||G_i h||_1 <= 1/4``
+on both stages (``numerics.step_count``), so inside any scan step each
+stage is one truncated Taylor series ``sum_k (G h)^k / k! z`` of
+``numerics.taylor_terms``.  A cycle scans the event function on the grid
+from stage S1's powers, then refines the first hit inside its scan step,
+where the event is ``h(t) - y(t)`` with ``y`` a degree-``K`` polynomial in
+``v = (t - lo) / h`` whose coefficients are the ``C`` rows of the Taylor
+terms.  ``numerics.newton_root`` refines it from the event values the
+scan already has at the bracket ends, with the slope from the same Horner
+pass as the value; an event exactly zero at a grid point is the event
+itself.  The switch state comes from the same Taylor terms.  Stage S2
+runs from the event to the next grid point by its own series, then to the
+clock edge by one of its powers.  Event times agree with per-evaluation
+exponentials to ~1e-13 of a period.  The scan is sampled, not certified: a
+rise of ``y`` above ``h`` that falls back within one step goes unseen.
 
 The oracle shares the model's augmented generator layout
 (``model.stage_generators``) and four kernels with the orbit code:
@@ -48,17 +49,12 @@ the event is reported as saturated (``d = None``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .errors import (
-    DivergenceError,
-    DomainError,
-    OracleInvalidError,
-)
+from .errors import DivergenceError, DomainError, OracleInvalidError
 from .model import InputVector, RampSignal, SwitchedLinearModel, stage_generators
 
 
@@ -88,51 +84,37 @@ class _Stage:
     scan grid of step ``h``, from one Pade exponential ``e^{G h}``.
 
     ``grid[j] = e^{G j h}`` for ``j = 0..points`` are the powers of
-    ``e^{G h}`` (``numerics.mat_powers``).  ``powers[k] =
-    (G tau)^k / k!`` for ``k = 0..K`` are the Taylor terms of one sub-step
-    ``tau = h / substeps`` (``numerics.taylor_terms``): ``substeps = 2^s``
-    with ``s`` the smallest integer giving ``||G tau||_1 <= 1``, and ``K``
-    the smallest order whose first dropped term is below ``2^-53``.
-    ``step = e^{G tau}`` is their sum, to the same bound.
+    ``e^{G h}`` (``numerics.mat_powers``).  ``powers[k] = (G h)^k / k!``
+    for ``k = 0..K`` are the Taylor terms of one step
+    (``numerics.taylor_terms``), with ``K`` the smallest order whose first
+    dropped term is below ``2^-53``; the simulator's grid keeps
+    ``||G h||_1 <= 1/4``.
     """
 
     def __init__(self, gen: np.ndarray, h: float, points: int):
         # An overflowing power comes back non-finite; the cycle that reads
         # it raises DivergenceError.
         self.grid = numerics.mat_powers(numerics.mat_exp(gen, h), points)
-
-        frac, s = math.frexp(float(np.abs(gen).sum(axis=0).max()) * h)
-        s = max(s - (frac == 0.5), 0)
-        self.substeps = 2 ** s
-        self.tau = h / self.substeps
-        self.powers = numerics.taylor_terms(gen, self.tau)
+        self.powers = numerics.taylor_terms(gen, h)
         self.orders = np.arange(len(self.powers))
-        self.step = self.powers.sum(axis=0)
 
     def series(self, z: np.ndarray, v: float) -> np.ndarray:
-        """``e^{G v tau} z`` by the truncated series, for ``0 <= v <= 1``."""
+        """``e^{G v h} z`` by the truncated series, for ``0 <= v <= 1``."""
         return v ** self.orders @ (self.powers @ z)
-
-    def advance(self, z: np.ndarray, r: float) -> np.ndarray:
-        """``e^{G r} z`` for ``0 <= r <= h``: whole sub-steps of ``e^{G tau}``,
-        then the series over the rest."""
-        v = r / self.tau
-        q = int(v)
-        for _ in range(q):
-            z = self.step @ z
-        return self.series(z, v - q)
 
 
 class CycleSimulator:
     """Propagates one converter cycle exactly; reusable across many cycles.
 
-    Takes two matrix exponentials when built, one step exponential per
-    stage, and from their powers and the Taylor terms of one sub-step
-    builds both stages on a fixed scan grid.  A cycle then takes no
-    exponential: it costs a few matrix-vector products, a scalar Newton
-    refinement of the event (two to four evaluations of the stage-1
-    polynomial) and the stage-2 series from the event to the next grid
-    point.
+    The scan grid has ``max(scan_points, P)`` steps ``h``, ``P`` the fewest
+    with ``||G_i h||_1 <= 1/4`` on both stages (``numerics.step_count``,
+    which raises :class:`DomainError` past ``MAX_GRID_STEPS``), so one
+    Taylor series covers any part of a step.  Takes one step exponential
+    per stage when built, and builds both stages on the grid from their
+    powers and Taylor terms.  A cycle then takes no exponential: a few
+    matrix-vector products, a scalar Newton refinement of the event (two to
+    four evaluations of the stage-1 polynomial) and the stage-2 series from
+    the event to the next grid point.
     """
 
     def __init__(
@@ -156,11 +138,13 @@ class CycleSimulator:
         # function there, z(t_j) = stage1.grid[j] @ [x_in; 1] and
         # y(t_j) = rows @ x_in + offset; inside a step, the C rows of its
         # Taylor terms give y.
-        h = ramp.T / scan_points
-        self._stage1 = _Stage(self._aug1, h, scan_points)
-        self._stage2 = _Stage(self._aug2, h, scan_points)
+        fewest = numerics.step_count((self._aug1, self._aug2), ramp.T, 0.25)
+        points = max(scan_points, fewest)
+        self._h = h = ramp.T / points
+        self._stage1 = _Stage(self._aug1, h, points)
+        self._stage2 = _Stage(self._aug2, h, points)
         grid1 = self._stage1.grid
-        self._grid = np.linspace(0.0, ramp.T, scan_points + 1)
+        self._grid = np.linspace(0.0, ramp.T, points + 1)
         self._y_rows = model.C @ grid1[:, :n, :n]
         self._y_offsets = grid1[:, :n, n] @ model.C + self._du
         self._h_grid = ramp.Vl + ramp.slope * self._grid
@@ -192,11 +176,11 @@ class CycleSimulator:
             i = hits[0]
             if i > 0 and e[i] > 0.0:
                 d, z_switch = self._refine(i, stage1.grid[i - 1] @ z, e[i - 1], e[i])
-                z_grid = stage2.advance(z_switch, self._grid[i] - d)
+                z_grid = stage2.series(z_switch, (self._grid[i] - d) / self._h)
             else:
                 d = float(self._grid[i])
                 z_switch = z_grid = stage1.grid[i] @ z
-            x_end = (stage2.grid[self.scan_points - i] @ z_grid)[:n]
+            x_end = (stage2.grid[-1 - i] @ z_grid)[:n]
         return CycleRecord(d, z_switch[:n], self._finish(x_end))
 
     def _refine(
@@ -204,40 +188,28 @@ class CycleSimulator:
     ) -> tuple[float, np.ndarray]:
         """Event time and augmented switch state inside scan step ``i``, from
         the augmented state ``z`` at its start and the scan's event values
-        ``flo < 0 < fhi`` at its ends, by the stage-1 Taylor series."""
-        n, du, stage1 = self.model.n, self._du, self._stage1
-        vl, slope, tau = self.ramp.Vl, self.ramp.slope, stage1.tau
-        start = lo = float(self._grid[i - 1])
-        hi = float(self._grid[i])
-        # The first sub-step that ends with e >= 0, or the last one.
-        for j in range(1, stage1.substeps):
-            z_next = stage1.step @ z
-            t = start + j * tau
-            f = vl + slope * t - (self.model.C @ z_next[:n] + du)
-            if f == 0.0:
-                return t, z_next
-            if f > 0.0:
-                hi, fhi = t, f
-                break
-            z, lo, flo = z_next, t, f
-        # Taylor terms (G tau)^k / k! z of the sub-step; y's coefficients in
-        # v = (t - lo) / tau are their C rows.
-        terms = stage1.powers @ z
+        ``flo < 0 < fhi`` at its ends, by the stage-1 Taylor series of the
+        step: ``y`` is a degree-``K`` polynomial in ``v = (t - lo) / h``
+        whose coefficients are the ``C`` rows of its terms."""
+        n, du, h = self.model.n, self._du, self._h
+        vl, slope = self.ramp.Vl, self.ramp.slope
+        lo, hi = float(self._grid[i - 1]), float(self._grid[i])
+        terms = self._stage1.powers @ z
         coeffs = (terms[:, :n] @ self.model.C).tolist()[::-1]
 
         def event(t: float) -> tuple[float, float]:
             # h(t) - y(t) and its slope, y and dy/dv by one Horner pass.
-            v = (t - lo) / tau
+            v = (t - lo) / h
             y = dy = 0.0
             for c in coeffs:
                 dy = dy * v + y
                 y = y * v + c
-            return vl + slope * t - (y + du), slope - dy / tau
+            return vl + slope * t - (y + du), slope - dy / h
 
         # newton_root stops once its next step is at most tol and does not
         # take it, so tol sits a decade below the ~1e-13 T accuracy wanted.
         d = numerics.newton_root(event, lo, hi, flo, fhi, 1e-14 * self.ramp.T)
-        return d, ((d - lo) / tau) ** stage1.orders @ terms
+        return d, ((d - lo) / h) ** self._stage1.orders @ terms
 
     def _finish(self, x_end: np.ndarray) -> np.ndarray:
         if not np.isfinite(x_end).all():

@@ -446,6 +446,27 @@ class TestCliExitCodes:
         assert cli.main(["steady", _write(tmp_path, text), "--quiet"]) == 2
         assert "stage exponential overflows" in capsys.readouterr().err
 
+    def test_stiff_stage_is_domain_error(self, tmp_path, capsys):
+        # ||G||_1 T = 1e9: splot's orbit grid would need 1e9 steps and the
+        # simulator 4e9, past numerics.MAX_GRID_STEPS; both are refused by a
+        # typed error before any grid is allocated.
+        text = RAW_TEXT.replace("edge = LEM", "edge = TEM")
+        for old, new in (("A1 = -1.0,0.2; 0.0,-2.0", "A1 = -1e9,0; 0,-2"),
+                         ("A2 = -1.0,0.2; 0.0,-2.0", "A2 = -1e9,0; 0,-2"),
+                         ("B1 = 0,0; 0,0", "B1 = 0,0; 0,1"),
+                         ("B2 = 0,1.0; 0,0.5", "B2 = 0,0; 0,0"),
+                         ("C = 1.0,0.4", "C = 0,1"), ("D = 1.0,0.0", "D = 0,0"),
+                         ("vr = 0.2", "vr = 0.3"), ("vs = 0.6", "vs = 1")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = _write(tmp_path, text)
+        for command, steps in (("splot", "1e+09"), ("simulate", "4e+09")):
+            assert cli.main([command, cfg, "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: stage too stiff: ||G||_1 T = 1e+09 "
+                                  f"needs {steps} steps")
+            assert "Traceback" not in err
+
     def test_no_orbit_integrating_state(self, tmp_path, capsys):
         # A PI compensator's integrator: degenerate at every d, not saturated.
         assert cli.main(["steady", _write(tmp_path, PI_BUCK_TEXT), "--quiet"]) == 3
@@ -592,10 +613,14 @@ def _sweep_vs_rows(model, ramp, u, solver):
     return rows
 
 
-def _splot_rows(model, ramp, u, solver):
-    # --lam defaults to "-1,0", a complex lambda.
-    curve = p.s_plot(model, ramp, u, complex(-1.0, 0.0), np.linspace(0.1, 0.9, 9))
+def _splot_rows(model, ramp, u, solver, lam=-1.0):
+    # --lam defaults to "-1,0", passed on as the real lambda -1.
+    curve = p.s_plot(model, ramp, u, lam, np.linspace(0.1, 0.9, 9))
     return _curve_rows(curve, ramp.slope)
+
+
+def _splot_complex_rows(model, ramp, u, solver):
+    return _splot_rows(model, ramp, u, solver, complex(-0.5, 0.2))
 
 
 def _fplot_rows(model, ramp, u, solver):
@@ -659,6 +684,7 @@ class TestCliMatchesLibrary:
         "eigs": ([], _eigs_rows),
         "sweep-vs": (["--points", "9"], _sweep_vs_rows),
         "splot": (["--points", "9"], _splot_rows),
+        "splot --lam=-0.5,0.2": (["--points", "9"], _splot_complex_rows),
         "fplot": (["--points", "16"], _fplot_rows),
         "nyquist": (["--points", "16"], _nyquist_rows),
         "simulate": (["--cycles", "8"], _simulate_rows),
@@ -679,7 +705,9 @@ class TestCliMatchesLibrary:
     def test_fields_equal_library(self, tmp_path, capsys, command, edge):
         text = TestReadmeConfig._config(edge)
         flags, rows_of = self.COMMANDS[command]
-        assert cli.main([command, _write(tmp_path, text), "--quiet"] + flags) == 0
+        command, *more = command.split()
+        argv = [command, _write(tmp_path, text), "--quiet"] + more + flags
+        assert cli.main(argv) == 0
         header, *lines = capsys.readouterr().out.splitlines()
         table = [line.split(",") for line in lines]
         expected = [

@@ -174,6 +174,39 @@ class TestMatPowers:
                     assert np.array_equal(got[:, i], numerics.mat_powers(step, points))
 
 
+class TestStepCount:
+    def test_fewest_steps_with_the_norm_bound(self):
+        # ||G||_1 = 3.5: over a span of 2, ||G h||_1 <= 1 takes 7 steps, and a
+        # span of 2.1 takes 8 (7.35 rounded up).  With several generators the
+        # largest norm decides; a zero generator takes one step.
+        gen = np.array([[-3.0, 1.0], [0.5, -2.0]])
+        assert numerics.step_count((gen,), 2.0, 1.0) == 7
+        assert numerics.step_count((gen,), 2.1, 1.0) == 8
+        assert numerics.step_count((gen, 0.5 * gen), 2.0, 1.0) == 7
+        assert numerics.step_count((0.5 * gen, gen), 2.0, 1.0) == 7
+        assert numerics.step_count((np.zeros((2, 2)),), 2.0, 1.0) == 1
+
+    def test_rho_scales_the_count(self):
+        gen = np.array([[-3.0, 1.0], [0.5, -2.0]])
+        assert numerics.step_count((gen,), 2.0, 0.25) == 28
+        assert numerics.step_count((gen,), 2.0, 0.5) == 14
+        assert numerics.step_count((gen,), 2.1, 0.25) == 30  # 29.4 rounded up
+
+    def test_ceiling_is_a_typed_refusal(self):
+        top = numerics.MAX_GRID_STEPS
+        assert top == 2 ** 17
+        one = np.eye(1)
+        assert numerics.step_count((one,), float(top), 1.0) == top
+        assert numerics.step_count((one,), top / 4.0, 0.25) == top
+        with pytest.raises(DomainError, match=r"= 131073 needs 131073 steps"):
+            numerics.step_count((one,), top + 1.0, 1.0)
+        with pytest.raises(DomainError, match=r"= 32769 needs 131076 steps"):
+            numerics.step_count((one,), top / 4.0 + 1.0, 0.25)
+        # grid_exponentials refuses before it allocates a power.
+        with pytest.raises(DomainError, match="needs 1e\\+09 steps"):
+            numerics.grid_exponentials(np.diag([-1e9, -2.0]), 1.0, np.array([0.5]))
+
+
 class TestGridExponentials:
     def _check(self, gen, period, ts):
         # Every slice against one scipy expm per point.

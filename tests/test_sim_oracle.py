@@ -136,6 +136,21 @@ class TestScanGrid:
                     want = scipy.linalg.expm(aug * t)
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_steps_are_scan_points_or_the_fewest_with_quarter_norm(
+        self, buck_tem, ramp, u_tem
+    ):
+        # scan_points is the least number of steps: the README buck keeps
+        # it, and the fast pole takes ceil(4 ||G||_1 T) steps instead of 8.
+        for sp in (128, 512):
+            sim = p.CycleSimulator(buck_tem, ramp, u_tem, scan_points=sp)
+            assert len(sim._grid) == sp + 1
+        model, u = _fast_pole_model()
+        sim = p.CycleSimulator(model, UNIT_RAMP, u, scan_points=8)
+        norms = [np.abs(aug).sum(axis=0).max() for aug in (sim._aug1, sim._aug2)]
+        assert len(sim._grid) == math.ceil(4.0 * max(norms) * UNIT_RAMP.T) + 1 == 163
+        assert sim._h == UNIT_RAMP.T / 162
+        assert all(norm * sim._h <= 0.25 for norm in norms)
+
 
 def reference_cycle(sim, x):
     """One cycle by the direct algorithm: the simulator's scan, then one
@@ -172,8 +187,9 @@ _SLOW = dict(A=[[-2.0, 0.5], [0.0, -1.5]], B=[[0.0, 0.0], [0.0, -1.0]])
 
 def _fast_pole_model():
     # Stage S1 rings at 40 rad/s (poles -0.5 +- 40j) through the whole unit
-    # cycle: at scan_points = 8 one scan step spans ||G1 h||_1 = 5.1, so the
-    # refinement walks 2^3 sub-steps of a mode that is still excited.
+    # cycle: at scan_points = 8 one requested scan step would span
+    # ||G1 h||_1 = 5.1, so the simulator cuts it into about 20 sub-steps of
+    # ||G1 h||_1 <= 1/4 (162 grid steps in all), in a mode still excited.
     return p.SwitchedLinearModel(
         A1=_FAST["A"], A2=_SLOW["A"], B1=_FAST["B"], B2=_SLOW["B"],
         C=[0.4, 0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
@@ -182,7 +198,8 @@ def _fast_pole_model():
 
 def _fast_stage2_model():
     # The mirror of _fast_pole_model: stage S2 rings at 40 rad/s, so the
-    # run from a refined event to the next grid point walks 2^3 sub-steps.
+    # run from a refined event to the next grid point is one series over
+    # part of a step of ||G2 h||_1 <= 1/4.
     return p.SwitchedLinearModel(
         A1=_SLOW["A"], A2=_FAST["A"], B1=_SLOW["B"], B2=_FAST["B"],
         C=[0.4, 0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
@@ -230,45 +247,67 @@ class TestReferenceCycle:
         assert self._agree(sim, ss_tem.x0_start).d_event is None
 
     def test_fast_pole_walks_sub_steps(self):
+        # Events refined in many of the grid steps that split one requested
+        # scan step of 1/8.
         model, u = _fast_pole_model()
         sim = p.CycleSimulator(model, UNIT_RAMP, u, scan_points=8)
-        assert sim._stage1.substeps >= 8
+        assert len(sim._grid) - 1 >= 8 * 8
         h = UNIT_RAMP.T / 8
         sub_steps = set()
         for a in np.linspace(-1.0, 1.0, 5):
             for b in np.linspace(-1.0, 1.0, 5):
                 rec = self._agree(sim, np.array([a, b]))
                 if rec.d_event is not None and rec.d_event not in sim._grid:
-                    sub_steps.add(int(rec.d_event % h / sim._stage1.tau))
+                    sub_steps.add(int(rec.d_event % h / sim._h))
         assert len(sub_steps) >= 6
 
+    def test_fast_pole_first_event_matches_a_fine_grid(self):
+        # A rise of y above h that falls back within one scan step is
+        # invisible to the scan.  On 13 of these 25 starts the fast pole
+        # makes such a rise within 1/8 of the cycle (from (-0.5, -1), h - y
+        # turns positive at 0.00648 and is negative again at t = 1/8), so 8
+        # scan steps alone would miss it; the first event must be the one an
+        # 8,192-point simulator finds.
+        model, u = _fast_pole_model()
+        coarse, fine = (p.CycleSimulator(model, UNIT_RAMP, u, scan_points=sp)
+                        for sp in (8, 8192))
+        for a in np.linspace(-1.0, 1.0, 5):
+            for b in np.linspace(-1.0, 1.0, 5):
+                got = coarse.cycle(np.array([a, b])).d_event
+                want = fine.cycle(np.array([a, b])).d_event
+                assert abs(got - want) <= 1e-8 * UNIT_RAMP.T
+
     def test_event_on_a_sub_step_boundary(self):
-        # y = vr = 3/64 against h(t) = t: at scan_points = 8 the fast pole
-        # splits the first scan step into 8 sub-steps of 1/64, and the walk
-        # meets e = 0 exactly at the end of the third.  That value is the
+        # y = vr against h(t) = t, with vr the third point of the grid: at
+        # scan_points = 8 the fast pole splits the cycle into 160 steps,
+        # 20 to each requested step, and the scan meets e = 0 exactly at
+        # t_3 = 3/160, inside the first requested step.  That value is the
         # event; there is no sign change left to refine.
         a = [[-40.0, 0.0], [0.0, -2.0]]
         m = p.SwitchedLinearModel(
             A1=a, A2=a, B1=np.zeros((2, 2)), B2=np.zeros((2, 2)),
             C=[0.0, 0.0], D=[1.0, 0.0], edge=p.ModulationEdge.TEM,
         )
-        sim = p.CycleSimulator(m, UNIT_RAMP, p.InputVector(3 / 64, 0.0), scan_points=8)
-        assert sim._stage1.substeps == 8
-        assert self._agree(sim, np.array([0.1, 0.1])).d_event == 3 / 64
+        grid = p.CycleSimulator(m, UNIT_RAMP, p.InputVector(0.0, 0.0), scan_points=8)._grid
+        assert len(grid) == 161
+        vr = float(grid[3])
+        sim = p.CycleSimulator(m, UNIT_RAMP, p.InputVector(vr, 0.0), scan_points=8)
+        assert self._agree(sim, np.array([0.1, 0.1])).d_event == vr
 
     def test_fast_stage2_walks_sub_steps(self):
-        # Stage S2 runs from a refined event d in scan step i over the
-        # remainder r = t_i - d by whole sub-steps and the series.
+        # Stage S2 runs from a refined event d in grid step i over the
+        # remainder t_i - d by its series, from events in many of the grid
+        # steps that split one requested scan step of 1/8.
         model, u = _fast_stage2_model()
         sim = p.CycleSimulator(model, UNIT_RAMP, u, scan_points=8)
-        assert sim._stage2.substeps >= 8
+        assert len(sim._grid) - 1 >= 8 * 8
+        h = UNIT_RAMP.T / 8
         sub_steps = set()
         for a in np.linspace(-1.0, 1.0, 7):
             for b in np.linspace(-1.0, 1.0, 5):
                 rec = self._agree(sim, np.array([a, b]))
                 if rec.d_event is not None and rec.d_event not in sim._grid:
-                    i = np.searchsorted(sim._grid, rec.d_event)
-                    sub_steps.add(int((sim._grid[i] - rec.d_event) / sim._stage2.tau))
+                    sub_steps.add(int(rec.d_event % h / sim._h))
         assert len(sub_steps) >= 6
 
     def test_truncation_order_is_the_smallest_that_meets_the_bound(self, model_cases):
@@ -279,8 +318,8 @@ class TestReferenceCycle:
             for sp in (8, 512):
                 sim = p.CycleSimulator(model, rmp, u, scan_points=sp)
                 for stage, aug in ((sim._stage1, sim._aug1), (sim._stage2, sim._aug2)):
-                    rho = np.abs(aug).sum(axis=0).max() * stage.tau
-                    assert rho <= 1.0 and (stage.substeps == 1 or 2.0 * rho > 1.0)
+                    rho = np.abs(aug).sum(axis=0).max() * sim._h
+                    assert rho <= 0.25
                     k = stage.orders[-1]
                     assert rho ** (k + 1) / math.factorial(k + 1) <= 2.0 ** -53
                     assert k == 0 or rho ** k / math.factorial(k) > 2.0 ** -53
