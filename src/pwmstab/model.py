@@ -98,6 +98,9 @@ class RampSignal:
             raise DomainError(f"Vh must exceed Vl, got Vl={self.Vl}, Vh={self.Vh}")
         if self.T <= 0.0:
             raise DomainError(f"T must be positive, got {self.T}")
+        if not all(map(math.isfinite, (self.Vm, self.slope, self.ws))):
+            raise DomainError(f"ramp amplitude, slope and frequency must be finite, "
+                              f"got Vh - Vl = {self.Vm}, T = {self.T}")
 
     @property
     def Vm(self) -> float:

@@ -6,18 +6,18 @@ dense matrices:
 * ``mat_exp`` wraps scaling-and-squaring with a Pade kernel
   (``scipy.linalg.expm``), accurate to ~1e-13 relative for the norms that
   occur in one switching period; every other exponential is built from it.
-* ``mat_powers`` stacks the powers ``step^j``, ``j = 0..points``, of one
-  matrix, or of a stack of them together, by doubling.  Of a step
-  exponential ``e^{G h}`` they are the exponentials ``e^{G j h}`` on a
-  uniform grid: the orbit solver's scan (both stages in one pass) and the
-  simulator's scan grids come from it, at one ``mat_exp`` per stage.
+* ``mat_powers`` stacks the powers ``step^j`` of one matrix, or of a stack
+  of them together, by doubling.  ``stage_powers`` builds every uniform
+  grid ``e^{G_i j h}`` of stage exponentials from one ``mat_exp`` step
+  exponential per generator and one ``mat_powers`` pass: the orbit scan's
+  and the simulator's (both stages in one call) and ``grid_exponentials``'.
 * ``taylor_terms`` gives the terms ``(G tau)^k / k!`` of ``e^{G tau}`` for
   ``||G tau||_1 <= 1`` down to ``2^-53``: the simulator's in-step series,
   and ``grid_exponentials``, which takes ``e^{G t}`` at arbitrary times of a
-  period as a power of one step exponential times a Taylor sum.  Both cut
-  the period by ``step_count``, into the fewest steps with
-  ``||G h||_1 <= rho`` (1/4 and 1), and a stage that needs more than
-  ``MAX_GRID_STEPS = 2^17`` raises :class:`DomainError`, not MemoryError.
+  period as a grid exponential times a Taylor sum.  Both cut the period by
+  ``step_count``, into the fewest steps with ``||G h||_1 <= rho`` (1/4 and
+  1), and a stage that needs more than ``MAX_GRID_STEPS = 2^17`` raises
+  :class:`DomainError`, not MemoryError.
 * The exponential, power and grid kernels report a value past the float
   range only as non-finite entries, with no ``RuntimeWarning``; callers
   that can meet divergent dynamics check for them and raise
@@ -104,8 +104,10 @@ def check_count(name: str, value, low: int) -> None:
 def check_positive(name: str, value) -> None:
     """Raise :class:`DomainError` unless ``value`` is a positive finite real."""
     # float first: the ABC check costs ~0.4 us, and newton_root runs this
-    # once per simulated switching event.
-    real = isinstance(value, float) or isinstance(value, numbers.Real)
+    # once per simulated switching event.  A bool is a Real, but no tolerance.
+    real = isinstance(value, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
     if not (real and 0.0 < value < math.inf):
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
@@ -153,6 +155,15 @@ def mat_powers(step, points: int) -> np.ndarray:
     return powers
 
 
+def stage_powers(gens, span: float, steps: int) -> np.ndarray:
+    """``e^{G_i j h}``, ``j = 0..steps``, ``h = span / steps``, of every ``G_i``
+    in ``gens``, as a ``(steps + 1, len(gens), m, m)`` stack: the step
+    exponentials (:func:`mat_exp`) powered in one :func:`mat_powers` pass,
+    so slice ``[0]`` is exactly ``I`` and overflow comes back non-finite."""
+    check_count("steps", steps, 1)
+    return mat_powers(np.stack([mat_exp(g, span / steps) for g in gens]), steps)
+
+
 def taylor_terms(gen, tau: float) -> np.ndarray:
     """Terms ``(G tau)^k / k!``, ``k = 0..K``, of the series of ``e^{G tau}``.
 
@@ -194,8 +205,8 @@ def grid_exponentials(gen, period: float, t) -> np.ndarray:
 
     The period is cut into the fewest steps ``h`` with ``||G h||_1 <= 1``
     (:func:`step_count`).  With ``t_j = (q_j + v_j) h`` and
-    ``0 <= v_j <= 1``, slice ``j`` is the power ``q_j`` of one step
-    exponential (:func:`mat_powers`) times ``sum_k v_j^k terms[k]``
+    ``0 <= v_j <= 1``, slice ``j`` is the grid exponential ``e^{G q_j h}``
+    (:func:`stage_powers`) times ``sum_k v_j^k terms[k]``
     (:func:`taylor_terms` of ``G h``); ``t_j = 0`` gives exactly ``I``.
     Work and memory grow with ``||G||_1 period``, not with its logarithm as
     in scaling and squaring: a few steps per period for a converter stage,
@@ -219,7 +230,7 @@ def grid_exponentials(gen, period: float, t) -> np.ndarray:
     rest = (vander @ terms.reshape(len(terms), -1)).reshape(t.shape + arr.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         # Overflow is reported to the caller as non-finite entries.
-        return mat_powers(mat_exp(arr, h), steps)[q] @ rest
+        return stage_powers((arr,), period, steps)[q, 0] @ rest
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -6,11 +6,12 @@ matrix exponentials of the augmented (state, constant-input) system
 comparator event ``h(t) = y(t)``.  A simulator takes two matrix
 exponentials, one step exponential ``e^{G_i h}`` per stage
 (``numerics.mat_exp``, i.e. ``scipy.linalg.expm``), and a cycle takes
-none.  Each stage's exponentials on the scan grid ``t_j = j h`` are the
-powers of its step exponential.  The grid has at least ``scan_points``
-steps, and more where a stage is stiff: enough that ``||G_i h||_1 <= 1/4``
-on both stages (``numerics.step_count``), so inside any scan step each
-stage is one truncated Taylor series ``sum_k (G h)^k / k! z`` of
+none.  Both stages' exponentials on the scan grid ``t_j = j h`` are the
+powers of their step exponentials, from one ``numerics.stage_powers``
+call.  The grid has at least ``scan_points`` steps, and more where a stage
+is stiff: enough that ``||G_i h||_1 <= 1/4`` on both stages
+(``numerics.step_count``), so inside any scan step each stage is one
+truncated Taylor series ``sum_k (G h)^k / k! z`` of
 ``numerics.taylor_terms``.  A cycle scans the event function on the grid
 from stage S1's powers, then refines the first hit inside its scan step,
 where the event is ``h(t) - y(t)`` with ``y`` a degree-``K`` polynomial in
@@ -25,16 +26,17 @@ exponentials to ~1e-13 of a period.  The scan is sampled, not certified: a
 rise of ``y`` above ``h`` that falls back within one step goes unseen.
 
 The oracle shares the model's augmented generator layout
-(``model.stage_generators``) and four kernels with the orbit code:
-``numerics.mat_exp``, ``numerics.mat_powers``, ``numerics.taylor_terms``
-(which ``orbit_grid`` sums) and ``numerics.newton_root``.  It shares none
-of the orbit construction: the solver's Newton runs on its orbit
-residual, the oracle's on the stage-1 series.  The oracle's independence
-therefore rests on the test that replays every cycle against a reference
-cycle taking one ``scipy.linalg.expm`` per evaluation and refining by
-Brent (``numerics.find_root``), not Newton (``TestReferenceCycle``); on
-the tests of every power and grid exponential against one
-``scipy.linalg.expm`` per point (``TestMatPowers``,
+(``model.stage_generators``) and three kernels with the orbit code:
+``numerics.stage_powers`` (the solver's scan, and ``orbit_grid``'s through
+``grid_exponentials``), ``numerics.taylor_terms`` (which ``orbit_grid``
+sums) and ``numerics.newton_root``.  It shares none of the orbit
+construction: the solver's Newton runs on its orbit residual, the
+oracle's on the stage-1 series.  The oracle's independence therefore
+rests on the test that replays every cycle against a reference cycle
+taking one ``scipy.linalg.expm`` per evaluation and refining by Brent
+(``numerics.find_root``), not Newton (``TestReferenceCycle``); on the
+tests of every power and grid exponential against one ``scipy.linalg.expm``
+per point (``TestMatPowers``, ``TestStagePowers``,
 ``TestGridExponentials``, ``TestScanGrid``); on scipy's ``expm`` for the
 two step exponentials; and on the ``2^-53`` truncation bound of the
 series.  On that footing the simulation validates the closed-form
@@ -79,42 +81,18 @@ class Trajectory:
     cycles: tuple[CycleRecord, ...]
 
 
-class _Stage:
-    """Exponentials of one augmented stage generator ``G`` for a uniform
-    scan grid of step ``h``, from one Pade exponential ``e^{G h}``.
-
-    ``grid[j] = e^{G j h}`` for ``j = 0..points`` are the powers of
-    ``e^{G h}`` (``numerics.mat_powers``).  ``powers[k] = (G h)^k / k!``
-    for ``k = 0..K`` are the Taylor terms of one step
-    (``numerics.taylor_terms``), with ``K`` the smallest order whose first
-    dropped term is below ``2^-53``; the simulator's grid keeps
-    ``||G h||_1 <= 1/4``.
-    """
-
-    def __init__(self, gen: np.ndarray, h: float, points: int):
-        # An overflowing power comes back non-finite; the cycle that reads
-        # it raises DivergenceError.
-        self.grid = numerics.mat_powers(numerics.mat_exp(gen, h), points)
-        self.powers = numerics.taylor_terms(gen, h)
-        self.orders = np.arange(len(self.powers))
-
-    def series(self, z: np.ndarray, v: float) -> np.ndarray:
-        """``e^{G v h} z`` by the truncated series, for ``0 <= v <= 1``."""
-        return v ** self.orders @ (self.powers @ z)
-
-
 class CycleSimulator:
     """Propagates one converter cycle exactly; reusable across many cycles.
 
     The scan grid has ``max(scan_points, P)`` steps ``h``, ``P`` the fewest
     with ``||G_i h||_1 <= 1/4`` on both stages (``numerics.step_count``,
     which raises :class:`DomainError` past ``MAX_GRID_STEPS``), so one
-    Taylor series covers any part of a step.  Takes one step exponential
-    per stage when built, and builds both stages on the grid from their
-    powers and Taylor terms.  A cycle then takes no exponential: a few
-    matrix-vector products, a scalar Newton refinement of the event (two to
-    four evaluations of the stage-1 polynomial) and the stage-2 series from
-    the event to the next grid point.
+    Taylor series covers any part of a step.  When built it takes both
+    stages on the grid from one ``numerics.stage_powers`` call (one step
+    exponential per stage) and each stage's Taylor terms of one step.  A
+    cycle then takes no exponential: a few matrix-vector products, a scalar
+    Newton refinement of the event (two to four evaluations of the stage-1
+    polynomial) and the stage-2 series from the event to the next grid point.
     """
 
     def __init__(
@@ -134,19 +112,24 @@ class CycleSimulator:
         self._du = float(model.D @ u.as_array())
         self._aug1, self._aug2 = stage_generators(model, u)
 
-        # Both stages on the scan grid t_j = j h.  Stage S1 gives the event
-        # function there, z(t_j) = stage1.grid[j] @ [x_in; 1] and
-        # y(t_j) = rows @ x_in + offset; inside a step, the C rows of its
-        # Taylor terms give y.
-        fewest = numerics.step_count((self._aug1, self._aug2), ramp.T, 0.25)
-        points = max(scan_points, fewest)
-        self._h = h = ramp.T / points
-        self._stage1 = _Stage(self._aug1, h, points)
-        self._stage2 = _Stage(self._aug2, h, points)
-        grid1 = self._stage1.grid
+        # Both stages on the scan grid t_j = j h: _powers{1,2}[j] = e^{G_i j h},
+        # each stage's stack contiguous, and _terms{1,2}[k] = (G_i h)^k / k!
+        # for k = _orders{1,2}[k].  Stage S1 gives the event function there,
+        # z(t_j) = _powers1[j] @ [x_in; 1] and y(t_j) = rows @ x_in + offset;
+        # inside a step, the C rows of its terms give y.  An overflowing
+        # power comes back non-finite, and the cycle reading it raises.
+        gens = self._aug1, self._aug2
+        points = max(scan_points, numerics.step_count(gens, ramp.T, 0.25))
+        self._h = ramp.T / points
+        self._powers1, self._powers2 = np.ascontiguousarray(
+            numerics.stage_powers(gens, ramp.T, points).swapaxes(0, 1)
+        )
+        terms = [numerics.taylor_terms(g, self._h) for g in gens]
+        self._terms1, self._terms2 = terms
+        self._orders1, self._orders2 = (np.arange(len(t)) for t in terms)
         self._grid = np.linspace(0.0, ramp.T, points + 1)
-        self._y_rows = model.C @ grid1[:, :n, :n]
-        self._y_offsets = grid1[:, :n, n] @ model.C + self._du
+        self._y_rows = model.C @ self._powers1[:, :n, :n]
+        self._y_offsets = self._powers1[:, :n, n] @ model.C + self._du
         self._h_grid = ramp.Vl + ramp.slope * self._grid
 
     def cycle(self, x_in) -> CycleRecord:
@@ -158,7 +141,7 @@ class CycleSimulator:
         if not np.isfinite(x).all():
             raise DivergenceError("state is not finite")
         z = np.concatenate((x, (1.0,)))
-        stage1, stage2 = self._stage1, self._stage2
+        powers1, powers2 = self._powers1, self._powers2
 
         with np.errstate(over="ignore", invalid="ignore"):
             # Overflow here is the divergence the checks below report.
@@ -169,18 +152,19 @@ class CycleSimulator:
             hits = np.flatnonzero(e >= 0.0)
             if not hits.size:
                 # No trigger this cycle: stay in S1 throughout.
-                return CycleRecord(None, None, self._finish((stage1.grid[-1] @ z)[:n]))
+                return CycleRecord(None, None, self._finish((powers1[-1] @ z)[:n]))
             # A hit at index 0 (trigger at the clock edge) or a grid zero is
             # the event.  A refined event d first runs S2 over t_i - d to the
             # grid point; from there S2 is on the grid.
             i = hits[0]
             if i > 0 and e[i] > 0.0:
-                d, z_switch = self._refine(i, stage1.grid[i - 1] @ z, e[i - 1], e[i])
-                z_grid = stage2.series(z_switch, (self._grid[i] - d) / self._h)
+                d, z_switch = self._refine(i, powers1[i - 1] @ z, e[i - 1], e[i])
+                v = (self._grid[i] - d) / self._h
+                z_grid = v ** self._orders2 @ (self._terms2 @ z_switch)
             else:
                 d = float(self._grid[i])
-                z_switch = z_grid = stage1.grid[i] @ z
-            x_end = (stage2.grid[-1 - i] @ z_grid)[:n]
+                z_switch = z_grid = powers1[i] @ z
+            x_end = (powers2[-1 - i] @ z_grid)[:n]
         return CycleRecord(d, z_switch[:n], self._finish(x_end))
 
     def _refine(
@@ -194,7 +178,7 @@ class CycleSimulator:
         n, du, h = self.model.n, self._du, self._h
         vl, slope = self.ramp.Vl, self.ramp.slope
         lo, hi = float(self._grid[i - 1]), float(self._grid[i])
-        terms = self._stage1.powers @ z
+        terms = self._terms1 @ z
         coeffs = (terms[:, :n] @ self.model.C).tolist()[::-1]
 
         def event(t: float) -> tuple[float, float]:
@@ -209,7 +193,7 @@ class CycleSimulator:
         # newton_root stops once its next step is at most tol and does not
         # take it, so tol sits a decade below the ~1e-13 T accuracy wanted.
         d = numerics.newton_root(event, lo, hi, flo, fhi, 1e-14 * self.ramp.T)
-        return d, ((d - lo) / h) ** self._stage1.orders @ terms
+        return d, ((d - lo) / h) ** self._orders1 @ terms
 
     def _finish(self, x_end: np.ndarray) -> np.ndarray:
         if not np.isfinite(x_end).all():
@@ -311,7 +295,10 @@ def steady_period(
     tol: float = 1e-6,
     scan_points: int = 512,
 ) -> int | None:
-    """Simulate past the transient and classify the attractor's period."""
+    """Simulate past the transient and classify the attractor's period.
+
+    The tail is the state after ``transient`` cycles and the ``tail - 1``
+    that follow: ``transient + tail - 1`` cycles in all."""
     numerics.check_count("tail", tail, 64)
     numerics.check_count("transient", transient, 0)
     numerics.check_positive("tol", tol)
@@ -320,7 +307,7 @@ def steady_period(
     for _ in range(transient):
         x = sim.map(x)
     states = np.empty((tail, model.n))
-    for i in range(tail):
-        states[i] = x
-        x = sim.map(x)
+    states[0] = x
+    for i in range(1, tail):
+        states[i] = sim.map(states[i - 1])
     return detect_period(states, tol=tol)

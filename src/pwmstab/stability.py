@@ -97,13 +97,13 @@ def _linearized(ss: SteadyState) -> SteadyState:
 def _parameter(name: str, value, ndim: int = 0, real: bool = True):
     # lambda (numeric), theta (real; both ndim 0) and real sweep samples
     # (1-D) as arrays, checked before they are exponentiated or multiplied,
-    # so a wrong shape, a wrong number type or inf/NaN raises without a
-    # RuntimeWarning or an untyped TypeError first.
+    # so a wrong shape, a wrong number type (bool included) or inf/NaN
+    # raises without a RuntimeWarning or an untyped TypeError first.
     arr = np.asarray(value)
     if arr.ndim != ndim:
         shape = "a 1-D array" if ndim else "a scalar"
         raise DimensionError(f"{name} must be {shape}, got shape {arr.shape}")
-    if arr.dtype.kind not in ("biuf" if real else "biufc"):
+    if arr.dtype.kind not in ("iuf" if real else "iufc"):
         kind = "real" if real else "a number"
         raise DomainError(f"{name} must be {kind}, got {value!r}")
     if not np.isfinite(arr).all():

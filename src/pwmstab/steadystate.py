@@ -10,7 +10,7 @@ by Newton steps on the exact slope of its residual, ``F(+1) - hdot`` of
 :func:`critical_value`.  The roots are bracketed by a scan on a uniform
 grid of ``d``, whose stage exponentials are the powers of one step
 exponential per stage, both stages powered in one doubling pass
-(``numerics.mat_powers``); :func:`orbit_grid`, at arbitrary switching
+(``numerics.stage_powers``); :func:`orbit_grid`, at arbitrary switching
 times, multiplies such powers by a Taylor sum over the rest of each time.
 
 Every orbit point of one ``(model, ramp, u)`` comes from one private
@@ -149,15 +149,13 @@ class _OrbitEvaluator:
         return self.build(d, e1, e2, phi0, x0_start), factor
 
     def scan(self, grid_points: int) -> tuple[SteadyState, np.ndarray]:
-        # grid() on d_j = j h, j = 1..K, h = T / (K + 1), from two step
-        # exponentials, powered in one doubling pass: e^{A1 d_j} is the
-        # j-th power of e^{G1 h} and e^{A2 (T - d_j)} the (K + 1 - j)-th.
+        # grid() on d_j = j h, j = 1..K, h = T / (K + 1), from both stages'
+        # grid exponentials e^{G_i j h}, j = 0..K + 1: e^{A1 d_j} is stage
+        # 1's j-th and e^{A2 (T - d_j)} stage 2's (K + 1 - j)-th.
         T = self.ramp.T
         d = np.linspace(0.0, T, grid_points + 2)[1:-1]
-        h = T / (grid_points + 1)
-        steps = np.stack((numerics.mat_exp(self.g1, h), numerics.mat_exp(self.g2, h)))
-        powers = numerics.mat_powers(steps, grid_points)
-        return self.grid(d, powers[1:, 0], powers[:0:-1, 1])
+        powers = numerics.stage_powers((self.g1, self.g2), T, grid_points + 1)
+        return self.grid(d, powers[1:-1, 0], powers[-2:0:-1, 1])
 
     def grid(self, d, e1, e2) -> tuple[SteadyState, np.ndarray]:
         # The points of a grid of switching times from stacks of stage
@@ -253,7 +251,7 @@ def solve_periodic_orbit(
     ``j = 1..grid_points``, ``h = T / (grid_points + 1)``.  The scan takes
     one step exponential ``e^{G_i h}`` per stage and reads
     ``e^{A1 d_j}`` and ``e^{A2 (T - d_j)}`` off their powers
-    (:func:`numerics.mat_powers`); it then solves every point as
+    (:func:`numerics.stage_powers`); it then solves every point as
     :func:`orbit_grid` does.  Grid points where the residual is exactly
     zero and sign-change brackets are the candidates; they are walked in
     cycle order (first crossing in the cycle, matching comparator latch

@@ -554,6 +554,19 @@ class TestReadmeConfig:
         assert cli.main([command, cfg, "--quiet"]) == 0
         assert capsys.readouterr().out.count("\n") >= 2
 
+    @pytest.mark.parametrize("command", [
+        "steady", "sweep-vs", "taylor-compare", "splot", "simulate",
+    ])
+    def test_overflowing_ramp_is_config_error(self, tmp_path, capsys, command):
+        # Vh - Vl overflows to inf; the ramp is refused when the config loads.
+        text = self._config("TEM").replace("Vl = 3.8", "Vl = -1.5e308").replace(
+            "Vh = 8.2", "Vh = 1.5e308")
+        assert "Vh = 1.5e308" in text and "Vl = -1.5e308" in text
+        assert cli.main([command, _write(tmp_path, text), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ramp amplitude")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("edge", ["TEM", "LEM"])
     def test_taylor_compare_exact_column_is_sweep_vs(self, tmp_path, capsys, edge):
         # taylor-compare's exact voltage is the config edge's boundary, the

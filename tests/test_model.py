@@ -42,6 +42,13 @@ class TestRamp:
         with pytest.raises(DomainError):
             p.RampSignal(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("args", [(-1.5e308, 1.5e308, 400e-6), (0.0, 1.0, 1e-310)],
+                             ids=["amplitude", "period"])
+    def test_overflowing_ramp(self, args):
+        # Finite fields whose amplitude, or slope and frequency, overflow.
+        with pytest.raises(DomainError, match="must be finite"):
+            p.RampSignal(*args)
+
     def test_derived_quantities(self):
         ramp = p.RampSignal(3.8, 8.2, 400e-6)
         assert ramp.Vm == pytest.approx(4.4)

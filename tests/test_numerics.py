@@ -174,6 +174,51 @@ class TestMatPowers:
                     assert np.array_equal(got[:, i], numerics.mat_powers(step, points))
 
 
+class TestStagePowers:
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_slices_are_each_generators_own_powers(self, model_cases, stages):
+        # One stack for one or both augmented stage generators: slice [j, i]
+        # is the power mat_powers gives for generator i alone, bit for bit,
+        # and slice [0] is exactly I.
+        for model, rmp, u in model_cases:
+            gens = stage_generators(model, u)[:stages]
+            for steps in (1, 7, 65, 257):
+                got = numerics.stage_powers(gens, rmp.T, steps)
+                assert got.shape == (steps + 1, stages) + gens[0].shape
+                assert np.array_equal(got[0], np.broadcast_to(np.eye(len(gens[0])), got[0].shape))
+                for i, gen in enumerate(gens):
+                    want = numerics.mat_powers(numerics.mat_exp(gen, rmp.T / steps), steps)
+                    assert np.array_equal(got[:, i], want)
+
+    def test_every_uniform_grid_is_built_here(self, buck_tem, ramp, u_tem, monkeypatch):
+        # The orbit scan and the simulator power both stages in one call,
+        # grid_exponentials one stage, and mat_powers runs only inside
+        # stage_powers.
+        calls, passes = [], []
+        stage_powers, mat_powers = numerics.stage_powers, numerics.mat_powers
+
+        def spy(gens, span, steps):
+            calls.append((len(gens), span, steps))
+            return stage_powers(gens, span, steps)
+
+        def counted(step, points):
+            passes.append(points)
+            return mat_powers(step, points)
+
+        monkeypatch.setattr(numerics, "stage_powers", spy)
+        monkeypatch.setattr(numerics, "mat_powers", counted)
+        p.solve_periodic_orbit(buck_tem, ramp, u_tem, grid_points=64)
+        p.CycleSimulator(buck_tem, ramp, u_tem, scan_points=128)
+        numerics.grid_exponentials(np.eye(2), 1.0, np.array([0.5]))
+        assert calls == [(2, ramp.T, 65), (2, ramp.T, 128), (1, 1.0, 1)]
+        assert passes == [65, 128, 1]
+
+    @pytest.mark.parametrize("steps", [2.0, True, 0])
+    def test_invalid_steps(self, steps):
+        with pytest.raises(DomainError, match="steps must be"):
+            numerics.stage_powers((np.eye(2),), 1.0, steps)
+
+
 class TestStepCount:
     def test_fewest_steps_with_the_norm_bound(self):
         # ||G||_1 = 3.5: over a span of 2, ||G h||_1 <= 1 takes 7 steps, and a
@@ -612,7 +657,7 @@ class TestFindRoot:
     def test_endpoint_root(self):
         assert numerics.find_root(lambda x: x, 0.0, 1.0, 1e-10) == 0.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None, True])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         # An infinite tolerance would return a bracket end as the root.
         with pytest.raises(DomainError, match="tol must be positive and finite"):
@@ -684,7 +729,7 @@ class TestNewtonRoot:
             )
         assert len(calls) == 100
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None, True])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(DomainError, match="tol must be positive and finite"):
             numerics.newton_root(lambda x: (x - 0.3, 1.0), 0.0, 1.0, -0.3, 0.7, tol)

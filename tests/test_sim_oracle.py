@@ -130,9 +130,9 @@ class TestScanGrid:
                 assert np.linalg.norm(row - want_row) <= 1e-12 * np.linalg.norm(want_row)
                 assert abs(off - want_off) <= 1e-12 * max(abs(want_off), 1.0)
             assert np.array_equal(sim._y_rows[0], model.C)
-            for stage, aug in ((sim._stage1, sim._aug1), (sim._stage2, sim._aug2)):
-                assert np.array_equal(stage.grid[0], np.eye(n + 1))
-                for t, got in zip(sim._grid, stage.grid):
+            for powers, aug in ((sim._powers1, sim._aug1), (sim._powers2, sim._aug2)):
+                assert np.array_equal(powers[0], np.eye(n + 1))
+                for t, got in zip(sim._grid, powers):
                     want = scipy.linalg.expm(aug * t)
                     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -317,10 +317,10 @@ class TestReferenceCycle:
         for model, rmp, u in cases:
             for sp in (8, 512):
                 sim = p.CycleSimulator(model, rmp, u, scan_points=sp)
-                for stage, aug in ((sim._stage1, sim._aug1), (sim._stage2, sim._aug2)):
+                for orders, aug in ((sim._orders1, sim._aug1), (sim._orders2, sim._aug2)):
                     rho = np.abs(aug).sum(axis=0).max() * sim._h
                     assert rho <= 0.25
-                    k = stage.orders[-1]
+                    k = orders[-1]
                     assert rho ** (k + 1) / math.factorial(k + 1) <= 2.0 ** -53
                     assert k == 0 or rho ** k / math.factorial(k) > 2.0 ** -53
 
@@ -485,12 +485,12 @@ class TestOracleArguments:
 
         monkeypatch.setattr(p.CycleSimulator, "cycle", cycle)
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan, math.inf, True])
     def test_fd_jacobian_eps(self, buck_tem, ramp, u_tem, ss_tem, eps):
         with pytest.raises(DomainError, match="eps must be positive"):
             p.fd_jacobian(buck_tem, ramp, u_tem, ss_tem.x0_start, eps=eps)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True])
     def test_steady_period_tol(self, buck_tem, ramp, u_tem, ss_tem, tol):
         with pytest.raises(DomainError, match="tol must be positive"):
             p.steady_period(buck_tem, ramp, u_tem, ss_tem.x0_start, tol=tol)
@@ -511,7 +511,7 @@ class TestOracleArguments:
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
             call(buck_tem, ramp, u_tem, ss_tem.x0_start)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, True])
     def test_detect_period_tol(self, tol):
         with pytest.raises(DomainError, match="tol must be positive"):
             p.detect_period(np.tile([1.0, 2.0], (70, 1)), tol=tol)
@@ -583,6 +583,24 @@ class TestDetectPeriod:
     def test_short_tail_rejected(self):
         with pytest.raises(DomainError):
             p.detect_period(np.zeros((10, 2)))
+
+    @pytest.mark.parametrize("transient, cycles", [(0, 63), (10, 73)])
+    def test_steady_period_simulates_only_the_cycles_it_reads(
+        self, buck_tem, ramp, u_tem, ss_tem, monkeypatch, transient, cycles
+    ):
+        # The 64-state tail starts at the state after the transient, so its
+        # last state is the transient + 63rd: no cycle is run past it.
+        cycle, count = p.CycleSimulator.cycle, []
+
+        def counted(self, x_in):
+            count.append(1)
+            return cycle(self, x_in)
+
+        monkeypatch.setattr(p.CycleSimulator, "cycle", counted)
+        assert p.steady_period(
+            buck_tem, ramp, u_tem, ss_tem.x0_start, transient=transient, tail=64
+        ) == 1
+        assert len(count) == cycles
 
     def test_period_flip_across_boundary(self, buck_tem, ramp):
         vs_star = critical_vs(buck_tem, ramp, 11.3, 25.0)

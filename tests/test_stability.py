@@ -220,7 +220,7 @@ class TestClassify:
         rep = p.classify(self._jd(np.diag([1.5, 0.1])))
         assert rep.classification is p.StabilityClass.UNSTABLE_MIXED
 
-    @pytest.mark.parametrize("class_tol", [0.0, math.inf, math.nan, "a", 1j, None])
+    @pytest.mark.parametrize("class_tol", [0.0, math.inf, math.nan, "a", 1j, None, True])
     def test_class_tol_must_be_positive_and_finite(self, class_tol):
         # inf would label every orbit PDB, NaN every orbit Unstable-mixed.
         with pytest.raises(DomainError, match="class_tol must be positive and finite"):
@@ -402,10 +402,16 @@ class TestParameterShapes:
         lambda m, r, u, ss: p.s_plot(m, r, u, "x", [0.3, 0.5]),
         lambda m, r, u, ss: p.general_critical_value(m, r, u, ss, "x"),
         lambda m, r, u, ss: p.general_critical_value(m, r, u, ss, None),
+        lambda m, r, u, ss: p.nsb_residual(m, r, u, ss, True),
+        lambda m, r, u, ss: p.f_plot(m, r, u, ss, [True]),
+        lambda m, r, u, ss: p.general_critical_value(m, r, u, ss, True),
+        lambda m, r, u, ss: p.s_plot(m, r, u, False, [0.3, 0.5]),
     ], ids=[
         "nsb_complex_theta", "nsb_string_theta", "f_plot_complex",
         "nyquist_complex", "s_plot_complex_duty", "s_plot_string_lambda",
         "critical_value_string_lambda", "critical_value_none_lambda",
+        "nsb_bool_theta", "f_plot_bool", "critical_value_bool_lambda",
+        "s_plot_bool_lambda",
     ])
     def test_wrong_type_raises_domain_error(self, buck_tem, ramp, u_tem, ss_tem, call):
         with pytest.raises(DomainError, match="must be (real|a number)"):

@@ -516,7 +516,7 @@ class TestSolvePeriodicOrbit:
             gap = abs(ss.y_switch - p.ramp_value(ramp, ss.d))
             assert gap <= 1e-12 * ramp.T * ramp.slope
 
-    @pytest.mark.parametrize("d_tol", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("d_tol", [0.0, -1.0, math.inf, math.nan, True])
     def test_d_tol_must_be_positive_and_finite(self, buck_tem, ramp, u_tem, d_tol):
         # Refused before the scan: inf would take the first iterate as the
         # root, and a scan that lands on an exact zero, or finds no sign
