@@ -114,6 +114,7 @@ def make_buck_plant(model: SwitchedLinearModel, ramp: RampSignal) -> BuckPlant:
 
 
 def _check_duty(D: float) -> None:
+    numerics.check_real("duty", D)
     if not 0.0 < D < 1.0:
         raise DomainError(f"duty must lie in (0, 1), got {D}")
 
@@ -146,6 +147,7 @@ def _edge_coefficient(plant: BuckPlant, D: float, edge: ModulationEdge) -> float
 
 def lem_boundary_coefficient(plant: BuckPlant, d: float) -> float:
     """LEM boundary coefficient at switching instant ``d`` (slope/vs units)."""
+    numerics.check_real("d", d)
     if not 0.0 <= d <= plant.ramp.T:
         raise DomainError(f"d must lie in [0, {plant.ramp.T}], got {d}")
     return -_coefficient(plant, d)
@@ -174,8 +176,7 @@ def buck_pdb_residual(
 
     Affine in ``vs``; zero on the boundary.
     """
-    if not math.isfinite(vs):
-        raise DomainError(f"vs must be finite, got {vs}")
+    numerics.check_real("vs", vs)
     return _edge_coefficient(plant, D, ModulationEdge(edge)) * vs - plant.ramp.slope
 
 
@@ -187,6 +188,8 @@ def harmonic_gains(plant: BuckPlant, K: int) -> HarmonicGains:
     ``2K`` resolvents; a singular one raises :class:`ResolventPoleError`.
     """
     numerics.check_count("K", K, 1)
+    if K > numerics.MAX_GRID_STEPS:
+        raise DomainError(f"K must be <= {numerics.MAX_GRID_STEPS}, got {K}")
     ws = plant.ramp.ws
     k = np.arange(1, K + 1)
     freqs = np.concatenate([k * ws, (k - 0.5) * ws])
@@ -219,6 +222,7 @@ def harmonic_balance(
     series itself is edge-agnostic in ``d``.
     """
     numerics.check_count("K", K, 1)
+    numerics.check_real("d", d)
     T = plant.ramp.T
     if not 0.0 < d < T:
         raise DomainError(f"d must lie in (0, {T}), got {d}")
@@ -258,6 +262,7 @@ def equivalence_residual(
 
 def taylor_coefficients(D: float) -> TaylorCoefficients:
     """Duty polynomials of the expansion's first three orders."""
+    numerics.check_real("duty", D)
     if not 0.0 <= D <= 1.0:
         raise DomainError(f"duty must lie in [0, 1], got {D}")
     return TaylorCoefficients(

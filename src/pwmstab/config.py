@@ -35,11 +35,11 @@ a key to the parser and the emitter of its value, and both
 :func:`parse_config` and :func:`emit_config` walk them.  The ``[solver]``
 parsers also check each value's range (``grid_points >= 2``,
 ``scan_points >= 8``, ``harmonics >= 1``, positive finite tolerances).
-``scan_points`` is the least number of simulator event-scan steps: a stiff
-stage takes more, and one past ``numerics.MAX_GRID_STEPS`` is refused by
-the command that builds it.  Unknown sections or keys are rejected, and
-every parsed config is guaranteed to build a valid model/ramp/input triple
-and solver settings every command accepts; matrix shapes are checked by
+``scan_points`` is the least number of simulator event-scan steps (a stiff
+stage takes more).  Unknown sections or keys are rejected, and every parsed
+config builds a valid model/ramp/input triple and solver settings in every
+command's range, save a grid or series past ``numerics.MAX_GRID_STEPS``,
+which the command that builds it refuses; matrix shapes are checked by
 the model itself.
 """
 

@@ -92,8 +92,8 @@ class RampSignal:
     T: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.Vl) and math.isfinite(self.Vh) and math.isfinite(self.T)):
-            raise DomainError("ramp parameters must be finite")
+        for name in ("Vl", "Vh", "T"):
+            numerics.check_real(name, getattr(self, name))
         if self.Vh <= self.Vl:
             raise DomainError(f"Vh must exceed Vl, got Vl={self.Vl}, Vh={self.Vh}")
         if self.T <= 0.0:
@@ -131,8 +131,8 @@ class InputVector:
     vs: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.vr) and math.isfinite(self.vs)):
-            raise DomainError("input voltages must be finite")
+        numerics.check_real("vr", self.vr)
+        numerics.check_real("vs", self.vs)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.vr, self.vs])
@@ -186,8 +186,7 @@ def preset_vmc_buck(
     """
     for name, val in (("L", L), ("Cf", Cf), ("R", R)):
         numerics.check_positive(name, val)
-    if not math.isfinite(g):
-        raise DomainError(f"g must be finite, got {g}")
+    numerics.check_real("g", g)
     edge = ModulationEdge(edge)
     a = [[0.0, -1.0 / L], [1.0 / Cf, -1.0 / (R * Cf)]]
     on_cols = [[0.0, 1.0 / L], [0.0, 0.0]]

@@ -6,18 +6,15 @@ dense matrices:
 * ``mat_exp`` wraps scaling-and-squaring with a Pade kernel
   (``scipy.linalg.expm``), accurate to ~1e-13 relative for the norms that
   occur in one switching period; every other exponential is built from it.
-* ``mat_powers`` stacks the powers ``step^j`` of one matrix, or of a stack
-  of them together, by doubling.  ``stage_powers`` builds every uniform
-  grid ``e^{G_i j h}`` of stage exponentials from one ``mat_exp`` step
-  exponential per generator and one ``mat_powers`` pass: the orbit scan's
-  and the simulator's (both stages in one call) and ``grid_exponentials``'.
+* ``stage_powers`` builds every uniform grid ``e^{G_i j h}`` of stage
+  exponentials, the orbit scan's, the simulator's and ``grid_exponentials``',
+  from one ``mat_exp`` step exponential per generator powered by doubling.
+  It sizes the grid too (with ``||G_i h||_1 <= rho`` where asked) and
+  refuses one past ``MAX_GRID_STEPS = 2^17`` steps before building it.
 * ``taylor_terms`` gives the terms ``(G tau)^k / k!`` of ``e^{G tau}`` for
   ``||G tau||_1 <= 1`` down to ``2^-53``: the simulator's in-step series,
   and ``grid_exponentials``, which takes ``e^{G t}`` at arbitrary times of a
-  period as a grid exponential times a Taylor sum.  Both cut the period by
-  ``step_count``, into the fewest steps with ``||G h||_1 <= rho`` (1/4 and
-  1), and a stage that needs more than ``MAX_GRID_STEPS = 2^17`` raises
-  :class:`DomainError`, not MemoryError.
+  period as a grid exponential times a Taylor sum.
 * The exponential, power and grid kernels report a value past the float
   range only as non-finite entries, with no ``RuntimeWarning``; callers
   that can meet divergent dynamics check for them and raise
@@ -78,7 +75,8 @@ _BRENT_MAXITER = 100
 #: Evaluation budget of ``newton_root``, Brent's.
 _NEWTON_MAXITER = _BRENT_MAXITER
 
-#: Most steps :func:`step_count` cuts a span into; a stiffer span is refused.
+#: Most steps of a grid of stage exponentials (:func:`stage_powers`), and
+#: most terms of a harmonic series (``buck.harmonic_gains``); more are refused.
 MAX_GRID_STEPS = 2 ** 17
 
 
@@ -101,14 +99,26 @@ def check_count(name: str, value, low: int) -> None:
         raise DomainError(f"{name} must be >= {low}, got {value}")
 
 
+def _finite_real(value) -> bool:
+    # float first: the ABC check costs ~0.4 us, and mat_exp and newton_root
+    # run this per call.  A bool is a Real, but not a number here.
+    try:
+        return (isinstance(value, float) or isinstance(value, numbers.Real)
+                and not isinstance(value, bool)) and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def check_real(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a finite real number:
+    not a bool, a complex or a string, nor an int past the float range."""
+    if not _finite_real(value):
+        raise DomainError(f"{name} must be finite and real, got {value!r}")
+
+
 def check_positive(name: str, value) -> None:
-    """Raise :class:`DomainError` unless ``value`` is a positive finite real."""
-    # float first: the ABC check costs ~0.4 us, and newton_root runs this
-    # once per simulated switching event.  A bool is a Real, but no tolerance.
-    real = isinstance(value, float) or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
-    if not (real and 0.0 < value < math.inf):
+    """Raise :class:`DomainError` unless ``value`` passes :func:`check_real` and is > 0."""
+    if not (_finite_real(value) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
@@ -120,48 +130,43 @@ def mat_exp(a, t: float) -> np.ndarray:
     comes back non-finite, with no ``RuntimeWarning``.
     """
     arr = as_square_matrix(a, "A").astype(float, copy=False)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
+    check_real("t", t)
     if t == 0.0:
         return np.eye(arr.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         return scipy.linalg.expm(arr * t)
 
 
-def mat_powers(step, points: int) -> np.ndarray:
-    """``step^j`` for ``j = 0..points``, as a ``(points + 1, ..., m, m)`` stack.
-
-    ``step`` is one ``(m, m)`` matrix or a stack ``(..., m, m)`` of them,
-    whose powers are taken together.  Built by doubling: each pass
-    multiplies every power so far by the highest one times ``step`` and
-    writes the products into the stack, so ``step^0`` is exactly ``I`` and
-    about ``log2(points)`` passes build the stack.  With ``step = e^{G h}``
-    the slices are ``e^{G j h}`` on a uniform grid.  A non-finite ``step``,
-    or a power past the float range, comes back as non-finite entries,
-    with no ``RuntimeWarning``, as with :func:`mat_exp`.
-    """
-    arr = np.asarray(step, dtype=float)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionError(f"step must be square, got shape {arr.shape}")
-    check_count("points", points, 1)
-    powers = np.empty((points + 1,) + arr.shape)
-    powers[0] = np.eye(arr.shape[-1])
+def stage_powers(gens, span: float, steps: int, rho: float | None = None) -> np.ndarray:
+    """``e^{G_i j h}``, ``j = 0..P``, ``h = span / P``, of every ``G_i`` in
+    ``gens``, as a ``(P + 1, len(gens), m, m)`` stack whose slice ``[0]`` is
+    exactly ``I``: one step exponential (:func:`mat_exp`) per generator,
+    powered by doubling.  ``P`` is ``steps``, raised with ``rho`` to the
+    fewest steps with ``||G_i h||_1 <= rho``; past ``MAX_GRID_STEPS`` it
+    raises :class:`DomainError` before it builds anything.  Overflow comes
+    back non-finite, with no ``RuntimeWarning``."""
+    check_count("steps", steps, 1)
+    if rho is not None:
+        stiff = max(float(np.abs(g).sum(axis=0).max()) for g in gens) * span
+        need = stiff / rho
+        if not need <= MAX_GRID_STEPS:  # a NaN norm too
+            raise DomainError(
+                f"stage too stiff: ||G||_1 T = {stiff:.6g} needs {need:.6g} steps "
+                f"of ||G h||_1 <= {rho}, more than MAX_GRID_STEPS = {MAX_GRID_STEPS}"
+            )
+        steps = max(steps, math.ceil(need))
+    if steps > MAX_GRID_STEPS:
+        raise DomainError(f"grid of {steps} steps past MAX_GRID_STEPS = {MAX_GRID_STEPS}")
+    step = np.stack([mat_exp(g, span / steps) for g in gens])
+    powers = np.empty((steps + 1,) + step.shape)
+    powers[0] = np.eye(step.shape[-1])
     done = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        while done <= points:
-            need = min(done, points + 1 - done)
-            np.matmul(powers[:need], powers[done - 1] @ arr, out=powers[done:done + need])
-            done += need
+        while done <= steps:
+            take = min(done, steps + 1 - done)
+            np.matmul(powers[:take], powers[done - 1] @ step, out=powers[done:done + take])
+            done += take
     return powers
-
-
-def stage_powers(gens, span: float, steps: int) -> np.ndarray:
-    """``e^{G_i j h}``, ``j = 0..steps``, ``h = span / steps``, of every ``G_i``
-    in ``gens``, as a ``(steps + 1, len(gens), m, m)`` stack: the step
-    exponentials (:func:`mat_exp`) powered in one :func:`mat_powers` pass,
-    so slice ``[0]`` is exactly ``I`` and overflow comes back non-finite."""
-    check_count("steps", steps, 1)
-    return mat_powers(np.stack([mat_exp(g, span / steps) for g in gens]), steps)
 
 
 def taylor_terms(gen, tau: float) -> np.ndarray:
@@ -185,28 +190,14 @@ def taylor_terms(gen, tau: float) -> np.ndarray:
     return terms
 
 
-def step_count(gens, span: float, rho: float) -> int:
-    """Fewest steps ``h = span / P`` with ``||G h||_1 <= rho`` for every ``G``
-    in ``gens``, ``P = max(1, ceil(max ||G||_1 span / rho))``; past
-    ``MAX_GRID_STEPS`` a :class:`DomainError` names ``||G||_1 span`` and ``P``.
-    """
-    stiff = max(float(np.abs(g).sum(axis=0).max()) for g in gens) * span
-    need = stiff / rho
-    if need > MAX_GRID_STEPS:
-        raise DomainError(
-            f"stage too stiff: ||G||_1 T = {stiff:.6g} needs {need:.6g} steps "
-            f"of ||G h||_1 <= {rho}, more than MAX_GRID_STEPS = {MAX_GRID_STEPS}"
-        )
-    return max(1, math.ceil(need))
-
-
 def grid_exponentials(gen, period: float, t) -> np.ndarray:
     """``e^{G t_j}`` for every time of the 1-D array ``t`` in ``[0, period]``.
 
-    The period is cut into the fewest steps ``h`` with ``||G h||_1 <= 1``
-    (:func:`step_count`).  With ``t_j = (q_j + v_j) h`` and
-    ``0 <= v_j <= 1``, slice ``j`` is the grid exponential ``e^{G q_j h}``
-    (:func:`stage_powers`) times ``sum_k v_j^k terms[k]``
+    The period is cut into the fewest steps ``h`` with ``||G h||_1 <= 1``,
+    and the grid exponentials ``e^{G q h}`` built, by one
+    :func:`stage_powers` call.  With ``t_j = (q_j + v_j) h`` and
+    ``0 <= v_j <= 1``, slice ``j`` is ``e^{G q_j h}`` times
+    ``sum_k v_j^k terms[k]``
     (:func:`taylor_terms` of ``G h``); ``t_j = 0`` gives exactly ``I``.
     Work and memory grow with ``||G||_1 period``, not with its logarithm as
     in scaling and squaring: a few steps per period for a converter stage,
@@ -221,16 +212,16 @@ def grid_exponentials(gen, period: float, t) -> np.ndarray:
         raise DimensionError(f"t must be a 1-D array, got shape {t.shape}")
     if not np.all((t >= 0.0) & (t <= period)):
         raise DomainError(f"times must lie in [0, {period}]")
-    steps = step_count((arr,), period, 1.0)
-    h = period / steps
+    powers = stage_powers((arr,), period, 1, 1.0)
+    h = period / (len(powers) - 1)
     terms = taylor_terms(arr, h)
     v = t / h
-    q = np.floor(v).astype(int)  # at most steps, as t <= period
+    q = np.floor(v).astype(int)  # at most the step count, as t <= period
     vander = (v - q)[:, None] ** np.arange(len(terms))
     rest = (vander @ terms.reshape(len(terms), -1)).reshape(t.shape + arr.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         # Overflow is reported to the caller as non-finite entries.
-        return stage_powers((arr,), period, steps)[q, 0] @ rest
+        return powers[q, 0] @ rest
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -385,7 +376,7 @@ def _inf_norms(arr: np.ndarray) -> np.ndarray:
 
 def _check_bracket(lo: float, hi: float, tol: float) -> None:
     # The arguments both root finders refuse.
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (_finite_real(lo) and _finite_real(hi) and lo < hi):
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     check_positive("tol", tol)
 

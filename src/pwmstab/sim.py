@@ -8,22 +8,22 @@ exponentials, one step exponential ``e^{G_i h}`` per stage
 (``numerics.mat_exp``, i.e. ``scipy.linalg.expm``), and a cycle takes
 none.  Both stages' exponentials on the scan grid ``t_j = j h`` are the
 powers of their step exponentials, from one ``numerics.stage_powers``
-call.  The grid has at least ``scan_points`` steps, and more where a stage
-is stiff: enough that ``||G_i h||_1 <= 1/4`` on both stages
-(``numerics.step_count``), so inside any scan step each stage is one
-truncated Taylor series ``sum_k (G h)^k / k! z`` of
-``numerics.taylor_terms``.  A cycle scans the event function on the grid
-from stage S1's powers, then refines the first hit inside its scan step,
-where the event is ``h(t) - y(t)`` with ``y`` a degree-``K`` polynomial in
-``v = (t - lo) / h`` whose coefficients are the ``C`` rows of the Taylor
-terms.  ``numerics.newton_root`` refines it from the event values the
-scan already has at the bracket ends, with the slope from the same Horner
-pass as the value; an event exactly zero at a grid point is the event
-itself.  The switch state comes from the same Taylor terms.  Stage S2
-runs from the event to the next grid point by its own series, then to the
-clock edge by one of its powers.  Event times agree with per-evaluation
-exponentials to ~1e-13 of a period.  The scan is sampled, not certified: a
-rise of ``y`` above ``h`` that falls back within one step goes unseen.
+call, which also sizes the grid: at least ``scan_points`` steps, and more
+where a stage is stiff, enough that ``||G_i h||_1 <= 1/4`` on both
+stages, so inside any scan step each stage is one truncated Taylor series
+``sum_k (G h)^k / k! z`` of ``numerics.taylor_terms``.  A cycle scans
+the event function on the grid from stage S1's powers, then refines the
+first hit inside its scan step, where the event is ``h(t) - y(t)`` with
+``y`` a degree-``K`` polynomial in ``v = (t - lo) / h`` whose coefficients
+are the ``C`` rows of the Taylor terms.  ``numerics.newton_root`` refines
+it from the event values the scan already has at the bracket ends, with
+the slope from the same Horner pass as the value; an event exactly zero at
+a grid point is the event itself.  The switch state comes from the same
+Taylor terms.  Stage S2 runs from the event to the next grid point by its
+own series, then to the clock edge by one of its powers.  Event times agree
+with per-evaluation exponentials to ~1e-13 of a period.  The scan is
+sampled, not certified: a rise of ``y`` above ``h`` that falls back within
+one step goes unseen.
 
 The oracle shares the model's augmented generator layout
 (``model.stage_generators``) and three kernels with the orbit code:
@@ -85,11 +85,11 @@ class CycleSimulator:
     """Propagates one converter cycle exactly; reusable across many cycles.
 
     The scan grid has ``max(scan_points, P)`` steps ``h``, ``P`` the fewest
-    with ``||G_i h||_1 <= 1/4`` on both stages (``numerics.step_count``,
-    which raises :class:`DomainError` past ``MAX_GRID_STEPS``), so one
-    Taylor series covers any part of a step.  When built it takes both
-    stages on the grid from one ``numerics.stage_powers`` call (one step
-    exponential per stage) and each stage's Taylor terms of one step.  A
+    with ``||G_i h||_1 <= 1/4`` on both stages, so one Taylor series covers
+    any part of a step.  When built it takes both stages on that grid from
+    one ``numerics.stage_powers`` call (one step exponential per stage),
+    which sizes the grid and raises :class:`DomainError` past
+    ``MAX_GRID_STEPS``, and each stage's Taylor terms of one step.  A
     cycle then takes no exponential: a few matrix-vector products, a scalar
     Newton refinement of the event (two to four evaluations of the stage-1
     polynomial) and the stage-2 series from the event to the next grid point.
@@ -119,15 +119,13 @@ class CycleSimulator:
         # inside a step, the C rows of its terms give y.  An overflowing
         # power comes back non-finite, and the cycle reading it raises.
         gens = self._aug1, self._aug2
-        points = max(scan_points, numerics.step_count(gens, ramp.T, 0.25))
-        self._h = ramp.T / points
-        self._powers1, self._powers2 = np.ascontiguousarray(
-            numerics.stage_powers(gens, ramp.T, points).swapaxes(0, 1)
-        )
+        powers = numerics.stage_powers(gens, ramp.T, scan_points, 0.25)
+        self._h = ramp.T / (len(powers) - 1)
+        self._powers1, self._powers2 = np.ascontiguousarray(powers.swapaxes(0, 1))
         terms = [numerics.taylor_terms(g, self._h) for g in gens]
         self._terms1, self._terms2 = terms
         self._orders1, self._orders2 = (np.arange(len(t)) for t in terms)
-        self._grid = np.linspace(0.0, ramp.T, points + 1)
+        self._grid = np.linspace(0.0, ramp.T, len(powers))
         self._y_rows = model.C @ self._powers1[:, :n, :n]
         self._y_offsets = self._powers1[:, :n, n] @ model.C + self._du
         self._h_grid = ramp.Vl + ramp.slope * self._grid
@@ -304,6 +302,8 @@ def steady_period(
     numerics.check_positive("tol", tol)
     sim = CycleSimulator(model, ramp, u, scan_points=scan_points)
     x = np.asarray(x0, dtype=float)
+    if x.shape != (model.n,):
+        raise DomainError(f"state must have shape ({model.n},)")
     for _ in range(transient):
         x = sim.map(x)
     states = np.empty((tail, model.n))

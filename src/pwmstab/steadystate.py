@@ -9,9 +9,10 @@ exponentials; the third is a scalar root-finding problem in ``d``, solved
 by Newton steps on the exact slope of its residual, ``F(+1) - hdot`` of
 :func:`critical_value`.  The roots are bracketed by a scan on a uniform
 grid of ``d``, whose stage exponentials are the powers of one step
-exponential per stage, both stages powered in one doubling pass
-(``numerics.stage_powers``); :func:`orbit_grid`, at arbitrary switching
-times, multiplies such powers by a Taylor sum over the rest of each time.
+exponential per stage, both stages powered in one doubling pass by
+``numerics.stage_powers``, which refuses a grid past ``MAX_GRID_STEPS``
+steps; :func:`orbit_grid`, at arbitrary switching times, multiplies such
+powers by a Taylor sum over the rest of each time.
 
 Every orbit point of one ``(model, ramp, u)`` comes from one private
 evaluator that holds what the points share: the augmented stage
@@ -134,6 +135,7 @@ class _OrbitEvaluator:
         # orbit_at's point, and the numerics.factor_linear factor of
         # I - Phi0 that solved x0 (the resolvent's at lambda = 1).
         T = self.ramp.T
+        numerics.check_real("d", d)
         if not 0.0 <= d <= T:
             raise DomainError(f"d must lie in [0, {T}], got {d}")
         e1 = numerics.mat_exp(self.g1, d)
@@ -153,8 +155,8 @@ class _OrbitEvaluator:
         # grid exponentials e^{G_i j h}, j = 0..K + 1: e^{A1 d_j} is stage
         # 1's j-th and e^{A2 (T - d_j)} stage 2's (K + 1 - j)-th.
         T = self.ramp.T
-        d = np.linspace(0.0, T, grid_points + 2)[1:-1]
         powers = numerics.stage_powers((self.g1, self.g2), T, grid_points + 1)
+        d = np.linspace(0.0, T, grid_points + 2)[1:-1]
         return self.grid(d, powers[1:-1, 0], powers[-2:0:-1, 1])
 
     def grid(self, d, e1, e2) -> tuple[SteadyState, np.ndarray]:
@@ -274,7 +276,8 @@ def solve_periodic_orbit(
     Raises
     ------
     DomainError
-        ``d_tol`` is not positive and finite.
+        ``d_tol`` is not positive and finite, or the scan's
+        ``grid_points + 1`` steps are more than ``numerics.MAX_GRID_STEPS``.
     NoSwitchingError
         No sign change anywhere: the converter never switches in steady
         state (duty saturated at 0 or 1).

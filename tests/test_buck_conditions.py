@@ -343,6 +343,11 @@ class TestHarmonicBalance:
         with pytest.raises(DomainError):
             p.harmonic_balance(plant, 0.5 * ramp.T, 0)
 
+    def test_harmonic_count_past_max_grid_steps(self, plant):
+        # Refused before the 2K resolvents are allocated.
+        with pytest.raises(DomainError, match="K must be <= 131072"):
+            p.harmonic_gains(plant, p.numerics.MAX_GRID_STEPS + 1)
+
     @pytest.mark.parametrize("K", [0, -3])
     def test_harmonic_count_checked_with_precomputed_gains(self, plant, ramp, K):
         gains = p.harmonic_gains(plant, 10)
@@ -443,6 +448,25 @@ class TestTaylor:
 ])
 def test_integer_arguments_must_be_integers(plant, ramp, call):
     with pytest.raises(DomainError, match="must be an integer"):
+        call(plant, ramp.T)
+
+
+@pytest.mark.parametrize("call", [
+    lambda plant, T: p.buck_pdb_residual(plant, 0.5, 10 ** 400, "TEM"),
+    lambda plant, T: p.buck_pdb_residual(plant, 0.5, True, "TEM"),
+    lambda plant, T: p.vs_critical_tem(plant, "x"),
+    lambda plant, T: p.vs_critical_lem(plant, 0.5 + 0.1j),
+    lambda plant, T: p.lem_boundary_coefficient(plant, "x"),
+    lambda plant, T: p.harmonic_balance(plant, 0.4j * T, 8),
+    lambda plant, T: p.taylor_coefficients(True),
+    lambda plant, T: p.taylor_coefficients("x"),
+], ids=[
+    "pdb_residual_huge_int_vs", "pdb_residual_bool_vs", "vs_critical_string_duty",
+    "vs_critical_complex_duty", "lem_coefficient_string_d", "harmonic_balance_complex_d",
+    "taylor_bool_duty", "taylor_string_duty",
+])
+def test_scalar_arguments_must_be_finite_reals(plant, ramp, call):
+    with pytest.raises(DomainError, match="must be finite and real"):
         call(plant, ramp.T)
 
 

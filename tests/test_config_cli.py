@@ -567,6 +567,22 @@ class TestReadmeConfig:
         assert captured.err.startswith("config error: ramp amplitude")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, old, new", [
+        (["steady"], "grid_points = 256", "grid_points = 131072"),
+        (["simulate", "--cycles", "1"], "scan_points = 512", "scan_points = 131073"),
+        (["check-equivalence"], "harmonics = 2000", "harmonics = 131073"),
+    ], ids=["grid_points", "scan_points", "harmonics"])
+    def test_size_past_max_grid_steps_is_config_error(self, tmp_path, capsys, argv, old, new):
+        # One more step (the scan takes grid_points + 1) or harmonic than
+        # numerics.MAX_GRID_STEPS = 131072 is refused before it is allocated.
+        text = self._config("TEM")
+        assert old in text
+        cfg = _write(tmp_path, text.replace(old, new))
+        assert cli.main([argv[0], cfg, "--quiet", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("edge", ["TEM", "LEM"])
     def test_taylor_compare_exact_column_is_sweep_vs(self, tmp_path, capsys, edge):
         # taylor-compare's exact voltage is the config edge's boundary, the

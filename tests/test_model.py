@@ -49,6 +49,25 @@ class TestRamp:
         with pytest.raises(DomainError, match="must be finite"):
             p.RampSignal(*args)
 
+    @pytest.mark.parametrize("call", [
+        lambda: p.RampSignal(0, 10 ** 400, 1),
+        lambda: p.RampSignal(0.0, 1.0, True),
+        lambda: p.RampSignal(0.0, 1j, 1.0),
+        lambda: p.InputVector(10 ** 400, 0),
+        lambda: p.InputVector(True, 24.0),
+        lambda: p.InputVector("1", 2.0),
+        lambda: p.preset_vmc_buck(20e-3, 47e-6, 22.0, 10 ** 400, "TEM"),
+        lambda: p.preset_vmc_buck(20e-3, 47e-6, 22.0, True, "TEM"),
+    ], ids=[
+        "ramp_huge_int", "ramp_bool_period", "ramp_complex", "input_huge_int",
+        "input_bool", "input_string", "preset_huge_int_gain", "preset_bool_gain",
+    ])
+    def test_scalar_fields_must_be_finite_reals(self, call):
+        # Typed refusals, where an untyped OverflowError or TypeError, or a
+        # bool taken as 1, would otherwise come through.
+        with pytest.raises(DomainError, match="must be finite and real"):
+            call()
+
     def test_derived_quantities(self):
         ramp = p.RampSignal(3.8, 8.2, 400e-6)
         assert ramp.Vm == pytest.approx(4.4)

@@ -55,6 +55,11 @@ class TestMatExp:
         with pytest.raises(DomainError):
             numerics.mat_exp(np.eye(2), math.inf)
 
+    @pytest.mark.parametrize("t", [10 ** 400, True, "1", 1j])
+    def test_time_must_be_finite_real(self, t):
+        with pytest.raises(DomainError, match="t must be finite and real"):
+            numerics.mat_exp(np.eye(2), t)
+
     def test_semigroup_property(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -111,7 +116,7 @@ class TestMatExp:
 @pytest.mark.parametrize("kernel", [
     lambda a: numerics.mat_exp(a, 1.0),
     lambda a: numerics.grid_exponentials(a, 1.0, np.array([1.0]))[0],
-    lambda a: numerics.mat_powers(numerics.mat_exp(a, 0.01), 100)[-1],
+    lambda a: numerics.stage_powers((a,), 1.0, 100)[-1, 0],
 ])
 def test_overflow_is_non_finite_without_warning(kernel):
     # e^{800} is past the float range: every kernel reports it the same way.
@@ -125,6 +130,20 @@ def test_check_count_rejects_non_integers(value):
         numerics.check_count("n", value, 0)
 
 
+@pytest.mark.parametrize("value", [
+    True, np.True_, 1j, np.complex128(1.0), "1", None, 10 ** 400, -(10 ** 400),
+    math.inf, -math.inf, math.nan, np.float32("inf"),
+])
+def test_check_real_rejects(value):
+    with pytest.raises(DomainError, match="x must be finite and real"):
+        numerics.check_real("x", value)
+
+
+def test_check_real_accepts_finite_reals():
+    for value in (0, -7, 10 ** 300, 1.5, -0.0, np.float64(2.5), np.int64(-3), np.float32(1.0)):
+        numerics.check_real("x", value)
+
+
 def test_check_count_accepts_integers():
     for value in (0, 7, np.int64(7), np.int32(0)):
         numerics.check_count("n", value, 0)
@@ -133,53 +152,57 @@ def test_check_count_accepts_integers():
 
 
 class TestMatPowers:
+    # The powers of the step exponentials that stage_powers builds by
+    # doubling.
     def test_powers_match_per_point_expm(self, model_cases):
         # Both augmented stage generators, powers of their step exponential
         # over one period, against one scipy expm per point.
         for model, rmp, u in model_cases:
             h = rmp.T / 64
-            for gen in stage_generators(model, u):
-                got = numerics.mat_powers(numerics.mat_exp(gen, h), 64)
-                assert got.shape == (65,) + gen.shape
-                for j, e in enumerate(got):
+            gens = stage_generators(model, u)
+            got = numerics.stage_powers(gens, rmp.T, 64)
+            assert got.shape == (65, 2) + gens[0].shape
+            for i, gen in enumerate(gens):
+                for j, e in enumerate(got[:, i]):
                     want = scipy.linalg.expm(gen * (j * h))
                     assert np.linalg.norm(e - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_zeroth_power_is_identity(self):
-        step = np.random.default_rng(3).normal(size=(4, 4))
+        gen = np.random.default_rng(3).normal(size=(4, 4))
         for points in (1, 2, 7, 8):
-            got = numerics.mat_powers(step, points)
+            got = numerics.stage_powers((gen,), 1.0, points)[:, 0]
             assert len(got) == points + 1
             assert np.array_equal(got[0], np.eye(4))
-            assert np.array_equal(got[1], step)
+            assert np.array_equal(got[1], numerics.mat_exp(gen, 1.0 / points))
 
     @pytest.mark.parametrize("points", [2.0, 2.5, True, "3", 0, -1])
     def test_invalid_points(self, points):
-        with pytest.raises(DomainError, match="points must be"):
-            numerics.mat_powers(np.eye(2), points)
+        with pytest.raises(DomainError, match="steps must be"):
+            numerics.stage_powers((np.eye(2),), 1.0, points)
 
     def test_non_square_step(self):
         with pytest.raises(DimensionError):
-            numerics.mat_powers(np.zeros((2, 3)), 4)
+            numerics.stage_powers((np.zeros((2, 3)),), 1.0, 4)
 
     def test_stacked_steps_match_one_step_at_a_time(self, model_cases):
-        # Both stage steps powered in one doubling pass: each is the stack
-        # its own pass builds, bit for bit.
+        # Both stages powered in one doubling pass: each is the stack its
+        # own call builds, bit for bit.
         for model, rmp, u in model_cases:
-            steps = np.stack([numerics.mat_exp(g, rmp.T / 65) for g in stage_generators(model, u)])
+            gens = stage_generators(model, u)
             for points in (1, 7, 64, 256):
-                got = numerics.mat_powers(steps, points)
-                assert got.shape == (points + 1,) + steps.shape
-                for i, step in enumerate(steps):
-                    assert np.array_equal(got[:, i], numerics.mat_powers(step, points))
+                got = numerics.stage_powers(gens, rmp.T, points)
+                assert got.shape == (points + 1, 2) + gens[0].shape
+                for i, gen in enumerate(gens):
+                    alone = numerics.stage_powers((gen,), rmp.T, points)
+                    assert np.array_equal(got[:, i], alone[:, 0])
 
 
 class TestStagePowers:
     @pytest.mark.parametrize("stages", [1, 2])
     def test_slices_are_each_generators_own_powers(self, model_cases, stages):
         # One stack for one or both augmented stage generators: slice [j, i]
-        # is the power mat_powers gives for generator i alone, bit for bit,
-        # and slice [0] is exactly I.
+        # is the j-th matrix power of generator i's step exponential, and
+        # slice [0] is exactly I.
         for model, rmp, u in model_cases:
             gens = stage_generators(model, u)[:stages]
             for steps in (1, 7, 65, 257):
@@ -187,66 +210,79 @@ class TestStagePowers:
                 assert got.shape == (steps + 1, stages) + gens[0].shape
                 assert np.array_equal(got[0], np.broadcast_to(np.eye(len(gens[0])), got[0].shape))
                 for i, gen in enumerate(gens):
-                    want = numerics.mat_powers(numerics.mat_exp(gen, rmp.T / steps), steps)
-                    assert np.array_equal(got[:, i], want)
+                    step = numerics.mat_exp(gen, rmp.T / steps)
+                    for j in (1, steps // 2, steps):
+                        want = np.linalg.matrix_power(step, j)
+                        assert np.linalg.norm(got[j, i] - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_every_uniform_grid_is_built_here(self, buck_tem, ramp, u_tem, monkeypatch):
         # The orbit scan and the simulator power both stages in one call,
-        # grid_exponentials one stage, and mat_powers runs only inside
-        # stage_powers.
-        calls, passes = [], []
-        stage_powers, mat_powers = numerics.stage_powers, numerics.mat_powers
+        # grid_exponentials one stage; the simulator and grid_exponentials
+        # let stage_powers size the grid.
+        calls = []
+        stage_powers = numerics.stage_powers
 
-        def spy(gens, span, steps):
-            calls.append((len(gens), span, steps))
-            return stage_powers(gens, span, steps)
-
-        def counted(step, points):
-            passes.append(points)
-            return mat_powers(step, points)
+        def spy(gens, span, steps, rho=None):
+            calls.append((len(gens), span, steps, rho))
+            return stage_powers(gens, span, steps, rho)
 
         monkeypatch.setattr(numerics, "stage_powers", spy)
-        monkeypatch.setattr(numerics, "mat_powers", counted)
         p.solve_periodic_orbit(buck_tem, ramp, u_tem, grid_points=64)
         p.CycleSimulator(buck_tem, ramp, u_tem, scan_points=128)
         numerics.grid_exponentials(np.eye(2), 1.0, np.array([0.5]))
-        assert calls == [(2, ramp.T, 65), (2, ramp.T, 128), (1, 1.0, 1)]
-        assert passes == [65, 128, 1]
+        assert calls == [(2, ramp.T, 65, None), (2, ramp.T, 128, 0.25), (1, 1.0, 1, 1.0)]
 
     @pytest.mark.parametrize("steps", [2.0, True, 0])
     def test_invalid_steps(self, steps):
+        # The count is checked even where rho would raise it.
         with pytest.raises(DomainError, match="steps must be"):
-            numerics.stage_powers((np.eye(2),), 1.0, steps)
+            numerics.stage_powers((np.eye(2),), 1.0, steps, 1.0)
+
+    @pytest.mark.parametrize("rho", [None, 1.0])
+    def test_ceiling_refuses_before_any_exponential(self, rho, monkeypatch):
+        # A grid of MAX_GRID_STEPS + 1 steps is refused before a step
+        # exponential, or the stack, is built.
+        calls = []
+        monkeypatch.setattr(numerics, "mat_exp", lambda a, t: calls.append(t))
+        top = numerics.MAX_GRID_STEPS
+        with pytest.raises(DomainError, match=f"grid of {top + 1} steps past MAX_GRID_STEPS"):
+            numerics.stage_powers((np.eye(2), np.eye(2)), 1.0, top + 1, rho)
+        assert calls == []
 
 
 class TestStepCount:
+    # The step count stage_powers takes with rho, read off the stack.
+    @staticmethod
+    def _count(gens, span, rho):
+        return len(numerics.stage_powers(gens, span, 1, rho)) - 1
+
     def test_fewest_steps_with_the_norm_bound(self):
         # ||G||_1 = 3.5: over a span of 2, ||G h||_1 <= 1 takes 7 steps, and a
         # span of 2.1 takes 8 (7.35 rounded up).  With several generators the
         # largest norm decides; a zero generator takes one step.
         gen = np.array([[-3.0, 1.0], [0.5, -2.0]])
-        assert numerics.step_count((gen,), 2.0, 1.0) == 7
-        assert numerics.step_count((gen,), 2.1, 1.0) == 8
-        assert numerics.step_count((gen, 0.5 * gen), 2.0, 1.0) == 7
-        assert numerics.step_count((0.5 * gen, gen), 2.0, 1.0) == 7
-        assert numerics.step_count((np.zeros((2, 2)),), 2.0, 1.0) == 1
+        assert self._count((gen,), 2.0, 1.0) == 7
+        assert self._count((gen,), 2.1, 1.0) == 8
+        assert self._count((gen, 0.5 * gen), 2.0, 1.0) == 7
+        assert self._count((0.5 * gen, gen), 2.0, 1.0) == 7
+        assert self._count((np.zeros((2, 2)),), 2.0, 1.0) == 1
 
     def test_rho_scales_the_count(self):
         gen = np.array([[-3.0, 1.0], [0.5, -2.0]])
-        assert numerics.step_count((gen,), 2.0, 0.25) == 28
-        assert numerics.step_count((gen,), 2.0, 0.5) == 14
-        assert numerics.step_count((gen,), 2.1, 0.25) == 30  # 29.4 rounded up
+        assert self._count((gen,), 2.0, 0.25) == 28
+        assert self._count((gen,), 2.0, 0.5) == 14
+        assert self._count((gen,), 2.1, 0.25) == 30  # 29.4 rounded up
 
     def test_ceiling_is_a_typed_refusal(self):
         top = numerics.MAX_GRID_STEPS
         assert top == 2 ** 17
         one = np.eye(1)
-        assert numerics.step_count((one,), float(top), 1.0) == top
-        assert numerics.step_count((one,), top / 4.0, 0.25) == top
+        assert self._count((one,), float(top), 1.0) == top
+        assert self._count((one,), top / 4.0, 0.25) == top
         with pytest.raises(DomainError, match=r"= 131073 needs 131073 steps"):
-            numerics.step_count((one,), top + 1.0, 1.0)
+            numerics.stage_powers((one,), top + 1.0, 1, 1.0)
         with pytest.raises(DomainError, match=r"= 32769 needs 131076 steps"):
-            numerics.step_count((one,), top / 4.0 + 1.0, 0.25)
+            numerics.stage_powers((one,), top / 4.0 + 1.0, 1, 0.25)
         # grid_exponentials refuses before it allocates a power.
         with pytest.raises(DomainError, match="needs 1e\\+09 steps"):
             numerics.grid_exponentials(np.diag([-1e9, -2.0]), 1.0, np.array([0.5]))
@@ -657,7 +693,7 @@ class TestFindRoot:
     def test_endpoint_root(self):
         assert numerics.find_root(lambda x: x, 0.0, 1.0, 1e-10) == 0.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None, True])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None, True, 10 ** 400])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         # An infinite tolerance would return a bracket end as the root.
         with pytest.raises(DomainError, match="tol must be positive and finite"):
@@ -729,7 +765,7 @@ class TestNewtonRoot:
             )
         assert len(calls) == 100
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None, True])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan, "a", 1j, None, True, 10 ** 400])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(DomainError, match="tol must be positive and finite"):
             numerics.newton_root(lambda x: (x - 0.3, 1.0), 0.0, 1.0, -0.3, 0.7, tol)
@@ -737,6 +773,7 @@ class TestNewtonRoot:
     @pytest.mark.parametrize("lo, hi, flo, fhi", [
         (1.0, 0.0, -0.3, 0.7), (0.0, math.inf, -0.3, 0.7),
         (0.0, 1.0, 0.3, 0.7), (0.0, 1.0, 0.0, 0.7), (0.0, 1.0, math.nan, 0.7),
+        (0.0, 10 ** 400, -0.3, 0.7), ("0", 1.0, -0.3, 0.7), (False, 1.0, -0.3, 0.7),
     ])
     def test_bracket_must_hold_a_sign_change(self, lo, hi, flo, fhi):
         with pytest.raises(DomainError):

@@ -495,6 +495,14 @@ class TestOracleArguments:
         with pytest.raises(DomainError, match="tol must be positive"):
             p.steady_period(buck_tem, ramp, u_tem, ss_tem.x0_start, tol=tol)
 
+    @pytest.mark.parametrize("x0", [[10.5], 10.5, [10.5, 10.5, 10.5]],
+                             ids=["short", "scalar", "long"])
+    def test_steady_period_state_shape(self, buck_tem, ramp, u_tem, x0):
+        # With no transient the start is the tail's first state: its shape
+        # is checked there too, not broadcast into the tail.
+        with pytest.raises(DomainError, match=r"state must have shape \(2,\)"):
+            p.steady_period(buck_tem, ramp, u_tem, x0, transient=0)
+
     def test_steady_period_negative_transient(self, buck_tem, ramp, u_tem, ss_tem):
         with pytest.raises(DomainError, match="transient must be >= 0"):
             p.steady_period(buck_tem, ramp, u_tem, ss_tem.x0_start, transient=-5)

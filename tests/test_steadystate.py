@@ -74,6 +74,11 @@ class TestX0OfD:
         with pytest.raises(DomainError):
             steadystate.x0_of_d(buck_tem, ramp, u_tem, -0.1 * ramp.T)
 
+    @pytest.mark.parametrize("d", ["x", 1j, 10 ** 400])
+    def test_switching_time_must_be_finite_real(self, buck_tem, ramp, u_tem, d):
+        with pytest.raises(DomainError, match="d must be finite and real"):
+            p.orbit_at(buck_tem, ramp, u_tem, d)
+
 
 class TestSwitchingResidual:
     def test_zero_at_solution(self, buck_tem, ramp, u_tem, ss_tem):
